@@ -10,9 +10,10 @@ artifacts into the output directory:
 * per-iteration diagnostics CSV (j, dual, sum_gamma, alpha, theta0,
   elapsed_ms),
 * summary.csv with one row per solve (dim_beta, dim_gamma, wall time,
-  achieved distance, duality gap),
-* with --emit-plot-data: sample/candidate/selected point CSVs and a
-  transport-plan dump (i, k, mass).
+  achieved distance, duality gap; pipeline rows add the solver loop's own
+  time as solve_s),
+* with --emit-plot-data: sample/candidate/selected point CSVs and the
+  nearest-assignment transport plan (i, k, mass).
 
 KC_LOG={error,info,debug} controls logging verbosity.
 """
@@ -51,6 +52,7 @@ from .pipeline import (
     GenerativeSystem,
     StageSpec,
     approximate_system,
+    assignment_plan,
     build_stage_instance,
     candidate_lattice,
     implied_kernel,
@@ -58,7 +60,6 @@ from .pipeline import (
     system_to_dict,
 )
 from .risk import evaluate_backward, expectation_mapping, semideviation_mapping
-from .transport import wasserstein_exact
 
 log = logging.getLogger("kcompress")
 
@@ -399,7 +400,8 @@ def _coord_header(dim: int):
 
 
 def _write_diagnostics(path: Path, result):
-    rows = [
+    # rows are streamed, never held: a solve can run thousands of iterations
+    rows = (
         [
             j,
             repr(float(result.history_dual[j])),
@@ -409,16 +411,17 @@ def _write_diagnostics(path: Path, result):
             repr(float(result.history_elapsed_ms[j])),
         ]
         for j in range(result.iterations)
-    ]
+    )
     _write_csv(
         path, ["j", "dual", "sum_gamma", "alpha", "theta0", "elapsed_ms"], rows
     )
 
 
-def _write_plan(path: Path, plan):
-    rows = []
-    for i, k in np.argwhere(plan.plan > 0):
-        rows.append([int(i), int(k), repr(float(plan.plan[i, k]))])
+def _write_plan(path: Path, columns, masses):
+    rows = (
+        [i, int(k), repr(float(m))]
+        for i, (k, m) in enumerate(zip(columns, masses))
+    )
     _write_csv(path, ["i", "k", "mass"], rows)
 
 
@@ -545,14 +548,14 @@ def run_select(cfg: ExperimentConfig):
 
         kernel = implied_kernel(instance, result.gamma, result.beta_assignment)
         selected_marginal = compose_marginal(marginal, kernel)
-        pooled = np.vstack(clouds)
-        pooled_w = np.repeat(
-            cfg.mixture_weights / cfg.samples_per_component,
-            [len(c) for c in clouds],
+        # the nearest-assignment coupling is an optimal plan between the
+        # pooled clouds and the composed marginal (see assignment_plan)
+        columns, masses, costs = assignment_plan(
+            instance, result.beta_assignment
         )
-        empirical = DiscreteDistribution(pooled, pooled_w)
-        composed_distance, plan = wasserstein_exact(
-            empirical, selected_marginal, cfg.order
+        plan_value = float(np.sum(masses * costs))
+        composed_distance = (
+            plan_value ** (1.0 / cfg.order) if plan_value > 0 else 0.0
         )
 
         payload = {
@@ -587,7 +590,7 @@ def run_select(cfg: ExperimentConfig):
             ]
         )
         if cfg.emit_plot_data:
-            dim = pooled.shape[1]
+            dim = candidates.shape[1]
             rows = []
             for s, cloud in enumerate(clouds):
                 rows.extend(_point_rows(cloud, prefix=(s,)))
@@ -606,7 +609,7 @@ def run_select(cfg: ExperimentConfig):
                 _coord_header(dim),
                 _point_rows(candidates[np.flatnonzero(result.gamma)]),
             )
-            _write_plan(cfg.out / f"plan_seed{seed}.csv", plan)
+            _write_plan(cfg.out / f"plan_seed{seed}.csv", columns, masses)
         log.info(
             "select seed=%d: distance=%.6f gap=%.3e sum_gamma=%d wall=%.2fs",
             seed,
@@ -639,6 +642,17 @@ def run_pipeline(cfg: ExperimentConfig):
     for seed in cfg.seeds:
         collected = []
         t0 = time.perf_counter()
+        # a stage's wall time runs from the end of the previous stage's
+        # callback (or the start) to its own: sampling, lattice, instance
+        # build, solve, and the previous stage's kernel and composition
+        stage_start = [t0]
+
+        def on_stage(stage, inst, res):
+            collected.append(
+                (stage, inst, res, time.perf_counter() - stage_start[0])
+            )
+            stage_start[0] = time.perf_counter()
+
         approx = approximate_system(
             _walk_system(cfg.system),
             cfg.stages,
@@ -646,15 +660,13 @@ def run_pipeline(cfg: ExperimentConfig):
             candidate_mode=cfg.candidate_mode,
             margin=cfg.margin,
             box=cfg.candidate_box,
-            on_stage=lambda stage, inst, res: collected.append(
-                (stage, inst, res)
-            ),
+            on_stage=on_stage,
         )
         wall = time.perf_counter() - t0
         _write_json(
             cfg.out / f"system_seed{seed}.json", system_to_dict(approx)
         )
-        for t, (stage, instance, result) in enumerate(collected):
+        for t, (stage, instance, result, stage_wall) in enumerate(collected):
             _write_json(
                 cfg.out / f"stage_{t}_seed{seed}.json",
                 {
@@ -667,7 +679,7 @@ def run_pipeline(cfg: ExperimentConfig):
             _write_diagnostics(
                 cfg.out / f"diagnostics_stage{t}_seed{seed}.csv", result
             )
-            stage_wall = float(result.history_elapsed_ms[-1]) / 1000.0
+            solve = float(result.history_elapsed_ms[-1]) / 1000.0
             summary.append(
                 [
                     seed,
@@ -675,6 +687,7 @@ def run_pipeline(cfg: ExperimentConfig):
                     instance.dim_beta,
                     instance.dim_gamma,
                     repr(round(stage_wall, 6)),
+                    repr(round(solve, 6)),
                     repr(float(approx.deltas[t])),
                     repr(float(result.gap)),
                 ]
@@ -716,6 +729,7 @@ def run_pipeline(cfg: ExperimentConfig):
             "dim_beta",
             "dim_gamma",
             "wall_time_s",
+            "solve_s",
             "delta",
             "gap",
         ],

@@ -14,12 +14,15 @@ L_D with momentum-smoothed supergradients and a 1/sqrt(j) step schedule,
 then recovers a feasible selection by weighted averaging and rounding.
 
 All per-candidate work is done in fixed-size column blocks reduced in block
-order, so results are identical for any worker count.
+order, so results are identical for any worker count. Each block is swept
+in place in a per-thread buffer that lives as long as the solve, over the
+instance's one cached stacked cost matrix.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyHistoryError,
+    NegativeGapError,
     ValidationError,
 )
 from .oracle import SelectionInstance
@@ -118,40 +122,62 @@ class SelectionResult:
     state: DualState
 
 
-def _stacked(instance: SelectionInstance):
-    """(wd, group weights per row, group offsets) for the flat particle order."""
-    wd = instance.stacked_weighted_costs()
-    sizes = instance.group_sizes()
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return wd, offsets
+class _Scratch(threading.local):
+    """Per-thread sweep buffer: room for one (N, SWEEP_BLOCK) block, made on
+    a thread's first block and reused by every later block and call."""
+
+    def __init__(self, n: int, width: int):
+        self.flat = np.empty(n * width)
+        self.n = n
+
+    def block(self, width: int) -> np.ndarray:
+        return self.flat[: self.n * width].reshape(self.n, width)
 
 
-def _sweep_block(wd_block, theta, theta0):
-    slack = theta[:, None] - wd_block
-    scores = np.maximum(slack, 0.0).sum(axis=0)
+def _scratch_for(wd) -> _Scratch:
+    n, k = wd.shape
+    return _Scratch(n, min(k, SWEEP_BLOCK))
+
+
+def _sweep_block(wd_block, theta, theta0, buf, beta_block=None):
+    """One fused pass over a column block: buf ends as max(0, slack)."""
+    np.subtract(theta[:, None], wd_block, out=buf)
+    np.maximum(buf, 0.0, out=buf)
+    scores = buf.sum(axis=0)
     sel = scores > theta0
-    cover = ((slack > 0.0) & sel[None, :]).sum(axis=1).astype(np.float64)
+    cover = np.count_nonzero(buf[:, sel], axis=1)
     dual_neg = float(np.minimum(0.0, theta0 - scores).sum())
+    if beta_block is not None:
+        np.greater(buf, 0.0, out=beta_block)
+        beta_block &= sel
     return sel, cover, scores, dual_neg
 
 
-def _sweep(wd, theta, theta0, executor=None):
+def _sweep(wd, theta, theta0, executor=None, scratch=None, beta=None):
     """Inner solution summary over all candidates: per-candidate selection,
     per-particle cover counts, scores, and the negative dual part. Blocks
-    are reduced in index order regardless of the executor."""
+    are reduced in index order regardless of the executor. With beta given
+    (a boolean (N, K) array), the inner assignment is written into it."""
     n, k = wd.shape
-    starts = range(0, k, SWEEP_BLOCK)
-    if executor is None:
-        parts = [
-            _sweep_block(wd[:, s : s + SWEEP_BLOCK], theta, theta0) for s in starts
-        ]
-    else:
-        parts = list(
-            executor.map(
-                lambda s: _sweep_block(wd[:, s : s + SWEEP_BLOCK], theta, theta0),
-                starts,
-            )
+    if scratch is None:
+        scratch = _scratch_for(wd)
+
+    def run(s):
+        stop = min(s + SWEEP_BLOCK, k)
+        return _sweep_block(
+            wd[:, s:stop],
+            theta,
+            theta0,
+            scratch.block(stop - s),
+            None if beta is None else beta[:, s:stop],
         )
+
+    starts = range(0, k, SWEEP_BLOCK)
+    # a single block gains nothing from a worker round trip
+    if executor is None or len(starts) == 1:
+        parts = [run(s) for s in starts]
+    else:
+        parts = list(executor.map(run, starts))
     gamma = np.concatenate([p[0] for p in parts])
     cover = np.zeros(n)
     for p in parts:
@@ -179,18 +205,16 @@ def inner_solution(instance: SelectionInstance, state: DualState):
     the zero branch.
     """
     _check_state(instance, state)
-    wd, _ = _stacked(instance)
-    slack = state.theta[:, None] - wd
-    scores = np.maximum(slack, 0.0).sum(axis=0)
-    gamma = scores > state.theta0
-    beta = (slack > 0.0) & gamma[None, :]
+    wd = instance.stacked_weighted_costs()
+    beta = np.empty(wd.shape, dtype=bool)
+    gamma, _, _, _ = _sweep(wd, state.theta, state.theta0, beta=beta)
     return gamma.astype(np.int8), beta
 
 
 def dual_value(instance: SelectionInstance, state: DualState) -> float:
     """L_D(theta) by the closed form."""
     _check_state(instance, state)
-    wd, _ = _stacked(instance)
+    wd = instance.stacked_weighted_costs()
     _, _, _, dual_neg = _sweep(wd, state.theta, state.theta0)
     return (
         dual_neg
@@ -207,6 +231,17 @@ def subgradient(instance: SelectionInstance, state: DualState, inner):
     return g0, g
 
 
+def _batch_subgradient(wd, budget, state, batch, scratch=None):
+    cols = np.asarray(batch, dtype=np.intp)
+    sel, cover, _, _ = _sweep(
+        wd[:, cols], state.theta, state.theta0, scratch=scratch
+    )
+    scale = wd.shape[1] / len(cols)
+    g0 = scale * float(np.sum(sel)) - budget
+    g = 1.0 - scale * cover
+    return g0, g
+
+
 def batch_subgradient(instance: SelectionInstance, state: DualState, batch):
     """Stochastic supergradient estimate from a subset of candidate columns.
 
@@ -214,19 +249,15 @@ def batch_subgradient(instance: SelectionInstance, state: DualState, batch):
     batch sums by K/B so they are unbiased under uniform batch draws.
     """
     _check_state(instance, state)
-    wd, _ = _stacked(instance)
-    cols = np.asarray(batch, dtype=np.intp)
-    sel, cover, _, _ = _sweep_block(wd[:, cols], state.theta, state.theta0)
-    scale = instance.n_candidates / len(cols)
-    g0 = scale * float(np.sum(sel)) - instance.budget
-    g = 1.0 - scale * cover
-    return g0, g
+    return _batch_subgradient(
+        instance.stacked_weighted_costs(), instance.budget, state, batch
+    )
 
 
 def initial_state(instance: SelectionInstance) -> DualState:
     """Starting multipliers: theta_si at each particle's cheapest weighted
     cost, theta0 at half the budget-th largest initial score."""
-    wd, _ = _stacked(instance)
+    wd = instance.stacked_weighted_costs()
     theta = wd.min(axis=1)
     _, _, scores, _ = _sweep(wd, theta, 0.0)
     kth = np.sort(scores)[-instance.budget]
@@ -282,7 +313,7 @@ def repair_feasibility(
     lowest index.
     """
     _check_state(instance, state)
-    wd, _ = _stacked(instance)
+    wd = instance.stacked_weighted_costs()
     _, _, scores, _ = _sweep(wd, state.theta, state.theta0)
     return _repair_with_scores(gamma, scores, state.theta0, budget)
 
@@ -292,10 +323,17 @@ def duality_gap(objective: float, best_dual: float) -> float:
 
     Weak duality makes the exact gap nonnegative; a difference inside float
     tolerance is floored at zero so rounding cannot produce a spurious
-    negative. Larger negatives are returned as-is (they indicate a bug).
+    negative. A larger negative breaks weak duality, so it raises
+    NegativeGapError.
     """
     gap = objective - best_dual
-    if -1e-9 * max(1.0, abs(objective)) < gap < 0.0:
+    if gap < 0.0:
+        tol = 1e-9 * max(1.0, abs(objective))
+        if gap <= -tol:
+            raise NegativeGapError(
+                f"objective {objective!r} lies below the dual bound "
+                f"{best_dual!r} by more than {tol!r}"
+            )
         return 0.0
     return gap
 
@@ -330,10 +368,12 @@ def run_subgradient(
     among the rounded recovery average, the repaired final inner solution,
     and the repaired near-best window iterates.
     """
-    wd, _ = _stacked(instance)
+    wd = instance.stacked_weighted_costs()
     n, k = wd.shape
     m_budget = instance.budget
     rng = np.random.default_rng(config.seed)
+    # one sweep buffer per worker thread for the whole solve
+    scratch = _scratch_for(wd)
 
     state = initial_state(instance)
     executor = (
@@ -342,6 +382,7 @@ def run_subgradient(
         else None
     )
     hist_dual, hist_sum, hist_alpha, hist_theta0, hist_ms = [], [], [], [], []
+    # every inner selection, one bit per candidate, for the recovery average
     recovery: list = []
     # near-best inner selections with their scores, kept for end-of-run repair
     repair_ring: deque = deque(maxlen=config.window)
@@ -352,7 +393,7 @@ def run_subgradient(
     try:
         for j in range(config.max_iter):
             gamma, cover, scores, dual_neg = _sweep(
-                wd, state.theta, state.theta0, executor
+                wd, state.theta, state.theta0, executor, scratch
             )
             dual = dual_neg + float(state.theta.sum()) - m_budget * state.theta0
             sum_gamma = int(gamma.sum())
@@ -363,7 +404,7 @@ def run_subgradient(
             hist_theta0.append(state.theta0)
             hist_ms.append((time.perf_counter() - t0) * 1e3)
             best_dual = max(best_dual, dual)
-            recovery.append((gamma.astype(np.int8), alpha, dual))
+            recovery.append(np.packbits(gamma))
             last_entry = (gamma.astype(np.int8), scores, state.theta0)
             if dual >= best_dual - 0.01 * abs(best_dual):
                 repair_ring.append(last_entry)
@@ -383,7 +424,7 @@ def run_subgradient(
             if config.batch is not None and config.batch < k:
                 cols = rng.choice(k, size=config.batch, replace=False)
                 cols.sort()
-                g0, g = batch_subgradient(instance, state, cols)
+                g0, g = _batch_subgradient(wd, m_budget, state, cols, scratch)
             else:
                 g0 = float(sum_gamma) - m_budget
                 g = 1.0 - cover
@@ -398,8 +439,11 @@ def run_subgradient(
 
     # recovery window: near-best iterations only, newest last, capped
     threshold = best_dual - 0.01 * abs(best_dual)
-    near = [(g, a) for g, a, d in recovery if d >= threshold]
-    near = near[-config.window :]
+    near_iters = [j for j, d in enumerate(hist_dual) if d >= threshold]
+    near = [
+        (np.unpackbits(recovery[j], count=k), hist_alpha[j])
+        for j in near_iters[-config.window :]
+    ]
     _, rounded = primal_recovery(
         near, m_budget, rng=rng, sample=config.recovery_sampling
     )

@@ -61,6 +61,10 @@ class EmptyHistoryError(ValidationError):
     pass
 
 
+class NegativeGapError(KCompressError):
+    """A duality gap negative beyond float tolerance: weak duality broke."""
+
+
 class UnselectedAssignmentError(ValidationError):
     pass
 

@@ -143,12 +143,18 @@ class SelectionInstance:
         ).entries
 
     def stacked_weighted_costs(self) -> np.ndarray:
-        """All w_s * d_sik rows stacked into one (N, K) array."""
-        blocks = [
-            self.cost_block(s, 0, self.n_candidates) * self.weights[s]
-            for s in range(self.n_groups)
-        ]
-        return np.vstack(blocks)
+        """All w_s * d_sik rows stacked into one read-only (N, K) array,
+        built on the first call and shared by every later one."""
+        stacked = self.__dict__.get("_stacked")
+        if stacked is None:
+            blocks = [
+                self.cost_block(s, 0, self.n_candidates) * self.weights[s]
+                for s in range(self.n_groups)
+            ]
+            stacked = np.vstack(blocks)
+            stacked.flags.writeable = False
+            object.__setattr__(self, "_stacked", stacked)
+        return stacked
 
 
 def solve_exact(instance: SelectionInstance):

@@ -151,6 +151,30 @@ def implied_kernel(
     return DiscreteKernel(sources, tuple(rows))
 
 
+def assignment_plan(instance: SelectionInstance, assignment):
+    """The coupling behind implied_kernel: each particle, in flat group
+    order, sends its whole group weight w_s to its assigned candidate.
+
+    Returns (columns, masses, costs), one entry per particle: the column
+    of the assigned candidate in implied_kernel's support, w_s, and
+    d(x_si, zeta_k)^p. The first marginal is the pooled weighted clouds and
+    the second is the marginal composed through implied_kernel. With every
+    particle on its nearest selected candidate (as run_subgradient assigns
+    them), the cost sum(masses * costs) attains the lower bound
+    sum_i w_i min_k d^p of any coupling onto the selection, so the coupling
+    is optimal and its cost is the selection objective.
+    """
+    used = np.unique(np.concatenate(assignment).astype(np.intp))
+    columns, costs = [], []
+    for s, group in enumerate(assignment):
+        group = np.asarray(group, dtype=np.intp)
+        block = instance.cost_block(s, 0, instance.n_candidates)
+        columns.append(np.searchsorted(used, group))
+        costs.append(block[np.arange(len(group)), group])
+    masses = np.repeat(instance.weights, instance.group_sizes())
+    return np.concatenate(columns), masses, np.concatenate(costs)
+
+
 def candidate_lattice(clouds, count: int, margin: float = 0.05) -> np.ndarray:
     """Sobol candidates over the pooled bounding box, expanded by `margin`
     per side; flat directions get a unit pad so the box stays proper."""

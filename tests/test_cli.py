@@ -11,7 +11,9 @@ from kcompress.cli import (
     main,
     parse_overrides,
 )
+from kcompress.core import DiscreteDistribution
 from kcompress.errors import ConfigError
+from kcompress.transport import wasserstein_exact
 
 
 def write_config(path, data):
@@ -232,6 +234,48 @@ def test_select_artifacts_and_summary(tmp_path):
     assert "wall_time_s" in meta
 
 
+def test_select_plan_is_optimal_coupling(tmp_path):
+    out = tmp_path / "sel"
+    data = select_config(out, seeds=(4,), k=24, m=6, n=20)
+    data["order"] = 2
+    cfg_path = write_config(tmp_path / "c.json", data)
+    assert main(["select", "--config", cfg_path, "--emit-plot-data"]) == 0
+    result = json.loads((out / "result_seed4.json").read_text())
+    p = result["order"]
+    samples = read_csv(out / "samples_seed4.csv")[1:]
+    groups = np.array([int(r[0]) for r in samples])
+    points = np.array([[float(c) for c in r[1:]] for r in samples])
+    weights = load_config(cfg_path, {}).mixture_weights
+    pooled_w = weights[groups] / 20
+    selected = DiscreteDistribution(
+        result["selected_distribution"]["support"],
+        result["selected_distribution"]["weights"],
+    )
+
+    rows = read_csv(out / "plan_seed4.csv")[1:]
+    i = np.array([int(r[0]) for r in rows])
+    k = np.array([int(r[1]) for r in rows])
+    mass = np.array([float(r[2]) for r in rows])
+    np.testing.assert_allclose(
+        np.bincount(i, mass, minlength=len(points)), pooled_w, atol=1e-15
+    )
+    np.testing.assert_allclose(
+        np.bincount(k, mass, minlength=len(selected)),
+        selected.weights,
+        atol=1e-12,
+    )
+    moved = np.linalg.norm(points[i] - selected.support[k], axis=1) ** p
+    cost = float(np.sum(mass * moved))
+    assert cost == pytest.approx(result["distance"] ** p, abs=1e-12)
+    assert result["composed_distance"] == pytest.approx(
+        result["distance"], abs=1e-12
+    )
+    _, exact = wasserstein_exact(
+        DiscreteDistribution(points, pooled_w), selected, p
+    )
+    assert cost == pytest.approx(exact.value, abs=1e-12)
+
+
 def test_result_bytes_stable_across_runs_and_threads(tmp_path):
     blobs = []
     for run, threads in ((0, "1"), (1, "1"), (2, "4")):
@@ -285,6 +329,11 @@ def test_pipeline_then_evaluate(tmp_path):
     assert len(stage0["support"]) <= 4
     summary = read_csv(pipe_out / "summary.csv")
     assert len(summary) == 3
+    header = summary[0]
+    assert header[4:6] == ["wall_time_s", "solve_s"]
+    for row in summary[1:]:
+        # the stage's wall time covers sampling and building around the solve
+        assert float(row[4]) >= float(row[5]) > 0.0
 
     eval_out = tmp_path / "eval"
     eval_cfg = write_config(

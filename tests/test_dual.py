@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from helpers import enumerate_lagrangian_min, random_tiny_instance
 from kcompress.dual import (
+    SWEEP_BLOCK,
     DualState,
     SelectionResult,
     SolverConfig,
@@ -17,8 +19,9 @@ from kcompress.dual import (
     repair_feasibility,
     run_subgradient,
     subgradient,
+    _sweep,
 )
-from kcompress.errors import EmptyHistoryError
+from kcompress.errors import EmptyHistoryError, NegativeGapError
 from kcompress.oracle import SelectionInstance, solve_exact
 
 
@@ -166,6 +169,86 @@ def test_weak_duality_random_multipliers():
 
 
 # ---------------------------------------------------------------------------
+# the fused sweep kernel
+# ---------------------------------------------------------------------------
+
+def _reference_sweep(wd, theta, theta0):
+    """The unfused per-block formula: a fresh slack array and a boolean
+    cover mask per block, blocks reduced in index order."""
+    n, k = wd.shape
+    gamma, scores, cover, dual_neg = [], [], np.zeros(n), 0.0
+    for s in range(0, k, SWEEP_BLOCK):
+        slack = theta[:, None] - wd[:, s : s + SWEEP_BLOCK]
+        block_scores = np.maximum(slack, 0.0).sum(axis=0)
+        sel = block_scores > theta0
+        cover += ((slack > 0.0) & sel[None, :]).sum(axis=1).astype(np.float64)
+        dual_neg += float(np.minimum(0.0, theta0 - block_scores).sum())
+        gamma.append(sel)
+        scores.append(block_scores)
+    return np.concatenate(gamma), cover, np.concatenate(scores), dual_neg
+
+
+@pytest.mark.parametrize("k", [1, 511, 512, 513, 1500])
+def test_fused_sweep_matches_reference(k):
+    rng = np.random.default_rng(k)
+    wd = rng.uniform(0.0, 1.0, size=(37, k)) / 37
+    theta = rng.uniform(-0.005, 0.03, size=37)
+    scores = np.maximum(theta[:, None] - wd, 0.0).sum(axis=0)
+    # a threshold inside the score range, so some candidates are selected
+    theta0 = float(np.quantile(scores, 0.7)) if k > 1 else scores[0] / 2
+    expected = _reference_sweep(wd, theta, theta0)
+    assert expected[0].any() and expected[1].any()
+    for threads in (1, 2, 4):
+        executor = ThreadPoolExecutor(threads) if threads > 1 else None
+        try:
+            got = _sweep(wd, theta, theta0, executor)
+        finally:
+            if executor is not None:
+                executor.shutdown()
+        for a, b in zip(got[:3], expected[:3]):
+            np.testing.assert_array_equal(a, b)
+        assert got[3] == expected[3]
+
+
+def test_inner_solution_matches_unfused_formula():
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        inst = random_tiny_instance(rng)
+        state = _random_state(rng, inst, scale=0.5)
+        gamma, beta = inner_solution(inst, state)
+        slack = state.theta[:, None] - inst.stacked_weighted_costs()
+        expected = np.maximum(slack, 0.0).sum(axis=0) > state.theta0
+        np.testing.assert_array_equal(gamma, expected.astype(np.int8))
+        np.testing.assert_array_equal(beta, (slack > 0.0) & expected)
+
+
+def test_stacked_matrix_built_once_per_instance(monkeypatch):
+    builds = []
+    vstack = np.vstack
+
+    def counting_vstack(*args, **kwargs):
+        builds.append(1)
+        return vstack(*args, **kwargs)
+
+    rng = np.random.default_rng(21)
+    insts = [random_tiny_instance(rng, max_k=10) for _ in range(2)]
+    monkeypatch.setattr(np, "vstack", counting_vstack)
+    for n_built, inst in enumerate(insts, start=1):
+        state = _random_state(rng, inst)
+        inner_solution(inst, state)
+        dual_value(inst, state)
+        initial_state(inst)
+        batch_subgradient(inst, state, [0, 2])
+        repair_feasibility(inst, np.ones(inst.n_candidates), inst.budget, state)
+        run_subgradient(inst, SolverConfig(max_iter=30))
+        run_subgradient(inst, SolverConfig(max_iter=30, batch=3, seed=1))
+        assert len(builds) == n_built
+        wd = inst.stacked_weighted_costs()
+        assert not wd.flags.writeable
+        assert wd is inst.stacked_weighted_costs()
+
+
+# ---------------------------------------------------------------------------
 # stochastic estimates
 # ---------------------------------------------------------------------------
 
@@ -272,6 +355,19 @@ def test_repair_clears_marginal_candidate():
 
 def test_gap_zero_when_equal():
     assert duality_gap(1.5, 1.5) == 0.0
+
+
+def test_gap_negative_inside_tolerance_floors_to_zero():
+    assert duality_gap(1.0, 1.0 + 5e-10) == 0.0
+    # the tolerance scales with the objective beyond 1
+    assert duality_gap(1e3, 1e3 + 5e-7) == 0.0
+
+
+def test_gap_negative_beyond_tolerance_raises():
+    with pytest.raises(NegativeGapError):
+        duality_gap(1.0, 1.0 + 2e-9)
+    with pytest.raises(NegativeGapError):
+        duality_gap(1e3, 1e3 + 2e-6)
 
 
 # ---------------------------------------------------------------------------
