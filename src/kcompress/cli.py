@@ -56,7 +56,7 @@ from .pipeline import (
     build_stage_instance,
     candidate_lattice,
     implied_kernel,
-    system_from_dict,
+    load_system,
     system_to_dict,
 )
 from .risk import evaluate_backward, expectation_mapping, semideviation_mapping
@@ -740,8 +740,8 @@ def run_pipeline(cfg: ExperimentConfig):
 
 def run_evaluate(cfg: ExperimentConfig):
     start = time.perf_counter()
-    with open(cfg.system_path) as fh:
-        system = system_from_dict(json.load(fh))
+    system = load_system(cfg.system_path)
+    decoded = time.perf_counter()
     horizon = system.horizon
     specs = cfg.costs
     if len(specs) == 0:
@@ -756,7 +756,9 @@ def run_evaluate(cfg: ExperimentConfig):
         )
     costs = [cost_function(spec) for spec in specs]
     sigma = _mapping_from(cfg.mapping)
+    evaluating = time.perf_counter()
     table = evaluate_backward(system, costs, sigma)
+    writing = time.perf_counter()
     table.to_csv(cfg.out / "values.csv")
     root = system.supports[0][0]
     payload = {
@@ -772,7 +774,13 @@ def run_evaluate(cfg: ExperimentConfig):
         sigma.name,
         payload["root_value"],
     )
-    _write_metadata(cfg, time.perf_counter() - start)
+    end = time.perf_counter()
+    phases = {
+        "decode_s": decoded - start,
+        "evaluate_s": writing - evaluating,
+        "write_s": end - writing,
+    }
+    _write_metadata(cfg, end - start, {"phases": phases})
 
 
 # ---------------------------------------------------------------------------

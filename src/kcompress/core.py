@@ -166,24 +166,26 @@ def compose_marginal(lam: DiscreteDistribution, kernel: DiscreteKernel) -> Discr
     sum_s lam_s * Q(y | z_s) at each atom y.
 
     lam.support must equal kernel.sources (same points, same order). Atoms
-    that coincide exactly across rows are merged.
+    that coincide exactly across rows are merged, in first-seen order; each
+    merged mass is summed in row order, atom by atom.
     """
     if lam.support.shape != kernel.sources.shape or not np.array_equal(
         lam.support, kernel.sources
     ):
         raise SourceMismatchError("marginal support does not match kernel sources")
-    accum: dict = {}
-    order: list = []
-    for lam_w, row in zip(lam.weights, kernel.rows):
-        for point, w in row.atoms():
-            key = tuple(point)
-            if key not in accum:
-                accum[key] = 0.0
-                order.append(key)
-            accum[key] += float(lam_w) * float(w)
-    support = np.array(order, dtype=np.float64)
-    weights = np.array([accum[key] for key in order], dtype=np.float64)
-    return DiscreteDistribution(support, weights)
+    points = np.concatenate([row.support for row in kernel.rows])
+    masses = np.concatenate(
+        [lam_w * row.weights for lam_w, row in zip(lam.weights, kernel.rows)]
+    )
+    # + 0.0 turns -0.0 into 0.0: the two are one atom, as they are one key
+    _, first, label = np.unique(
+        points + 0.0, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.argsort(order)
+    # bincount adds in input order, so each sum matches a running total
+    weights = np.bincount(rank[label.ravel()], masses, minlength=len(order))
+    return DiscreteDistribution(points[first[order]], weights)
 
 
 def pairwise_cost(a, b, order: float, block: int = 1024) -> CostMatrix:

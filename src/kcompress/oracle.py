@@ -26,10 +26,6 @@ from .errors import (
     WeightsNotNormalizedError,
 )
 
-# Cost blocks beyond this many total entries are recomputed per candidate
-# block instead of being held in memory.
-MATERIALIZE_LIMIT = 10**8
-
 ENUMERATION_MAX_K = 20
 ENUMERATION_MAX_M = 6
 
@@ -40,14 +36,13 @@ class SelectionInstance:
 
     weights[s] is the per-particle weight w_s of group s (so the group's
     total mass is weights[s] * len(clouds[s]) and all masses sum to 1).
-    costs[s] is the (n_s, K) block of p-powered distances, or None when the
-    instance is too large to materialize; cost_block then recomputes slices.
+    costs[s] is the (n_s, K) block of p-powered distances.
     """
 
     weights: np.ndarray
     clouds: tuple
     candidates: np.ndarray
-    costs: tuple | None
+    costs: tuple
     order: float
     budget: int
     sources: np.ndarray | None = None
@@ -75,17 +70,16 @@ class SelectionInstance:
             raise InfeasibleBudgetError(
                 f"budget {self.budget} outside [1, {k}]"
             )
-        if self.costs is not None:
-            costs = tuple(self.costs)
-            if len(costs) != len(clouds):
-                raise LengthMismatchError("one cost block per group required")
-            for block, cloud in zip(costs, clouds):
-                if block.entries.shape != (len(cloud), k):
-                    raise DimensionMismatchError(
-                        f"cost block {block.entries.shape} does not match "
-                        f"({len(cloud)}, {k})"
-                    )
-            object.__setattr__(self, "costs", costs)
+        costs = tuple(self.costs)
+        if len(costs) != len(clouds):
+            raise LengthMismatchError("one cost block per group required")
+        for block, cloud in zip(costs, clouds):
+            if block.entries.shape != (len(cloud), k):
+                raise DimensionMismatchError(
+                    f"cost block {block.entries.shape} does not match "
+                    f"({len(cloud)}, {k})"
+                )
+        object.__setattr__(self, "costs", costs)
         if self.sources is not None:
             sources = as_points(self.sources)
             if len(sources) != len(clouds):
@@ -99,16 +93,11 @@ class SelectionInstance:
     def build(
         cls, groups, candidates, p: float, budget: int, sources=None
     ) -> "SelectionInstance":
-        """Build from (weight, particles) pairs; cost blocks are computed
-        here unless the instance exceeds MATERIALIZE_LIMIT entries."""
+        """Build from (weight, particles) pairs, computing the cost blocks."""
         weights = np.array([w for w, _ in groups], dtype=np.float64)
         clouds = tuple(as_points(pts) for _, pts in groups)
         cands = as_points(candidates)
-        entries = sum(len(c) for c in clouds) * len(cands)
-        if entries <= MATERIALIZE_LIMIT:
-            costs = tuple(pairwise_cost(c, cands, p) for c in clouds)
-        else:
-            costs = None
+        costs = tuple(pairwise_cost(c, cands, p) for c in clouds)
         return cls(weights, clouds, cands, costs, float(p), budget, sources)
 
     @property
@@ -135,12 +124,8 @@ class SelectionInstance:
         return np.array([len(c) for c in self.clouds])
 
     def cost_block(self, s: int, start: int, stop: int) -> np.ndarray:
-        """The (n_s, stop-start) slice of d_sik, recomputed when not stored."""
-        if self.costs is not None:
-            return self.costs[s].entries[:, start:stop]
-        return pairwise_cost(
-            self.clouds[s], self.candidates[start:stop], self.order
-        ).entries
+        """The (n_s, stop-start) slice of d_sik."""
+        return self.costs[s].entries[:, start:stop]
 
     def stacked_weighted_costs(self) -> np.ndarray:
         """All w_s * d_sik rows stacked into one read-only (N, K) array,

@@ -11,6 +11,7 @@ empirical clouds and the implied kernel under the current marginal.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +27,7 @@ from .dual import SolverConfig, run_subgradient
 from .errors import (
     EmptyCloudError,
     InfeasibleBudgetError,
+    LengthMismatchError,
     SourceMismatchError,
     StageBudgetInfeasibleError,
     UnselectedAssignmentError,
@@ -280,11 +282,49 @@ def system_to_dict(approx: ApproximateSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> ApproximateSystem:
+    """Inverse of system_to_dict. Every row and marginal is validated as a
+    DiscreteDistribution, and kernel t must start from support t."""
     from .core import distribution_from_dict, kernel_from_dict
 
+    supports = tuple(np.asarray(s, dtype=np.float64) for s in data["supports"])
+    kernels = tuple(kernel_from_dict(k) for k in data["kernels"])
+    if len(supports) != len(kernels) + 1:
+        raise LengthMismatchError(
+            f"{len(supports)} supports need {len(supports) - 1} kernels, "
+            f"got {len(kernels)}"
+        )
+    for t, kernel in enumerate(kernels):
+        if not np.array_equal(kernel.sources, supports[t]):
+            raise SourceMismatchError(
+                f"kernel {t} sources do not match support {t}"
+            )
     return ApproximateSystem(
-        tuple(np.asarray(s, dtype=np.float64) for s in data["supports"]),
-        tuple(kernel_from_dict(k) for k in data["kernels"]),
+        supports,
+        kernels,
         tuple(distribution_from_dict(m) for m in data["marginals"]),
         tuple(float(d) for d in data["deltas"]),
     )
+
+
+def load_system(path) -> ApproximateSystem:
+    """Read a system file written from system_to_dict.
+
+    Each {"support", "weights"} object becomes float64 arrays as soon as the
+    parser closes it, so the rows' nested lists never exist all at once; a
+    row whose support list equals the previous row's shares its array.
+    system_from_dict then validates the system as for a plain json.load.
+    """
+    last = [None, None]  # the previous support list and its array
+
+    def decode(obj):
+        if obj.keys() != {"support", "weights"}:
+            return obj
+        if obj["support"] != last[0]:
+            last[:] = obj["support"], np.asarray(obj["support"], np.float64)
+        return {
+            "support": last[1],
+            "weights": np.asarray(obj["weights"], np.float64),
+        }
+
+    with open(path) as fh:
+        return system_from_dict(json.load(fh, object_hook=decode))

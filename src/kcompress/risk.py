@@ -31,23 +31,30 @@ from .errors import (
 class RiskMapping:
     """A transition risk mapping sigma(x, mu, v): aggregates the next-stage
     value map v under the next-state distribution mu at state x. Evaluators
-    must be pure and monotone in v."""
+    must be pure and monotone in v.
+
+    aggregate(rows, weights, values, n) evaluates n kernel rows at once from
+    flat atom arrays: atom i belongs to row rows[i] and carries weights[i]
+    and the next-stage value values[i]. The mappings here do not depend on
+    x, so it is not passed.
+    """
 
     name: str
-    evaluate: Callable
+    aggregate: Callable
 
     def __call__(self, x, mu: DiscreteDistribution, v) -> float:
-        return self.evaluate(x, mu, v)
+        values = np.array([v(y) for y in mu.support], dtype=np.float64)
+        rows = np.zeros(len(mu), dtype=np.intp)
+        return float(self.aggregate(rows, mu.weights, values, 1)[0])
 
 
 def expectation_mapping() -> RiskMapping:
     """sigma(x, mu, v) = sum_y mu(y) v(y)."""
 
-    def evaluate(x, mu, v):
-        values = np.array([v(y) for y in mu.support], dtype=np.float64)
-        return float(np.dot(mu.weights, values))
+    def aggregate(rows, weights, values, n):
+        return np.bincount(rows, weights * values, minlength=n)
 
-    return RiskMapping("expectation", evaluate)
+    return RiskMapping("expectation", aggregate)
 
 
 def semideviation_mapping(kappa: float) -> RiskMapping:
@@ -56,13 +63,12 @@ def semideviation_mapping(kappa: float) -> RiskMapping:
     if not 0.0 <= kappa <= 1.0:
         raise InvalidKappaError(f"kappa must lie in [0, 1], got {kappa}")
 
-    def evaluate(x, mu, v):
-        values = np.array([v(y) for y in mu.support], dtype=np.float64)
-        mean = float(np.dot(mu.weights, values))
-        excess = np.maximum(0.0, values - mean)
-        return mean + kappa * float(np.dot(mu.weights, excess))
+    def aggregate(rows, weights, values, n):
+        mean = np.bincount(rows, weights * values, minlength=n)
+        excess = np.maximum(0.0, values - mean[rows])
+        return mean + kappa * np.bincount(rows, weights * excess, minlength=n)
 
-    return RiskMapping(f"semideviation({kappa})", evaluate)
+    return RiskMapping(f"semideviation({kappa})", aggregate)
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,14 @@ class ValueTable:
         key = tuple(float(c) for c in np.asarray(point).ravel())
         self.stages.setdefault(int(t), {})[key] = float(value)
 
+    def set_stage(self, t: int, points, values):
+        """Set one value per point of stage t; a repeated point keeps its
+        last value, as repeated set_value calls would."""
+        points = np.asarray(points, dtype=np.float64)
+        keys = map(tuple, points.reshape(len(points), -1).tolist())
+        values = np.asarray(values, dtype=np.float64).tolist()
+        self.stages.setdefault(int(t), {}).update(zip(keys, values))
+
     def value(self, t: int, point) -> float:
         key = tuple(float(c) for c in np.asarray(point).ravel())
         try:
@@ -145,12 +159,40 @@ class ValueTable:
         return table
 
 
+def _flat_rows(kernel, index, t: int):
+    """(row, column, weight) arrays over every atom of the kernel's rows,
+    the columns indexing the stage-t support through `index` (point tuple
+    to position). Consecutive rows on an equal support share one column
+    array, so a kernel whose rows all share a support maps it once."""
+    cols, weights = [], []
+    support = mapped = None
+    for row in kernel.rows:
+        if support is None or not np.array_equal(row.support, support):
+            try:
+                mapped = np.array(
+                    [index[key] for key in map(tuple, row.support.tolist())],
+                    dtype=np.intp,
+                )
+            except KeyError as exc:
+                raise MissingValueError(
+                    f"no value at stage {t} for point {exc.args[0]}"
+                ) from None
+            support = row.support
+        cols.append(mapped)
+        weights.append(row.weights)
+    rows = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
+    return rows, np.concatenate(cols), np.concatenate(weights)
+
+
 def evaluate_backward(system, costs, sigma: RiskMapping) -> ValueTable:
     """Backward recursion v_T = c_T, v_t(x) = c_t(x) + sigma(x, Q_t(x), v_{t+1}).
 
-    system needs supports (T+1 point arrays) and kernels (T); costs is a
-    sequence of T+1 functions of a point. Raises MissingValueError when a
-    kernel row references a point absent from the next stage's table.
+    system needs supports (T+1 point arrays) and kernels (T), kernel t with
+    one row per point of support t; costs is a sequence of T+1 functions of
+    a point. Each stage is one sigma.aggregate call over the flat atoms of
+    its rows. Raises MissingValueError when a kernel row references a point
+    absent from the next stage's support. A point repeated within a support
+    takes the value of its last occurrence.
     """
     supports = system.supports
     kernels = system.kernels
@@ -162,16 +204,22 @@ def evaluate_backward(system, costs, sigma: RiskMapping) -> ValueTable:
             f"need {horizon + 1} cost functions, got {len(costs)}"
         )
     table = ValueTable(int(np.asarray(supports[0]).shape[-1]))
-    for x in supports[horizon]:
-        table.set_value(horizon, x, float(costs[horizon](x)))
+    points = np.asarray(supports[horizon], dtype=np.float64)
+    values = np.array([float(costs[horizon](x)) for x in points])
+    table.set_stage(horizon, points, values)
     for t in range(horizon - 1, -1, -1):
-        def v_next(y, _t=t):
-            return table.value(_t + 1, y)
-
-        for x, row in zip(supports[t], kernels[t].rows):
-            table.set_value(
-                t, x, float(costs[t](x)) + float(sigma(x, row, v_next))
+        # a repeated point maps to its last index, whose value the table kept
+        index = {key: i for i, key in enumerate(map(tuple, points.tolist()))}
+        points = np.asarray(supports[t], dtype=np.float64)
+        if len(kernels[t].rows) != len(points):
+            raise LengthMismatchError(
+                f"kernel {t} has {len(kernels[t].rows)} rows for "
+                f"{len(points)} support points"
             )
+        rows, cols, weights = _flat_rows(kernels[t], index, t + 1)
+        step = np.array([float(costs[t](x)) for x in points])
+        values = step + sigma.aggregate(rows, weights, values[cols], len(points))
+        table.set_stage(t, points, values)
     return table
 
 

@@ -360,6 +360,80 @@ def test_pipeline_then_evaluate(tmp_path):
         assert float(row[3]) == pytest.approx(float(x @ x), abs=1e-12)
 
 
+def _ragged_system_dict(rng, sizes):
+    """A system in the file schema whose rows sit on random subsets of the
+    next support, some with zero-weight atoms."""
+    supports = [[[0.0, 0.0]]] + [rng.normal(size=(n, 2)).tolist() for n in sizes]
+    kernels = []
+    for t in range(len(sizes)):
+        rows = []
+        for _ in supports[t]:
+            idx = rng.choice(sizes[t], size=int(rng.integers(1, sizes[t] + 1)),
+                             replace=False)
+            w = rng.uniform(0.0, 1.0, size=len(idx))
+            w[0] = 0.0 if len(idx) > 1 else 1.0
+            rows.append({"support": [supports[t + 1][i] for i in idx],
+                         "weights": (w / w.sum()).tolist()})
+        kernels.append({"sources": supports[t], "rows": rows})
+    marginals = [
+        {"support": s, "weights": [1.0 / len(s)] * len(s)} for s in supports
+    ]
+    return {"supports": supports, "kernels": kernels,
+            "marginals": marginals, "deltas": [0.0] * len(sizes)}
+
+
+def test_evaluate_values_csv_and_phases(tmp_path):
+    rng = np.random.default_rng(29)
+    data = _ragged_system_dict(rng, [5, 7, 4])
+    (tmp_path / "system.json").write_text(json.dumps(data))
+    kappa = 0.5
+    eval_cfg = write_config(
+        tmp_path / "e.json",
+        {
+            "mode": "evaluate",
+            "out": str(tmp_path / "eval"),
+            "system_path": str(tmp_path / "system.json"),
+            "costs": [{"affine": {"coeff": [0.5, -0.25], "offset": 1.0},
+                       "norm": {"center": [0.0, 0.0], "weight": 1.0,
+                                "power": 2}}],
+            "mapping": {"type": "semideviation", "kappa": kappa},
+        },
+    )
+    assert main(["evaluate", "--config", eval_cfg]) == 0
+
+    def cost(x):
+        return 1.0 + 0.5 * x[0] - 0.25 * x[1] + x[0] ** 2 + x[1] ** 2
+
+    # the per-point recursion over the file's lists
+    want = [None] * len(data["supports"])
+    want[-1] = {tuple(x): cost(x) for x in data["supports"][-1]}
+    for t in range(len(data["kernels"]) - 1, -1, -1):
+        want[t] = {}
+        for x, row in zip(data["supports"][t], data["kernels"][t]["rows"]):
+            v = [want[t + 1][tuple(y)] for y in row["support"]]
+            mean = sum(w * vi for w, vi in zip(row["weights"], v))
+            semi = sum(
+                w * max(0.0, vi - mean) for w, vi in zip(row["weights"], v)
+            )
+            want[t][tuple(x)] = cost(x) + mean + kappa * semi
+    rows = read_csv(tmp_path / "eval" / "values.csv")
+    assert rows[0] == ["t", "x0", "x1", "value"]
+    expected = [
+        [str(t)] + [repr(c) for c in key]
+        for t in range(len(want)) for key in sorted(want[t])
+    ]
+    assert [r[:-1] for r in rows[1:]] == expected
+    for row in rows[1:]:
+        value = want[int(row[0])][(float(row[1]), float(row[2]))]
+        assert float(row[3]) == pytest.approx(value, rel=1e-12)
+
+    meta = json.loads((tmp_path / "eval" / "metadata.json").read_text())
+    phases = meta["phases"]
+    assert set(phases) == {"decode_s", "evaluate_s", "write_s"}
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= meta["wall_time_s"]
+
+
 def test_evaluate_missing_system_file_exits_1(tmp_path, capsys):
     eval_cfg = write_config(
         tmp_path / "e.json",

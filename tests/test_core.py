@@ -143,6 +143,50 @@ def test_compose_output_normalized():
         assert abs(out.weights.sum() - 1.0) <= 1e-12
 
 
+def _compose_per_atom(lam, kernel):
+    """A running total per exact point, in first-seen order."""
+    accum, order = {}, []
+    for lam_w, row in zip(lam.weights, kernel.rows):
+        for point, w in row.atoms():
+            key = tuple(point)
+            if key not in accum:
+                accum[key] = 0.0
+                order.append(key)
+            accum[key] += float(lam_w) * float(w)
+    return np.array(order), np.array([accum[key] for key in order])
+
+
+def test_compose_matches_per_atom_formula_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        # rows draw atoms from one small pool, so they share atoms, repeat
+        # atoms within a row, and meet 0.0 and -0.0 as one coordinate
+        pool = rng.normal(size=(int(rng.integers(1, 7)), 2))
+        pool[0] = [0.0, 1.0]
+        if len(pool) > 1:
+            pool[1] = [-0.0, 1.0]
+        n_src = int(rng.integers(1, 6))
+        sources = rng.normal(size=(n_src, 2))
+        rows = []
+        for _ in range(n_src):
+            n_at = int(rng.integers(1, 9))
+            w = rng.dirichlet(np.ones(n_at))
+            w[rng.random(n_at) < 0.2] = 0.0
+            if w.sum() == 0.0:
+                w[0] = 1.0
+            rows.append(
+                DiscreteDistribution(
+                    pool[rng.integers(0, len(pool), n_at)], w / w.sum()
+                )
+            )
+        lam = DiscreteDistribution(sources, rng.dirichlet(np.ones(n_src)))
+        kernel = DiscreteKernel(sources, tuple(rows))
+        out = compose_marginal(lam, kernel)
+        support, weights = _compose_per_atom(lam, kernel)
+        assert out.support.tobytes() == support.tobytes()
+        assert out.weights.tobytes() == weights.tobytes()
+
+
 @st.composite
 def kernel_with_two_marginals(draw):
     n_src = draw(st.integers(min_value=1, max_value=4))

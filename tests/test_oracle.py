@@ -69,6 +69,15 @@ def test_zero_budget_rejected_at_build():
         )
 
 
+def test_cost_blocks_are_required():
+    inst = random_tiny_instance(np.random.default_rng(4))
+    with pytest.raises(TypeError):
+        SelectionInstance(
+            inst.weights, inst.clouds, inst.candidates, None, inst.order,
+            inst.budget,
+        )
+
+
 def test_budget_above_k_rejected():
     with pytest.raises(InfeasibleBudgetError):
         SelectionInstance.build([(1.0, [(0.0, 0.0)])], [(1.0, 1.0)], 1.0, 2)

@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
 from kcompress.core import DiscreteDistribution, compose_marginal, dirac
 from kcompress.dual import SolverConfig, run_subgradient
 from kcompress.errors import (
+    LengthMismatchError,
+    NegativeWeightError,
+    NonFiniteError,
     SourceMismatchError,
     StageBudgetInfeasibleError,
     UnselectedAssignmentError,
     ValidationError,
+    WeightsNotNormalizedError,
 )
 from kcompress.pipeline import (
     ApproximateSystem,
@@ -18,6 +24,9 @@ from kcompress.pipeline import (
     candidate_lattice,
     candidate_subsample,
     implied_kernel,
+    load_system,
+    system_from_dict,
+    system_to_dict,
 )
 from kcompress.transport import integrated_distance
 
@@ -305,3 +314,98 @@ def test_support_growth_is_budgeted():
     for marginal in approx.marginals:
         assert np.all(marginal.weights > 0)
         assert marginal.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reading system files
+# ---------------------------------------------------------------------------
+
+def small_system_dict():
+    """Two stages in the file schema: kernel 1's first two rows share a
+    support, its third row lives on part of it."""
+    s0 = [[0.0, 0.0]]
+    s1 = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]
+    s2 = [[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
+    return {
+        "supports": [s0, s1, s2],
+        "kernels": [
+            {"sources": s0,
+             "rows": [{"support": s1, "weights": [0.25, 0.5, 0.25]}]},
+            {"sources": s1, "rows": [
+                {"support": s2, "weights": [0.5, 0.5, 0.0]},
+                {"support": s2, "weights": [0.125, 0.375, 0.5]},
+                {"support": s2[1:], "weights": [0.75, 0.25]},
+            ]},
+        ],
+        "marginals": [
+            {"support": s0, "weights": [1.0]},
+            {"support": s1, "weights": [0.25, 0.5, 0.25]},
+            {"support": s2, "weights": [0.25, 0.5, 0.25]},
+        ],
+        "deltas": [0.1, 0.2],
+    }
+
+
+def assert_same_system(a, b):
+    assert len(a.supports) == len(b.supports)
+    for x, y in zip(a.supports, b.supports):
+        assert np.array_equal(x, y)
+    for ka, kb in zip(a.kernels, b.kernels, strict=True):
+        assert np.array_equal(ka.sources, kb.sources)
+        for ra, rb in zip(ka.rows, kb.rows, strict=True):
+            assert np.array_equal(ra.support, rb.support)
+            assert np.array_equal(ra.weights, rb.weights)
+    for ma, mb in zip(a.marginals, b.marginals, strict=True):
+        assert np.array_equal(ma.support, mb.support)
+        assert np.array_equal(ma.weights, mb.weights)
+    assert a.deltas == b.deltas
+
+
+def test_load_system_matches_json_load(tmp_path):
+    approx = approximate_system(
+        walk_system(), walk_stages(2, n=25, k=16, m=4),
+        SolverConfig(max_iter=200, seed=3),
+    )
+    for name, data in (("walk", system_to_dict(approx)),
+                       ("small", small_system_dict())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert_same_system(load_system(path), system_from_dict(data))
+
+
+def _nan_weight(data):
+    data["kernels"][1]["rows"][1]["weights"][0] = float("nan")
+
+
+def _negative_weight(data):
+    data["kernels"][1]["rows"][1]["weights"][:2] = [0.625, -0.125]
+
+
+def _unnormalized_row(data):
+    data["kernels"][1]["rows"][2]["weights"] = [0.75, 0.5]
+
+
+def _length_mismatch(data):
+    data["kernels"][1]["rows"][0]["weights"] = [0.5, 0.5]
+
+
+def _sources_differ(data):
+    data["kernels"][1]["sources"] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.25]]
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (_nan_weight, NonFiniteError),
+    (_negative_weight, NegativeWeightError),
+    (_unnormalized_row, WeightsNotNormalizedError),
+    (_length_mismatch, LengthMismatchError),
+    (_sources_differ, SourceMismatchError),
+])
+def test_load_system_rejects_like_json_load(tmp_path, corrupt, error):
+    data = small_system_dict()
+    corrupt(data)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(error):
+        system_from_dict(json.loads(path.read_text()))
+    with pytest.raises(error):
+        load_system(path)

@@ -16,6 +16,7 @@ from kcompress.errors import (
     SourceMismatchError,
     ValidationError,
 )
+from kcompress.pipeline import ApproximateSystem
 from kcompress.risk import (
     DiscreteSystem,
     ValueTable,
@@ -183,6 +184,98 @@ def test_missing_next_stage_point():
     costs = [lambda x: 0.0] * 2
     with pytest.raises(MissingValueError):
         evaluate_backward(system, costs, expectation_mapping())
+
+
+def per_point_values(system, costs, kappa):
+    """v_t as one dict per stage, by one lookup per atom and plain Python
+    sums; kappa None is the expectation. A repeated point keeps its last
+    value."""
+    tables = [{tuple(x): costs[-1](x) for x in system.supports[-1]}]
+    for t in range(system.horizon - 1, -1, -1):
+        nxt, cur = tables[0], {}
+        for x, row in zip(system.supports[t], system.kernels[t].rows):
+            v = [nxt[tuple(y)] for y in row.support]
+            mean = sum(w * vi for w, vi in zip(row.weights, v))
+            risk = mean
+            if kappa is not None:
+                risk += kappa * sum(
+                    w * max(0.0, vi - mean) for w, vi in zip(row.weights, v)
+                )
+            cur[tuple(x)] = costs[t](x) + risk
+        tables.insert(0, cur)
+    return tables
+
+
+def ragged_system(rng, horizon=3, max_states=6):
+    """Rows on distinct, partial supports of the next stage, with repeated
+    points in the supports and in the rows, zero-weight atoms, and runs of
+    consecutive rows on one support."""
+    supports = [rng.normal(size=(1, 2))]
+    for _ in range(horizon):
+        n = int(rng.integers(2, max_states + 1))
+        points = rng.normal(size=(n, 2))
+        points[-1] = points[0]
+        supports.append(points)
+    kernels = []
+    for t in range(horizon):
+        nxt = supports[t + 1]
+        rows = []
+        for _ in range(len(supports[t])):
+            if rows and rng.random() < 0.4:
+                atoms = rows[-1].support
+            else:
+                atoms = nxt[rng.integers(0, len(nxt), int(rng.integers(1, 7)))]
+            w = rng.uniform(0.1, 1.0, size=len(atoms))
+            w[rng.random(len(atoms)) < 0.3] = 0.0
+            if w.sum() == 0.0:
+                w[-1] = 1.0
+            rows.append(DiscreteDistribution(atoms, w / w.sum()))
+        kernels.append(DiscreteKernel(supports[t], tuple(rows)))
+    return DiscreteSystem(tuple(supports), tuple(kernels))
+
+
+@pytest.mark.parametrize("kappa", [None, 0.0, 0.4, 1.0])
+def test_matches_per_point_reference(kappa):
+    rng = np.random.default_rng(91)
+    sigma = expectation_mapping() if kappa is None else semideviation_mapping(kappa)
+    for _ in range(40):
+        horizon = int(rng.integers(1, 5))
+        system = ragged_system(rng, horizon=horizon)
+        coeff = rng.normal(size=(horizon + 1, 2))
+        costs = [
+            (lambda x, c=coeff[t]: float(np.dot(c, x) + np.dot(x, x)))
+            for t in range(horizon + 1)
+        ]
+        table = evaluate_backward(system, costs, sigma)
+        want = per_point_values(system, costs, kappa)
+        for t in range(horizon + 1):
+            assert table.stage_points(t) == sorted(want[t])
+            for key, value in want[t].items():
+                assert table.value(t, key) == pytest.approx(
+                    value, rel=1e-12, abs=1e-12
+                )
+
+
+def test_missing_point_after_shared_rows():
+    # the first two rows share a support; the third reaches a point that
+    # stage 1 lacks
+    shared = DiscreteDistribution([[1.0], [2.0]], [0.5, 0.5])
+    kernel = DiscreteKernel(
+        [[0.0], [0.5], [0.7]],
+        (shared, DiscreteDistribution([[1.0], [2.0]], [0.2, 0.8]),
+         DiscreteDistribution([[2.0], [3.0]], [0.5, 0.5])),
+    )
+    system = DiscreteSystem(([[0.0], [0.5], [0.7]], [[1.0], [2.0]]), (kernel,))
+    with pytest.raises(MissingValueError):
+        evaluate_backward(system, [lambda x: 0.0] * 2, expectation_mapping())
+
+
+def test_row_count_checked():
+    # ApproximateSystem does not check its kernels against its supports
+    kernel = DiscreteKernel([[0.0]], (dirac([1.0]),))
+    system = ApproximateSystem(([[0.0], [0.5]], [[1.0]]), (kernel,), (), ())
+    with pytest.raises(LengthMismatchError):
+        evaluate_backward(system, [lambda x: 0.0] * 2, expectation_mapping())
 
 
 def test_cost_count_checked():
