@@ -2,7 +2,7 @@
 
 The package splits into layers:
 
-* core: discrete distributions, kernels, cost matrices.
+* core: discrete distributions, kernels, systems, cost matrices.
 * transport: exact Wasserstein distances and assignment distances.
 * oracle: exhaustive solver for the selection problem on tiny instances.
 * dual: the dual subgradient method with momentum (the workhorse).
@@ -16,6 +16,7 @@ from .core import (
     CostMatrix,
     DiscreteDistribution,
     DiscreteKernel,
+    DiscreteSystem,
     compose_marginal,
     pairwise_cost,
     validate_distribution,
@@ -29,7 +30,6 @@ from .transport import (
 from .oracle import SelectionInstance, solve_exact
 from .dual import SelectionResult, SolverConfig, run_subgradient
 from .pipeline import (
-    ApproximateSystem,
     GenerativeSystem,
     StageSpec,
     approximate_system,
@@ -40,10 +40,10 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproximateSystem",
     "CostMatrix",
     "DiscreteDistribution",
     "DiscreteKernel",
+    "DiscreteSystem",
     "GenerativeSystem",
     "SelectionInstance",
     "SelectionResult",

@@ -2,7 +2,8 @@
 
 Points live in R^n and are stored as rows of float64 arrays. A
 DiscreteDistribution pairs a support array with a normalized weight vector; a
-DiscreteKernel attaches one conditional distribution to each source point.
+DiscreteKernel attaches one conditional distribution to each source point; a
+DiscreteSystem chains kernels over per-stage supports.
 All containers are frozen and their arrays are marked read-only, so instances
 can be shared freely across workers.
 
@@ -123,6 +124,67 @@ class DiscreteKernel:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+@dataclass(frozen=True)
+class DiscreteSystem:
+    """A fully discrete Markov system: supports X_0..X_T and one kernel per
+    transition, kernel t with one row per point of X_t.
+
+    A compressed system also carries its marginals (T+1, marginal t on
+    X_t) and its stage errors Delta_0..Delta_{T-1}; either may be empty.
+    Supports are finite and read-only, and every count and source is
+    checked here, so a system that exists is consistent.
+    """
+
+    supports: tuple
+    kernels: tuple
+    marginals: tuple = ()
+    deltas: tuple = ()
+
+    def __post_init__(self):
+        supports = tuple(as_points(s) for s in self.supports)
+        kernels = tuple(self.kernels)
+        marginals = tuple(self.marginals)
+        deltas = tuple(float(d) for d in self.deltas)
+        if len(supports) != len(kernels) + 1:
+            raise LengthMismatchError(
+                f"{len(supports)} supports need {len(supports) - 1} kernels, "
+                f"got {len(kernels)}"
+            )
+        for t, kernel in enumerate(kernels):
+            if len(kernel) != len(supports[t]):
+                raise LengthMismatchError(
+                    f"kernel {t} has {len(kernel)} rows for "
+                    f"{len(supports[t])} points of support {t}"
+                )
+            if not np.array_equal(kernel.sources, supports[t]):
+                raise SourceMismatchError(
+                    f"kernel {t} sources do not match support {t}"
+                )
+        if marginals and len(marginals) != len(supports):
+            raise LengthMismatchError(
+                f"{len(supports)} supports need {len(supports)} marginals, "
+                f"got {len(marginals)}"
+            )
+        for t, marginal in enumerate(marginals):
+            if not np.array_equal(marginal.support, supports[t]):
+                raise SourceMismatchError(
+                    f"marginal {t} does not live on support {t}"
+                )
+        if deltas and len(deltas) != len(kernels):
+            raise LengthMismatchError(
+                f"{len(kernels)} kernels need {len(kernels)} deltas, "
+                f"got {len(deltas)}"
+            )
+        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "kernels", kernels)
+        object.__setattr__(self, "marginals", marginals)
+        object.__setattr__(self, "deltas", deltas)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.kernels)
 
 
 @dataclass(frozen=True)

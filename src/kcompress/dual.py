@@ -78,7 +78,6 @@ class SolverConfig:
     kappa2: float = 0.35
     band: float = 0.05
     max_iter: int = 5000
-    batch: int | None = None
     window: int = 50
     seed: int = 0
     threads: int = 1
@@ -93,8 +92,6 @@ class SolverConfig:
             raise ValidationError("band must lie in (0, 1)")
         if self.max_iter < 1 or self.window < 1 or self.threads < 1:
             raise ValidationError("max_iter, window, threads must be >= 1")
-        if self.batch is not None and self.batch < 1:
-            raise ValidationError("batch must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -231,17 +228,6 @@ def subgradient(instance: SelectionInstance, state: DualState, inner):
     return g0, g
 
 
-def _batch_subgradient(wd, budget, state, batch, scratch=None):
-    cols = np.asarray(batch, dtype=np.intp)
-    sel, cover, _, _ = _sweep(
-        wd[:, cols], state.theta, state.theta0, scratch=scratch
-    )
-    scale = wd.shape[1] / len(cols)
-    g0 = scale * float(np.sum(sel)) - budget
-    g = 1.0 - scale * cover
-    return g0, g
-
-
 def batch_subgradient(instance: SelectionInstance, state: DualState, batch):
     """Stochastic supergradient estimate from a subset of candidate columns.
 
@@ -249,9 +235,13 @@ def batch_subgradient(instance: SelectionInstance, state: DualState, batch):
     batch sums by K/B so they are unbiased under uniform batch draws.
     """
     _check_state(instance, state)
-    return _batch_subgradient(
-        instance.stacked_weighted_costs(), instance.budget, state, batch
-    )
+    wd = instance.stacked_weighted_costs()
+    cols = np.asarray(batch, dtype=np.intp)
+    sel, cover, _, _ = _sweep(wd[:, cols], state.theta, state.theta0)
+    scale = wd.shape[1] / len(cols)
+    g0 = scale * float(np.sum(sel)) - instance.budget
+    g = 1.0 - scale * cover
+    return g0, g
 
 
 def initial_state(instance: SelectionInstance) -> DualState:
@@ -421,13 +411,8 @@ def run_subgradient(
                 converged = True
                 state.iteration = j
                 break
-            if config.batch is not None and config.batch < k:
-                cols = rng.choice(k, size=config.batch, replace=False)
-                cols.sort()
-                g0, g = _batch_subgradient(wd, m_budget, state, cols, scratch)
-            else:
-                g0 = float(sum_gamma) - m_budget
-                g = 1.0 - cover
+            g0 = float(sum_gamma) - m_budget
+            g = 1.0 - cover
             state.m0 = (1 - config.kappa1) * g0 + config.kappa1 * state.m0
             state.theta0 = max(0.0, state.theta0 + alpha * state.m0)
             state.m = (1 - config.kappa2) * g + config.kappa2 * state.m

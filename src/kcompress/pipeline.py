@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     DiscreteDistribution,
     DiscreteKernel,
+    DiscreteSystem,
     as_points,
     compose_marginal,
 )
@@ -27,7 +28,6 @@ from .dual import SolverConfig, run_subgradient
 from .errors import (
     EmptyCloudError,
     InfeasibleBudgetError,
-    LengthMismatchError,
     SourceMismatchError,
     StageBudgetInfeasibleError,
     UnselectedAssignmentError,
@@ -59,25 +59,6 @@ class StageSpec:
             )
         if self.order < 1:
             raise ValidationError("order must be >= 1")
-
-
-@dataclass(frozen=True)
-class ApproximateSystem:
-    """The compressed system: supports, kernels, marginals, stage errors.
-
-    supports has T+1 entries (stage 0 is the single initial state), kernels
-    and deltas have T, marginals has T+1 with marginals[t] supported on
-    supports[t].
-    """
-
-    supports: tuple
-    kernels: tuple
-    marginals: tuple
-    deltas: tuple
-
-    @property
-    def horizon(self) -> int:
-        return len(self.kernels)
 
 
 @dataclass(frozen=True)
@@ -206,7 +187,7 @@ def approximate_system(
     margin: float = 0.05,
     box=None,
     on_stage=None,
-) -> ApproximateSystem:
+) -> DiscreteSystem:
     """Run the per-stage sample/select/compose loop over the whole horizon.
 
     Sampling is reproducible: the cloud for source s at stage t comes from
@@ -264,12 +245,10 @@ def approximate_system(
         deltas.append(delta)
         marginals.append(marginal)
         supports.append(marginal.support)
-    return ApproximateSystem(
-        tuple(supports), tuple(kernels), tuple(marginals), tuple(deltas)
-    )
+    return DiscreteSystem(supports, kernels, marginals, deltas)
 
 
-def system_to_dict(approx: ApproximateSystem) -> dict:
+def system_to_dict(approx: DiscreteSystem) -> dict:
     """JSON-ready form: per-stage supports, kernel rows, marginals, deltas."""
     from .core import distribution_to_dict, kernel_to_dict
 
@@ -281,32 +260,20 @@ def system_to_dict(approx: ApproximateSystem) -> dict:
     }
 
 
-def system_from_dict(data: dict) -> ApproximateSystem:
+def system_from_dict(data: dict) -> DiscreteSystem:
     """Inverse of system_to_dict. Every row and marginal is validated as a
-    DiscreteDistribution, and kernel t must start from support t."""
+    DiscreteDistribution and the whole as a DiscreteSystem."""
     from .core import distribution_from_dict, kernel_from_dict
 
-    supports = tuple(np.asarray(s, dtype=np.float64) for s in data["supports"])
-    kernels = tuple(kernel_from_dict(k) for k in data["kernels"])
-    if len(supports) != len(kernels) + 1:
-        raise LengthMismatchError(
-            f"{len(supports)} supports need {len(supports) - 1} kernels, "
-            f"got {len(kernels)}"
-        )
-    for t, kernel in enumerate(kernels):
-        if not np.array_equal(kernel.sources, supports[t]):
-            raise SourceMismatchError(
-                f"kernel {t} sources do not match support {t}"
-            )
-    return ApproximateSystem(
-        supports,
-        kernels,
+    return DiscreteSystem(
+        data["supports"],
+        tuple(kernel_from_dict(k) for k in data["kernels"]),
         tuple(distribution_from_dict(m) for m in data["marginals"]),
-        tuple(float(d) for d in data["deltas"]),
+        data["deltas"],
     )
 
 
-def load_system(path) -> ApproximateSystem:
+def load_system(path) -> DiscreteSystem:
     """Read a system file written from system_to_dict.
 
     Each {"support", "weights"} object becomes float64 arrays as soon as the

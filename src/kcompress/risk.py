@@ -16,13 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DiscreteDistribution
+from .core import DiscreteDistribution, DiscreteSystem
 from .errors import (
     IndexRangeError,
     InvalidKappaError,
     LengthMismatchError,
     MissingValueError,
-    SourceMismatchError,
     ValidationError,
 )
 
@@ -69,35 +68,6 @@ def semideviation_mapping(kappa: float) -> RiskMapping:
         return mean + kappa * np.bincount(rows, weights * excess, minlength=n)
 
     return RiskMapping(f"semideviation({kappa})", aggregate)
-
-
-@dataclass(frozen=True)
-class DiscreteSystem:
-    """A fully discrete Markov system: supports X_0..X_T and one kernel per
-    transition, with kernel t mapping X_t sources forward."""
-
-    supports: tuple
-    kernels: tuple
-
-    def __post_init__(self):
-        supports = tuple(np.asarray(s, dtype=np.float64) for s in self.supports)
-        kernels = tuple(self.kernels)
-        if len(supports) != len(kernels) + 1:
-            raise LengthMismatchError(
-                f"{len(supports)} supports need {len(supports) - 1} kernels, "
-                f"got {len(kernels)}"
-            )
-        for t, kernel in enumerate(kernels):
-            if not np.array_equal(kernel.sources, supports[t]):
-                raise SourceMismatchError(
-                    f"kernel {t} sources do not match support {t}"
-                )
-        object.__setattr__(self, "supports", supports)
-        object.__setattr__(self, "kernels", kernels)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.kernels)
 
 
 @dataclass
@@ -184,38 +154,32 @@ def _flat_rows(kernel, index, t: int):
     return rows, np.concatenate(cols), np.concatenate(weights)
 
 
-def evaluate_backward(system, costs, sigma: RiskMapping) -> ValueTable:
+def evaluate_backward(
+    system: DiscreteSystem, costs, sigma: RiskMapping
+) -> ValueTable:
     """Backward recursion v_T = c_T, v_t(x) = c_t(x) + sigma(x, Q_t(x), v_{t+1}).
 
-    system needs supports (T+1 point arrays) and kernels (T), kernel t with
-    one row per point of support t; costs is a sequence of T+1 functions of
-    a point. Each stage is one sigma.aggregate call over the flat atoms of
-    its rows. Raises MissingValueError when a kernel row references a point
-    absent from the next stage's support. A point repeated within a support
-    takes the value of its last occurrence.
+    costs is a sequence of T+1 functions of a point. Each stage is one
+    sigma.aggregate call over the flat atoms of its rows. Raises
+    MissingValueError when a kernel row references a point absent from the
+    next stage's support. A point repeated within a support takes the value
+    of its last occurrence.
     """
     supports = system.supports
     kernels = system.kernels
-    horizon = len(kernels)
-    if len(supports) != horizon + 1:
-        raise LengthMismatchError("supports and kernels lengths disagree")
+    horizon = system.horizon
     if len(costs) != horizon + 1:
         raise LengthMismatchError(
             f"need {horizon + 1} cost functions, got {len(costs)}"
         )
-    table = ValueTable(int(np.asarray(supports[0]).shape[-1]))
-    points = np.asarray(supports[horizon], dtype=np.float64)
+    table = ValueTable(supports[0].shape[1])
+    points = supports[horizon]
     values = np.array([float(costs[horizon](x)) for x in points])
     table.set_stage(horizon, points, values)
     for t in range(horizon - 1, -1, -1):
         # a repeated point maps to its last index, whose value the table kept
         index = {key: i for i, key in enumerate(map(tuple, points.tolist()))}
-        points = np.asarray(supports[t], dtype=np.float64)
-        if len(kernels[t].rows) != len(points):
-            raise LengthMismatchError(
-                f"kernel {t} has {len(kernels[t].rows)} rows for "
-                f"{len(points)} support points"
-            )
+        points = supports[t]
         rows, cols, weights = _flat_rows(kernels[t], index, t + 1)
         step = np.array([float(costs[t](x)) for x in points])
         values = step + sigma.aggregate(rows, weights, values[cols], len(points))

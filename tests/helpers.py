@@ -84,8 +84,7 @@ def enumerate_selection_optimum(weights, costs, budget):
 def random_discrete_system(rng, horizon=3, max_states=5, dim=2):
     """A random fully discrete system with distinct support points and
     strictly positive kernel rows over the full next-stage support."""
-    from kcompress.core import DiscreteKernel
-    from kcompress.risk import DiscreteSystem
+    from kcompress.core import DiscreteKernel, DiscreteSystem
 
     supports = [rng.normal(scale=2.0, size=(1, dim))]
     for _ in range(horizon):
@@ -130,8 +129,7 @@ def path_expectation(system, costs):
 
 def perturb_system(rng, system, scale=0.3):
     """Same supports and row atoms, randomly shifted row weights."""
-    from kcompress.core import DiscreteKernel
-    from kcompress.risk import DiscreteSystem
+    from kcompress.core import DiscreteKernel, DiscreteSystem
 
     kernels = []
     for kernel in system.kernels:

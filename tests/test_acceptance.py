@@ -26,6 +26,7 @@ from kcompress.cli import main as cli_main
 from kcompress.core import (
     DiscreteDistribution,
     DiscreteKernel,
+    DiscreteSystem,
     compose_marginal,
     dirac,
 )
@@ -47,7 +48,6 @@ from kcompress.generators import (
 from kcompress.oracle import solve_exact
 from kcompress.pipeline import build_stage_instance
 from kcompress.risk import (
-    DiscreteSystem,
     error_bound,
     evaluate_backward,
     expectation_mapping,

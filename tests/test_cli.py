@@ -129,6 +129,15 @@ def test_solver_field_validated(tmp_path):
     assert "alpha9" in str(err.value)
 
 
+def test_solver_batch_is_unknown(tmp_path):
+    data = select_config(tmp_path / "o")
+    data["solver"]["batch"] = 4
+    cfg_path = write_config(tmp_path / "c.json", data)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path, {})
+    assert err.value.field == "solver.batch"
+
+
 def test_default_mixture_is_five_components(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", select_config(tmp_path / "o"))
     cfg = load_config(cfg_path, {})

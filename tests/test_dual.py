@@ -241,7 +241,6 @@ def test_stacked_matrix_built_once_per_instance(monkeypatch):
         batch_subgradient(inst, state, [0, 2])
         repair_feasibility(inst, np.ones(inst.n_candidates), inst.budget, state)
         run_subgradient(inst, SolverConfig(max_iter=30))
-        run_subgradient(inst, SolverConfig(max_iter=30, batch=3, seed=1))
         assert len(builds) == n_built
         wd = inst.stacked_weighted_costs()
         assert not wd.flags.writeable
@@ -428,26 +427,6 @@ def test_run_is_deterministic_across_threads():
     np.testing.assert_array_equal(a.history_dual, b.history_dual)
     assert a.objective == b.objective
     assert a.best_dual == b.best_dual
-
-
-def test_stochastic_variant_runs():
-    rng = np.random.default_rng(17)
-    inst = random_tiny_instance(rng, max_k=10)
-    result = run_subgradient(
-        inst, SolverConfig(max_iter=300, batch=4, seed=3)
-    )
-    assert result.gap >= -1e-9
-    assert np.isfinite(result.objective)
-
-
-def test_stochastic_variant_deterministic_per_seed():
-    rng = np.random.default_rng(18)
-    inst = random_tiny_instance(rng, max_k=10)
-    cfg = SolverConfig(max_iter=150, batch=4, seed=11)
-    a = run_subgradient(inst, cfg)
-    b = run_subgradient(inst, cfg)
-    np.testing.assert_array_equal(a.gamma, b.gamma)
-    np.testing.assert_array_equal(a.history_dual, b.history_dual)
 
 
 def test_selection_respects_budget():

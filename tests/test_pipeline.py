@@ -16,7 +16,6 @@ from kcompress.errors import (
     WeightsNotNormalizedError,
 )
 from kcompress.pipeline import (
-    ApproximateSystem,
     GenerativeSystem,
     StageSpec,
     approximate_system,
@@ -393,12 +392,32 @@ def _sources_differ(data):
     data["kernels"][1]["sources"] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.25]]
 
 
+def _nan_support_point(data):
+    data["supports"][2] = [[float("nan"), 0.0], [0.0, 2.0], [1.0, 1.0]]
+
+
+def _marginal_off_support(data):
+    data["marginals"][2]["support"] = data["supports"][1]
+
+
+def _marginal_count(data):
+    del data["marginals"][2]
+
+
+def _delta_count(data):
+    data["deltas"].append(0.3)
+
+
 @pytest.mark.parametrize("corrupt, error", [
     (_nan_weight, NonFiniteError),
     (_negative_weight, NegativeWeightError),
     (_unnormalized_row, WeightsNotNormalizedError),
     (_length_mismatch, LengthMismatchError),
     (_sources_differ, SourceMismatchError),
+    (_nan_support_point, NonFiniteError),
+    (_marginal_off_support, SourceMismatchError),
+    (_marginal_count, LengthMismatchError),
+    (_delta_count, LengthMismatchError),
 ])
 def test_load_system_rejects_like_json_load(tmp_path, corrupt, error):
     data = small_system_dict()

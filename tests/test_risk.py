@@ -7,18 +7,23 @@ from helpers import (
     perturb_system,
     random_discrete_system,
 )
-from kcompress.core import DiscreteDistribution, DiscreteKernel, compose_marginal, dirac
+from kcompress.core import (
+    DiscreteDistribution,
+    DiscreteKernel,
+    DiscreteSystem,
+    compose_marginal,
+    dirac,
+)
 from kcompress.errors import (
     IndexRangeError,
     InvalidKappaError,
     LengthMismatchError,
     MissingValueError,
+    NonFiniteError,
     SourceMismatchError,
     ValidationError,
 )
-from kcompress.pipeline import ApproximateSystem
 from kcompress.risk import (
-    DiscreteSystem,
     ValueTable,
     error_bound,
     evaluate_backward,
@@ -271,11 +276,11 @@ def test_missing_point_after_shared_rows():
 
 
 def test_row_count_checked():
-    # ApproximateSystem does not check its kernels against its supports
+    # one row for two support points: the system is refused when built, so
+    # evaluate_backward never sees it
     kernel = DiscreteKernel([[0.0]], (dirac([1.0]),))
-    system = ApproximateSystem(([[0.0], [0.5]], [[1.0]]), (kernel,), (), ())
     with pytest.raises(LengthMismatchError):
-        evaluate_backward(system, [lambda x: 0.0] * 2, expectation_mapping())
+        DiscreteSystem(([[0.0], [0.5]], [[1.0]]), (kernel,))
 
 
 def test_cost_count_checked():
@@ -290,6 +295,67 @@ def test_discrete_system_validates_sources():
         DiscreteSystem(([[9.0]], [[1.0]]), (kernel,))
     with pytest.raises(LengthMismatchError):
         DiscreteSystem(([[0.0]],), (kernel,))
+
+
+def chain_parts():
+    """Supports, kernels, marginals and deltas of a consistent two-stage
+    chain."""
+    supports = ([[0.0]], [[1.0], [2.0]], [[3.0]])
+    kernels = (
+        DiscreteKernel(
+            [[0.0]], (DiscreteDistribution([[1.0], [2.0]], [0.5, 0.5]),)
+        ),
+        DiscreteKernel([[1.0], [2.0]], (dirac([3.0]), dirac([3.0]))),
+    )
+    marginals = (
+        dirac([0.0]),
+        DiscreteDistribution([[1.0], [2.0]], [0.5, 0.5]),
+        dirac([3.0]),
+    )
+    return supports, kernels, marginals, (0.1, 0.2)
+
+
+def test_discrete_system_holds_consistent_parts():
+    supports, kernels, marginals, deltas = chain_parts()
+    system = DiscreteSystem(supports, kernels, marginals, deltas)
+    assert system.horizon == 2
+    assert system.deltas == deltas
+    for t, support in enumerate(system.supports):
+        assert np.array_equal(support, supports[t])
+        assert not support.flags.writeable
+    bare = DiscreteSystem(supports, kernels)
+    assert bare.marginals == () and bare.deltas == ()
+
+
+def _nan_point(parts):
+    parts[0] = parts[0][:2] + ([[float("nan")]],)
+
+
+def _marginal_off_support(parts):
+    parts[2] = parts[2][:1] + (
+        DiscreteDistribution([[2.0], [1.0]], [0.5, 0.5]),
+    ) + parts[2][2:]
+
+
+def _marginal_count(parts):
+    parts[2] = parts[2][:2]
+
+
+def _delta_count(parts):
+    parts[3] = (0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (_nan_point, NonFiniteError),
+    (_marginal_off_support, SourceMismatchError),
+    (_marginal_count, LengthMismatchError),
+    (_delta_count, LengthMismatchError),
+])
+def test_discrete_system_rejects_inconsistent_parts(corrupt, error):
+    parts = list(chain_parts())
+    corrupt(parts)
+    with pytest.raises(error):
+        DiscreteSystem(*parts)
 
 
 def test_value_table_csv_roundtrip(tmp_path):
