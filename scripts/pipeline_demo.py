@@ -46,10 +46,9 @@ def main(argv=None):
               f"{approx.deltas[t]:>8.4f}")
 
     costs = [lambda x: float(np.dot(x, x))] * (approx.horizon + 1)
-    root = approx.supports[0][0]
     for sigma_map in (expectation_mapping(), semideviation_mapping(args.kappa)):
-        table = evaluate_backward(approx, costs, sigma_map)
-        print(f"{sigma_map.name}: v_0 = {table.value(0, root):.4f}")
+        values = evaluate_backward(approx, costs, sigma_map)
+        print(f"{sigma_map.name}: v_0 = {values[0][0]:.4f}")
     # from x0 = 0, E|X_t|^2 = 2 t sigma^2 for the 2-D walk
     truth = sum(2 * t * args.sigma**2 for t in range(approx.horizon + 1))
     print(f"expectation of the uncompressed walk: v_0 = {truth:.4f}")

@@ -59,7 +59,13 @@ from .pipeline import (
     load_system,
     system_to_dict,
 )
-from .risk import evaluate_backward, expectation_mapping, semideviation_mapping
+from .risk import (
+    evaluate_backward,
+    expectation_mapping,
+    lookup,
+    semideviation_mapping,
+    write_values_csv,
+)
 
 log = logging.getLogger("kcompress")
 
@@ -139,6 +145,14 @@ def _require(data: dict, key: str, mode: str):
     return data[key]
 
 
+def _as(kind, value, field: str):
+    """kind(value) for kind int or float, or a ConfigError naming field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be a number, got {value!r}", field)
+
+
 def _components_from(data: dict):
     raw = data.get("components")
     if raw is None:
@@ -212,7 +226,7 @@ class ExperimentConfig:
         seeds = data.get("seeds", [0])
         if not isinstance(seeds, (list, tuple)) or not seeds:
             raise ConfigError("seeds must be a nonempty list", field="seeds")
-        seeds = tuple(int(s) for s in seeds)
+        seeds = tuple(_as(int, s, "seeds") for s in seeds)
 
         mixture = data.get("mixture") or {}
         components = _components_from(mixture)
@@ -226,7 +240,8 @@ class ExperimentConfig:
                     "one mixture weight per component required",
                     field="mixture.weights",
                 )
-        samples = int(mixture.get("samples_per_component", 100))
+        samples = mixture.get("samples_per_component", 100)
+        samples = _as(int, samples, "mixture.samples_per_component")
         if samples < 1:
             raise ConfigError(
                 "samples_per_component must be positive",
@@ -235,15 +250,15 @@ class ExperimentConfig:
 
         cand = data.get("candidates") or {}
         count = cand.get("count")
-        count = None if count is None else int(count)
+        count = None if count is None else _as(int, count, "candidates.count")
         box = _box_from(cand.get("box"), "candidates.box")
-        margin = float(data.get("margin", 0.05))
+        margin = _as(float, data.get("margin", 0.05), "margin")
         if margin < 0:
             raise ConfigError("margin must be >= 0", field="margin")
 
         budget = data.get("budget")
-        budget = None if budget is None else int(budget)
-        order = float(data.get("order", 1.0))
+        budget = None if budget is None else _as(int, budget, "budget")
+        order = _as(float, data.get("order", 1.0), "order")
         if order < 1:
             raise ConfigError("order must be >= 1", field="order")
 
@@ -270,20 +285,14 @@ class ExperimentConfig:
         stages = []
         if data.get("stages") is not None:
             for i, raw in enumerate(data["stages"]):
+                at = f"stages[{i}]"
                 try:
-                    stages.append(
-                        StageSpec(
-                            t=i,
-                            samples_per_source=int(raw["samples_per_source"]),
-                            candidate_count=int(raw["candidate_count"]),
-                            budget=int(raw["budget"]),
-                            order=float(raw.get("order", order)),
-                        )
-                    )
-                except (KeyError, TypeError, KCompressError) as exc:
-                    raise ConfigError(
-                        f"bad stage {i}: {exc}", field=f"stages[{i}]"
-                    ) from exc
+                    sizes = {k: _as(int, raw[k], f"{at}.{k}") for k in (
+                        "samples_per_source", "candidate_count", "budget")}
+                    stages.append(StageSpec(t=i, **sizes, order=_as(
+                        float, raw.get("order", order), f"{at}.order")))
+                except (KeyError, TypeError, ValidationError) as exc:
+                    raise ConfigError(f"bad stage {i}: {exc}", at) from exc
 
         system = data.get("system")
         if mode == "pipeline":
@@ -294,7 +303,8 @@ class ExperimentConfig:
                     " (supported: gaussian_walk)",
                     field="system.type",
                 )
-            if "x0" not in system or float(system.get("sigma", 0)) <= 0:
+            sigma = _as(float, system.get("sigma", 0), "system.sigma")
+            if "x0" not in system or sigma <= 0:
                 raise ConfigError(
                     "gaussian_walk needs x0 and sigma > 0", field="system"
                 )
@@ -305,16 +315,16 @@ class ExperimentConfig:
                 )
 
         if mode == "select":
-            budget_val = _require(data, "budget", mode)
+            _require(data, "budget", mode)
             if count is None:
                 raise ConfigError(
                     "missing required field 'candidates.count' for mode"
                     " select",
                     field="candidates.count",
                 )
-            if not 1 <= int(budget_val) <= count:
+            if not 1 <= budget <= count:
                 raise ConfigError(
-                    f"budget {budget_val} outside [1, {count}]", field="budget"
+                    f"budget {budget} outside [1, {count}]", field="budget"
                 )
 
         mapping = data.get("mapping") or {"type": "expectation"}
@@ -322,6 +332,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown mapping type {mapping.get('type')!r}", field="mapping"
             )
+        kappa = _as(float, mapping.get("kappa", 0.0), "mapping.kappa")
+        if not 0.0 <= kappa <= 1.0:
+            raise ConfigError(f"mapping.kappa must lie in [0, 1], got {kappa}",
+                              "mapping.kappa")
         costs = tuple(data.get("costs") or ())
         for i, spec in enumerate(costs):
             bad = set(spec) - {"affine", "norm"}
@@ -494,11 +508,13 @@ def run_generate(cfg: ExperimentConfig):
                 _point_rows(cloud),
             )
             rows.extend(_point_rows(cloud, prefix=(s,)))
-        means = np.array([c.mean for c in cfg.components])
-        kernel_payload = kernel_to_dict(
-            _empirical_kernel(means, clouds)
-        )
-        _write_json(cfg.out / f"empirical_kernel_seed{seed}.json", kernel_payload)
+        # the empirical kernel: each component mean to its own cloud
+        kernel = {
+            "sources": [c.mean.tolist() for c in cfg.components],
+            "rows": [{"support": c.tolist(), "weights": [1 / len(c)] * len(c)}
+                     for c in clouds],
+        }
+        _write_json(cfg.out / f"empirical_kernel_seed{seed}.json", kernel)
         if cfg.emit_plot_data:
             _write_csv(
                 cfg.out / f"samples_seed{seed}.csv",
@@ -512,15 +528,6 @@ def run_generate(cfg: ExperimentConfig):
             cfg.samples_per_component,
         )
     _write_metadata(cfg, time.perf_counter() - start)
-
-
-def _empirical_kernel(sources, clouds):
-    from .core import DiscreteKernel
-
-    rows = tuple(
-        DiscreteDistribution(c, np.full(len(c), 1.0 / len(c))) for c in clouds
-    )
-    return DiscreteKernel(sources, rows)
 
 
 def _select_candidates(cfg: ExperimentConfig, clouds):
@@ -754,17 +761,24 @@ def run_evaluate(cfg: ExperimentConfig):
             f" system, got {len(specs)}",
             field="costs",
         )
+    dim = system.supports[0].shape[1]
+    for i, spec in enumerate(cfg.costs):
+        for term, key in (("affine", "coeff"), ("norm", "center")):
+            raw = (spec.get(term) or {}).get(key, [])
+            if np.shape(raw) not in ((dim,), (0,)):
+                raise ConfigError(f"costs[{i}] {term}.{key} needs {dim}"
+                                  f" numbers, got {raw!r}", f"costs[{i}]")
     costs = [cost_function(spec) for spec in specs]
     sigma = _mapping_from(cfg.mapping)
     evaluating = time.perf_counter()
-    table = evaluate_backward(system, costs, sigma)
+    values = evaluate_backward(system, costs, sigma)
     writing = time.perf_counter()
-    table.to_csv(cfg.out / "values.csv")
-    root = system.supports[0][0]
+    write_values_csv(cfg.out / "values.csv", system.supports, values)
+    root = system.supports[0][:1]
     payload = {
         "mapping": sigma.name,
-        "root_state": [float(c) for c in root],
-        "root_value": table.value(0, root),
+        "root_state": root[0].tolist(),
+        "root_value": float(values[0][lookup(system.supports[0], root, 0)[0]]),
         "stages": horizon,
     }
     _write_json(cfg.out / "evaluate_result.json", payload)

@@ -2,8 +2,8 @@
 
 Points live in R^n and are stored as rows of float64 arrays. A
 DiscreteDistribution pairs a support array with a normalized weight vector; a
-DiscreteKernel attaches one conditional distribution to each source point; a
-DiscreteSystem chains kernels over per-stage supports.
+DiscreteKernel is a row-stochastic matrix over one support, a row per source
+point; a DiscreteSystem chains kernels over per-stage supports.
 All containers are frozen and their arrays are marked read-only, so instances
 can be shared freely across workers.
 
@@ -14,6 +14,7 @@ p-th powers of distances, which is what pairwise_cost produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,6 +57,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_weights(weights: np.ndarray):
+    """Finite, nonnegative, and each vector along the last axis summing to 1
+    within WEIGHT_TOL."""
+    if not np.all(np.isfinite(weights)):
+        raise NonFiniteError("weights must be finite")
+    if np.any(weights < 0):
+        raise NegativeWeightError("weights must be nonnegative")
+    totals = np.sum(weights, axis=-1).ravel()
+    off = totals[np.abs(totals - 1.0) > WEIGHT_TOL]
+    if len(off):
+        raise WeightsNotNormalizedError(
+            f"weights sum to {float(off[0])!r}, expected 1 within {WEIGHT_TOL}"
+        )
+
+
+def merge_atoms(points: np.ndarray):
+    """Distinct points in first-seen order, and the index of each input
+    point among them. Exactly equal points are one atom, 0.0 and -0.0
+    alike; an atom keeps the coordinates of its first occurrence."""
+    _, first, label = np.unique(
+        points + 0.0, axis=0, return_index=True, return_inverse=True
+    )
+    rank = np.argsort(np.argsort(first))
+    return points[np.sort(first)], rank[label.ravel()]
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """A finitely supported probability measure sum_i w_i * delta_{x_i}.
@@ -76,15 +103,7 @@ class DiscreteDistribution:
             raise LengthMismatchError(
                 f"{len(support)} support points but {len(weights)} weights"
             )
-        if not np.all(np.isfinite(weights)):
-            raise NonFiniteError("weights must be finite")
-        if np.any(weights < 0):
-            raise NegativeWeightError("weights must be nonnegative")
-        total = float(np.sum(weights))
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise WeightsNotNormalizedError(
-                f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}"
-            )
+        _check_weights(weights)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", _freeze(weights))
 
@@ -102,28 +121,65 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True)
 class DiscreteKernel:
-    """A discrete stochastic kernel: one DiscreteDistribution row per source point."""
+    """A discrete stochastic kernel: row s of the (n, m) row-stochastic
+    matrix is the next-state distribution from source s over the m points
+    of one common support (from_rows takes rows on distinct supports)."""
 
     sources: np.ndarray
-    rows: tuple
+    support: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
         sources = as_points(self.sources)
-        rows = tuple(self.rows)
-        if len(sources) != len(rows):
-            raise LengthMismatchError(
-                f"{len(sources)} sources but {len(rows)} rows"
-            )
-        for row in rows:
-            if not isinstance(row, DiscreteDistribution):
-                raise LengthMismatchError(
-                    f"kernel rows must be DiscreteDistribution, got {type(row).__name__}"
-                )
+        support = as_points(self.support)
+        matrix = _freeze(self.matrix)
+        shape = (len(sources), len(support))
+        if matrix.shape != shape:
+            raise LengthMismatchError(f"matrix {matrix.shape}, needs {shape}")
+        _check_weights(matrix)
         object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def from_rows(cls, sources, rows) -> "DiscreteKernel":
+        """Kernel from one row (support and weights, as in a distribution)
+        per source on any supports, put on their union (merge_atoms) once per
+        run of rows on an equal support; a repeated atom sums its weights."""
+        blocks = []  # (support points, weights of each row on it)
+        last = None
+        for row in rows:
+            if row.support is not last:
+                last, points = row.support, as_points(row.support)
+                if not blocks or not np.array_equal(points, blocks[-1][0]):
+                    blocks.append((points, []))
+            blocks[-1][1].append(row.weights)
+        if not blocks:
+            raise LengthMismatchError("a kernel needs at least one row")
+        support, columns = merge_atoms(np.concatenate([b[0] for b in blocks]))
+        m, n, cells, masses = len(support), 0, [], []
+        for points, ws in blocks:
+            if any(np.shape(w) != (len(points),) for w in ws):
+                raise LengthMismatchError("a row needs one weight per point")
+            cols, columns = columns[: len(points)], columns[len(points) :]
+            cells.append(np.arange(n, n + len(ws))[:, None] * m + cols)
+            masses.append(ws)
+            n += len(ws)
+        # bincount adds in input order: a repeated atom sums as a running total
+        matrix = np.bincount(
+            np.concatenate(cells, axis=None),
+            np.concatenate(masses, axis=None),
+            minlength=n * m,
+        )
+        return cls(sources, support, matrix.reshape(n, m))
+
+    @property
+    def rows(self) -> tuple:
+        """Each row as a DiscreteDistribution on the common support."""
+        return tuple(DiscreteDistribution(self.support, w) for w in self.matrix)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -224,30 +280,19 @@ def dirac(point) -> DiscreteDistribution:
 
 
 def compose_marginal(lam: DiscreteDistribution, kernel: DiscreteKernel) -> DiscreteDistribution:
-    """Push a marginal through a kernel: the mixture with mass
-    sum_s lam_s * Q(y | z_s) at each atom y.
+    """Push a marginal through a kernel: the mixture lam @ P on the
+    kernel's support.
 
-    lam.support must equal kernel.sources (same points, same order). Atoms
-    that coincide exactly across rows are merged, in first-seen order; each
-    merged mass is summed in row order, atom by atom.
+    lam.support must equal kernel.sources (same points, same order). The
+    mass at each atom is the sum of lam_s * P[s] in row order.
     """
     if lam.support.shape != kernel.sources.shape or not np.array_equal(
         lam.support, kernel.sources
     ):
         raise SourceMismatchError("marginal support does not match kernel sources")
-    points = np.concatenate([row.support for row in kernel.rows])
-    masses = np.concatenate(
-        [lam_w * row.weights for lam_w, row in zip(lam.weights, kernel.rows)]
-    )
-    # + 0.0 turns -0.0 into 0.0: the two are one atom, as they are one key
-    _, first, label = np.unique(
-        points + 0.0, axis=0, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.argsort(order)
-    # bincount adds in input order, so each sum matches a running total
-    weights = np.bincount(rank[label.ravel()], masses, minlength=len(order))
-    return DiscreteDistribution(points[first[order]], weights)
+    # a reduction over the first axis adds the rows one after another
+    weights = (lam.weights[:, None] * kernel.matrix).sum(axis=0)
+    return DiscreteDistribution(kernel.support, weights)
 
 
 def pairwise_cost(a, b, order: float, block: int = 1024) -> CostMatrix:
@@ -293,12 +338,13 @@ def distribution_from_dict(data: dict) -> DiscreteDistribution:
 
 
 def kernel_to_dict(kernel: DiscreteKernel) -> dict:
-    return {
-        "sources": kernel.sources.tolist(),
-        "rows": [distribution_to_dict(row) for row in kernel.rows],
-    }
+    """The file schema: every row is written on the common support."""
+    support = kernel.support.tolist()
+    rows = [{"support": support, "weights": w} for w in kernel.matrix.tolist()]
+    return {"sources": kernel.sources.tolist(), "rows": rows}
 
 
 def kernel_from_dict(data: dict) -> DiscreteKernel:
-    rows = tuple(distribution_from_dict(row) for row in data["rows"])
-    return DiscreteKernel(as_points(data["sources"]), rows)
+    rows = (SimpleNamespace(support=r["support"], weights=r["weights"])
+            for r in data["rows"])
+    return DiscreteKernel.from_rows(data["sources"], rows)

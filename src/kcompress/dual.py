@@ -57,7 +57,6 @@ class DualState:
     theta: np.ndarray
     m0: float = 0.0
     m: np.ndarray | None = None
-    iteration: int = 0
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -81,7 +80,6 @@ class SolverConfig:
     window: int = 50
     seed: int = 0
     threads: int = 1
-    recovery_sampling: bool = False
 
     def __post_init__(self):
         if self.alpha0 <= 0 or self.epsilon <= 0:
@@ -116,7 +114,6 @@ class SelectionResult:
     history_alpha: np.ndarray
     history_theta0: np.ndarray
     history_elapsed_ms: np.ndarray
-    state: DualState
 
 
 class _Scratch(threading.local):
@@ -254,13 +251,12 @@ def initial_state(instance: SelectionInstance) -> DualState:
     return DualState(theta0=max(0.0, float(kth) / 2.0), theta=theta)
 
 
-def primal_recovery(entries, budget: int, rng=None, sample: bool = False):
+def primal_recovery(entries, budget: int):
     """Average the recorded inner selections and round to a feasible one.
 
     entries: sequence of (gamma, alpha) pairs from near-optimal iterations.
     gamma_bar weighs each gamma by its step size; gamma_rounded keeps the
-    budget largest averages (ties to the lowest index). With sample=True,
-    candidate k is instead kept with probability gamma_bar_k.
+    budget largest averages (ties to the lowest index).
     """
     entries = list(entries)
     if not entries:
@@ -270,14 +266,9 @@ def primal_recovery(entries, budget: int, rng=None, sample: bool = False):
     gamma_bar = np.zeros(len(entries[0][0]))
     for (gamma, _), w in zip(entries, weights):
         gamma_bar += w * np.asarray(gamma, dtype=np.float64)
-    if sample:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        rounded = (rng.random(len(gamma_bar)) < gamma_bar).astype(np.int8)
-    else:
-        top = np.argsort(-gamma_bar, kind="stable")[:budget]
-        rounded = np.zeros(len(gamma_bar), dtype=np.int8)
-        rounded[top] = 1
+    top = np.argsort(-gamma_bar, kind="stable")[:budget]
+    rounded = np.zeros(len(gamma_bar), dtype=np.int8)
+    rounded[top] = 1
     return gamma_bar, rounded
 
 
@@ -361,7 +352,6 @@ def run_subgradient(
     wd = instance.stacked_weighted_costs()
     n, k = wd.shape
     m_budget = instance.budget
-    rng = np.random.default_rng(config.seed)
     # one sweep buffer per worker thread for the whole solve
     scratch = _scratch_for(wd)
 
@@ -409,7 +399,6 @@ def run_subgradient(
                 and abs(dual - hist_dual[-2]) <= config.epsilon
             ):
                 converged = True
-                state.iteration = j
                 break
             g0 = float(sum_gamma) - m_budget
             g = 1.0 - cover
@@ -417,7 +406,6 @@ def run_subgradient(
             state.theta0 = max(0.0, state.theta0 + alpha * state.m0)
             state.m = (1 - config.kappa2) * g + config.kappa2 * state.m
             state.theta = state.theta + alpha * state.m
-            state.iteration = j + 1
     finally:
         if executor is not None:
             executor.shutdown()
@@ -429,9 +417,7 @@ def run_subgradient(
         (np.unpackbits(recovery[j], count=k), hist_alpha[j])
         for j in near_iters[-config.window :]
     ]
-    _, rounded = primal_recovery(
-        near, m_budget, rng=rng, sample=config.recovery_sampling
-    )
+    _, rounded = primal_recovery(near, m_budget)
     # candidate selections: the rounded average, the repaired final inner
     # solution, and the repaired near-best window iterates; keep the best
     candidates = [_repair_with_scores(rounded, last_entry[1], last_entry[2],
@@ -462,5 +448,4 @@ def run_subgradient(
         history_alpha=np.array(hist_alpha),
         history_theta0=np.array(hist_theta0),
         history_elapsed_ms=np.array(hist_ms),
-        state=state,
     )

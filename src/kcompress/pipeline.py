@@ -23,6 +23,7 @@ from .core import (
     DiscreteSystem,
     as_points,
     compose_marginal,
+    merge_atoms,
 )
 from .dual import SolverConfig, run_subgradient
 from .errors import (
@@ -104,34 +105,38 @@ def build_stage_instance(
         raise StageBudgetInfeasibleError(str(exc)) from exc
 
 
+def _assigned_support(instance: SelectionInstance, assignment):
+    """Assigned candidate indices, their points with coinciding ones merged
+    (merge_atoms), and each particle's column in those points."""
+    flat = np.concatenate(assignment).astype(np.intp)
+    used, inverse = np.unique(flat, return_inverse=True)
+    support, columns = merge_atoms(instance.candidates[used])
+    return used, support, columns[inverse]
+
+
 def implied_kernel(
     instance: SelectionInstance, gamma, assignment
 ) -> DiscreteKernel:
     """Kernel whose row weights are per-source assignment fractions.
 
-    Rows share one support: the selected candidates that received at least
-    one assignment, in candidate-index order. Requires the instance to
-    carry source coordinates (build_stage_instance attaches them).
+    The support is the candidates that received an assignment, in index
+    order, coinciding points merged. Requires the instance to carry source
+    coordinates (build_stage_instance attaches them).
     """
     sources = instance.sources
     if sources is None:
         raise SourceMismatchError("instance carries no source coordinates")
-    gamma = np.asarray(gamma)
-    selected = set(np.flatnonzero(gamma))
-    used = sorted({int(k) for group in assignment for k in group})
-    if not set(used) <= selected:
+    used, support, columns = _assigned_support(instance, assignment)
+    if not np.all(np.asarray(gamma)[used]):
         raise UnselectedAssignmentError(
             "assignment references unselected candidates"
         )
-    support = instance.candidates[used]
-    col = {k: i for i, k in enumerate(used)}
-    rows = []
-    for group in assignment:
-        counts = np.zeros(len(used))
-        for k in group:
-            counts[col[int(k)]] += 1.0
-        rows.append(DiscreteDistribution(support, counts / len(group)))
-    return DiscreteKernel(sources, tuple(rows))
+    sizes = np.fromiter(map(len, assignment), dtype=np.intp)
+    cells = np.repeat(np.arange(len(sizes)), sizes) * len(support) + columns
+    counts = np.bincount(cells, minlength=len(sizes) * len(support))
+    return DiscreteKernel(
+        sources, support, counts.reshape(len(sizes), -1) / sizes[:, None]
+    )
 
 
 def assignment_plan(instance: SelectionInstance, assignment):
@@ -147,15 +152,13 @@ def assignment_plan(instance: SelectionInstance, assignment):
     sum_i w_i min_k d^p of any coupling onto the selection, so the coupling
     is optimal and its cost is the selection objective.
     """
-    used = np.unique(np.concatenate(assignment).astype(np.intp))
-    columns, costs = [], []
-    for s, group in enumerate(assignment):
-        group = np.asarray(group, dtype=np.intp)
-        block = instance.cost_block(s, 0, instance.n_candidates)
-        columns.append(np.searchsorted(used, group))
-        costs.append(block[np.arange(len(group)), group])
+    _, _, columns = _assigned_support(instance, assignment)
+    costs = [
+        instance.cost_block(s, 0, instance.n_candidates)[np.arange(len(g)), g]
+        for s, g in enumerate(assignment)
+    ]
     masses = np.repeat(instance.weights, instance.group_sizes())
-    return np.concatenate(columns), masses, np.concatenate(costs)
+    return columns, masses, np.concatenate(costs)
 
 
 def candidate_lattice(clouds, count: int, margin: float = 0.05) -> np.ndarray:
@@ -261,16 +264,23 @@ def system_to_dict(approx: DiscreteSystem) -> dict:
 
 
 def system_from_dict(data: dict) -> DiscreteSystem:
-    """Inverse of system_to_dict. Every row and marginal is validated as a
-    DiscreteDistribution and the whole as a DiscreteSystem."""
+    """Inverse of system_to_dict, validated as distributions and as a
+    DiscreteSystem; a malformed document raises ValidationError."""
     from .core import distribution_from_dict, kernel_from_dict
 
-    return DiscreteSystem(
-        data["supports"],
-        tuple(kernel_from_dict(k) for k in data["kernels"]),
-        tuple(distribution_from_dict(m) for m in data["marginals"]),
-        data["deltas"],
-    )
+    if not isinstance(data, dict):
+        raise ValidationError("a system must be a JSON object")
+    try:
+        return DiscreteSystem(
+            data["supports"],
+            tuple(kernel_from_dict(k) for k in data["kernels"]),
+            tuple(distribution_from_dict(m) for m in data["marginals"]),
+            data["deltas"],
+        )
+    except KeyError as exc:
+        raise ValidationError(f"system lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValidationError(f"malformed system: {exc}") from None
 
 
 def load_system(path) -> DiscreteSystem:

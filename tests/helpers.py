@@ -96,7 +96,7 @@ def random_discrete_system(rng, horizon=3, max_states=5, dim=2):
         for _ in range(len(supports[t])):
             w = rng.uniform(0.2, 1.0, size=len(supports[t + 1]))
             rows.append(DiscreteDistribution(supports[t + 1], w / w.sum()))
-        kernels.append(DiscreteKernel(supports[t], tuple(rows)))
+        kernels.append(DiscreteKernel.from_rows(supports[t], tuple(rows)))
     return DiscreteSystem(tuple(supports), tuple(kernels))
 
 
@@ -137,8 +137,17 @@ def perturb_system(rng, system, scale=0.3):
         for row in kernel.rows:
             w = np.asarray(row.weights) + rng.uniform(0.0, scale, size=len(row))
             rows.append(DiscreteDistribution(row.support, w / w.sum()))
-        kernels.append(DiscreteKernel(kernel.sources, tuple(rows)))
+        kernels.append(DiscreteKernel.from_rows(kernel.sources, tuple(rows)))
     return DiscreteSystem(system.supports, tuple(kernels))
+
+
+def value_at(system, values, t, point):
+    """The value at `point` of stage t from evaluate_backward's value
+    arrays: that of the point's last occurrence in support t."""
+    point = np.asarray(point, dtype=np.float64).ravel()
+    hits = np.flatnonzero(np.all(system.supports[t] == point, axis=1))
+    assert len(hits), f"no point {point} in support {t}"
+    return float(values[t][hits[-1]])
 
 
 def discrete_lipschitz(points, values):

@@ -21,6 +21,7 @@ from helpers import (
     perturb_system,
     random_discrete_system,
     random_tiny_instance,
+    value_at,
 )
 from kcompress.cli import main as cli_main
 from kcompress.core import (
@@ -169,8 +170,8 @@ def test_criterion_4_outer_composition_inequality():
         for _ in range(n_src):
             rows_a.append(_random_distribution(rng, max_atoms=6))
             rows_b.append(_random_distribution(rng, max_atoms=6))
-        q = DiscreteKernel(sources, tuple(rows_a))
-        q_tilde = DiscreteKernel(sources, tuple(rows_b))
+        q = DiscreteKernel.from_rows(sources, tuple(rows_a))
+        q_tilde = DiscreteKernel.from_rows(sources, tuple(rows_b))
         itd = integrated_distance(lam, q, q_tilde, p)
         outer, _ = wasserstein_exact(
             compose_marginal(lam, q), compose_marginal(lam, q_tilde), p
@@ -262,15 +263,17 @@ def test_criterion_6_backward_recursion():
             (lambda x, c=coeff[t]: float(np.dot(c, x)))
             for t in range(horizon + 1)
         ]
-        table = evaluate_backward(system, costs, expectation_mapping())
-        assert table.value(0, system.supports[0][0]) == pytest.approx(
-            path_expectation(system, costs), abs=1e-12
-        )
+        values = evaluate_backward(system, costs, expectation_mapping())
+        root = value_at(system, values, 0, system.supports[0][0])
+        want = path_expectation(system, costs)
+        assert root == pytest.approx(want, abs=1e-12)
         twin = DiscreteSystem(system.supports, system.kernels)
-        twin_table = evaluate_backward(twin, costs, expectation_mapping())
+        twin_values = evaluate_backward(twin, costs, expectation_mapping())
         for t in range(horizon + 1):
             for x in system.supports[t]:
-                assert twin_table.value(t, x) == table.value(t, x)
+                assert value_at(system, twin_values, t, x) == value_at(
+                    system, values, t, x
+                )
 
     for _ in range(50):
         horizon = int(rng.integers(1, 4))
@@ -296,13 +299,15 @@ def test_criterion_6_backward_recursion():
         lipschitz = [
             discrete_lipschitz(
                 system.supports[t + 1],
-                [exact.value(t + 1, y) for y in system.supports[t + 1]],
+                [value_at(system, exact, t + 1, y)
+                 for y in system.supports[t + 1]],
             )
             for t in range(horizon)
         ]
         for t in range(horizon):
             err = sum(
-                float(w) * abs(tilde.value(t, x) - exact.value(t, x))
+                float(w) * abs(value_at(system, tilde, t, x)
+                               - value_at(system, exact, t, x))
                 for x, w in marginals[t].atoms()
             )
             bound = error_bound(lipschitz, [1.0] * (horizon - 1), deltas, t)

@@ -81,6 +81,46 @@ def test_unparseable_json_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _pipeline_config(out):
+    return {
+        "mode": "pipeline",
+        "out": str(out),
+        "system": {"type": "gaussian_walk", "x0": [0.0, 0.0], "sigma": 0.8},
+        "stages": [
+            {"samples_per_source": 10, "candidate_count": 8, "budget": 2}
+        ],
+    }
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["select", "--margin", "abc"], "margin"),
+    (["select", "--seeds", '["x"]'], "seeds"),
+    (["select", "--budget", "x"], "budget"),
+    (["pipeline", "--stages",
+      '[{"samples_per_source": 10, "candidate_count": 8, "budget": "x"}]'],
+     "stages[0].budget"),
+    (["evaluate", "--system_path", "s.json",
+      '--mapping={"type": "semideviation", "kappa": 1.5}'], "mapping.kappa"),
+    (["evaluate", "--system_path", "s.json",
+      '--mapping={"type": "semideviation", "kappa": "half"}'],
+     "mapping.kappa"),
+])
+def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
+    mode = argv[0]
+    data = {
+        "select": select_config(tmp_path / "o"),
+        "pipeline": _pipeline_config(tmp_path / "o"),
+        "evaluate": {"mode": "evaluate", "out": str(tmp_path / "o")},
+    }[mode]
+    cfg_path = write_config(tmp_path / "c.json", data)
+    assert main([mode, "--config", cfg_path, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg_path, parse_overrides(argv[1:]))
+    assert exc.value.field == field
+
+
 def test_unknown_field_rejected(tmp_path):
     data = select_config(tmp_path / "o")
     data["budgett"] = 3
@@ -136,6 +176,15 @@ def test_solver_batch_is_unknown(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(cfg_path, {})
     assert err.value.field == "solver.batch"
+
+
+def test_solver_recovery_sampling_is_unknown(tmp_path):
+    data = select_config(tmp_path / "o")
+    data["solver"]["recovery_sampling"] = True
+    cfg_path = write_config(tmp_path / "c.json", data)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path, {})
+    assert err.value.field == "solver.recovery_sampling"
 
 
 def test_default_mixture_is_five_components(tmp_path):
@@ -454,6 +503,44 @@ def test_evaluate_missing_system_file_exits_1(tmp_path, capsys):
     )
     assert main(["evaluate", "--config", eval_cfg]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _evaluate_config(tmp_path, system, **extra):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    return write_config(
+        tmp_path / "e.json",
+        {"mode": "evaluate", "out": str(tmp_path / "o"),
+         "system_path": str(path), **extra},
+    )
+
+
+@pytest.mark.parametrize("term", [
+    {"norm": {"center": [0, 0, 0]}},
+    {"affine": {"coeff": [1.0]}},
+])
+def test_evaluate_cost_of_wrong_dimension_exits_2(tmp_path, capsys, term):
+    data = _ragged_system_dict(np.random.default_rng(3), [3, 2])
+    eval_cfg = _evaluate_config(tmp_path, data, costs=[{}, term, {}])
+    assert main(["evaluate", "--config", eval_cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "costs[1]" in err
+
+
+@pytest.mark.parametrize("mangle, named", [
+    pytest.param(
+        lambda data: {k: v for k, v in data.items() if k != "supports"},
+        "supports", id="missing-key",
+    ),
+    pytest.param(lambda data: [data], "object", id="list-root"),
+])
+def test_evaluate_malformed_system_file_exits_1(tmp_path, capsys, mangle,
+                                               named):
+    data = mangle(_ragged_system_dict(np.random.default_rng(3), [3, 2]))
+    eval_cfg = _evaluate_config(tmp_path, data)
+    assert main(["evaluate", "--config", eval_cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
 
 
 def test_pipeline_config_requires_stages(tmp_path):

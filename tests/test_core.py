@@ -67,10 +67,70 @@ def test_arrays_are_frozen():
 
 
 def _kernel(sources, rows):
-    return DiscreteKernel(
+    return DiscreteKernel.from_rows(
         np.asarray(sources, dtype=float),
         tuple(DiscreteDistribution(s, w) for s, w in rows),
     )
+
+
+def test_from_rows_puts_rows_on_their_union():
+    rows = (
+        DiscreteDistribution([[1.0, 0.0], [-0.0, 2.0]], [0.25, 0.75]),
+        DiscreteDistribution([[1.0, 0.0], [-0.0, 2.0]], [0.5, 0.5]),
+        DiscreteDistribution(
+            [[0.0, 2.0], [3.0, 3.0], [3.0, 3.0]], [0.5, 0.25, 0.25]
+        ),
+    )
+    kernel = DiscreteKernel.from_rows([[0.0], [1.0], [2.0]], rows)
+    # first-seen order; 0.0 and -0.0 are one atom with its first coordinates
+    np.testing.assert_array_equal(
+        kernel.support, [[1.0, 0.0], [-0.0, 2.0], [3.0, 3.0]]
+    )
+    assert np.signbit(kernel.support[1, 0])
+    # an atom repeated within a row carries the sum of its weights
+    np.testing.assert_array_equal(
+        kernel.matrix,
+        [[0.25, 0.75, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+    )
+    assert not kernel.matrix.flags.writeable
+    for row, weights in zip(kernel.rows, kernel.matrix):
+        np.testing.assert_array_equal(row.support, kernel.support)
+        np.testing.assert_array_equal(row.weights, weights)
+
+
+@pytest.mark.parametrize("matrix, error", [
+    ([[0.5, 0.5]], LengthMismatchError),
+    ([[0.5, 0.25, 0.5]], WeightsNotNormalizedError),
+    ([[1.25, -0.25, 0.0]], NegativeWeightError),
+    ([[np.nan, 0.5, 0.5]], NonFiniteError),
+])
+def test_kernel_matrix_checked(matrix, error):
+    with pytest.raises(error):
+        DiscreteKernel([[0.0]], [[1.0], [2.0], [3.0]], matrix)
+
+
+def test_from_rows_needs_one_weight_per_point():
+    with pytest.raises(LengthMismatchError):
+        kernel_from_dict({"sources": [[0.0]], "rows": [
+            {"support": [[1.0], [2.0]], "weights": [1.0]},
+        ]})
+
+
+def test_compose_adds_rows_in_order():
+    rng = np.random.default_rng(12)
+    for n in (1, 8, 9, 200):
+        matrix = rng.random((n, 17))
+        matrix /= matrix.sum(axis=1, keepdims=True)
+        kernel = DiscreteKernel(
+            rng.normal(size=(n, 2)), rng.normal(size=(17, 2)), matrix
+        )
+        lam = DiscreteDistribution(kernel.sources, rng.dirichlet(np.ones(n)))
+        running = np.zeros(17)
+        for s in range(n):
+            running = running + lam.weights[s] * kernel.matrix[s]
+        out = compose_marginal(lam, kernel)
+        assert out.weights.tobytes() == running.tobytes()
+        assert out.support.tobytes() == kernel.support.tobytes()
 
 
 def test_compose_single_source():
@@ -138,7 +198,8 @@ def test_compose_output_normalized():
                 )
             )
         out = compose_marginal(
-            DiscreteDistribution(sources, lam_w), DiscreteKernel(sources, tuple(rows))
+            DiscreteDistribution(sources, lam_w),
+            DiscreteKernel.from_rows(sources, tuple(rows)),
         )
         assert abs(out.weights.sum() - 1.0) <= 1e-12
 
@@ -180,7 +241,7 @@ def test_compose_matches_per_atom_formula_bit_for_bit():
                 )
             )
         lam = DiscreteDistribution(sources, rng.dirichlet(np.ones(n_src)))
-        kernel = DiscreteKernel(sources, tuple(rows))
+        kernel = DiscreteKernel.from_rows(sources, tuple(rows))
         out = compose_marginal(lam, kernel)
         support, weights = _compose_per_atom(lam, kernel)
         assert out.support.tobytes() == support.tobytes()
@@ -206,7 +267,7 @@ def kernel_with_two_marginals(draw):
 @settings(max_examples=25, deadline=None)
 def test_compose_linear_in_marginal(case):
     sources, rows, lam_a, lam_b, t = case
-    q = DiscreteKernel(sources, rows)
+    q = DiscreteKernel.from_rows(sources, rows)
     mix = DiscreteDistribution(sources, t * lam_a + (1 - t) * lam_b)
     out_mix = compose_marginal(mix, q)
     out_a = compose_marginal(DiscreteDistribution(sources, lam_a), q)
@@ -282,4 +343,8 @@ def test_kernel_json_round_trip():
     back = kernel_from_dict(kernel_to_dict(q))
     assert len(back) == 2
     np.testing.assert_array_equal(back.sources, q.sources)
-    np.testing.assert_array_equal(back.rows[1].weights, [0.5, 0.5])
+    # the rows live on their union support, in first-seen order
+    np.testing.assert_array_equal(back.support, [[5.0], [6.0], [7.0]])
+    np.testing.assert_array_equal(
+        back.matrix, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]
+    )

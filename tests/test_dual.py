@@ -312,15 +312,6 @@ def test_recovery_empty_history():
         primal_recovery([], 1)
 
 
-def test_recovery_sampling_mode_seeded():
-    rng_a = np.random.default_rng(42)
-    rng_b = np.random.default_rng(42)
-    entries = [(np.array([1, 0, 1, 1]), 0.3), (np.array([1, 1, 0, 1]), 0.2)]
-    _, a = primal_recovery(entries, 2, rng=rng_a, sample=True)
-    _, b = primal_recovery(entries, 2, rng=rng_b, sample=True)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_repair_noop_when_feasible():
     rng = np.random.default_rng(12)
     inst = random_tiny_instance(rng)

@@ -122,6 +122,44 @@ def test_implied_kernel_counts_assignments():
     assert np.array_equal(kernel.sources, marginal.support)
 
 
+def test_implied_kernel_matches_per_particle_counts():
+    # the per-particle counting loop as the reference, bit for bit
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n_src, k = int(rng.integers(1, 5)), int(rng.integers(2, 12))
+        marginal = DiscreteDistribution(
+            rng.normal(size=(n_src, 2)), rng.dirichlet(np.ones(n_src))
+        )
+        clouds = [rng.normal(size=(int(rng.integers(1, 9)), 2))
+                  for _ in range(n_src)]
+        inst = build_stage_instance(
+            marginal, clouds, rng.normal(size=(k, 2)), 1.0, k
+        )
+        assignment = tuple(rng.integers(0, k, size=len(c)) for c in clouds)
+        kernel = implied_kernel(inst, np.ones(k, dtype=np.int8), assignment)
+        used = sorted({int(j) for group in assignment for j in group})
+        want = np.zeros((n_src, len(used)))
+        for s, group in enumerate(assignment):
+            for j in group:
+                want[s, used.index(int(j))] += 1.0
+            want[s] /= len(group)
+        assert kernel.support.tobytes() == inst.candidates[used].tobytes()
+        assert kernel.matrix.tobytes() == want.tobytes()
+
+
+def test_implied_kernel_merges_coinciding_candidates():
+    marginal = DiscreteDistribution([[0.0], [10.0]], [0.5, 0.5])
+    clouds = [np.array([[1.0], [1.0], [4.0]]), np.array([[1.0], [4.0]])]
+    # candidates 0 and 2 are one point
+    candidates = np.array([[1.0], [4.0], [1.0]])
+    inst = build_stage_instance(marginal, clouds, candidates, 1.0, 3)
+    gamma = np.array([1, 1, 1], dtype=np.int8)
+    assignment = (np.array([0, 2, 1]), np.array([2, 1]))
+    kernel = implied_kernel(inst, gamma, assignment)
+    np.testing.assert_array_equal(kernel.support, [[1.0], [4.0]])
+    np.testing.assert_array_equal(kernel.matrix, [[2 / 3, 1 / 3], [0.5, 0.5]])
+
+
 def test_implied_kernel_rejects_unselected():
     marginal = DiscreteDistribution([[0.0]], [1.0])
     inst = build_stage_instance(
@@ -222,7 +260,7 @@ def test_deltas_match_integrated_distance():
         )
         from kcompress.core import DiscreteKernel
 
-        emp_kernel = DiscreteKernel(marginal.support, empirical)
+        emp_kernel = DiscreteKernel.from_rows(marginal.support, empirical)
         itd = integrated_distance(
             marginal, emp_kernel, approx.kernels[t], stage.order
         )

@@ -6,6 +6,7 @@ from helpers import (
     path_expectation,
     perturb_system,
     random_discrete_system,
+    value_at,
 )
 from kcompress.core import (
     DiscreteDistribution,
@@ -24,11 +25,12 @@ from kcompress.errors import (
     ValidationError,
 )
 from kcompress.risk import (
-    ValueTable,
     error_bound,
     evaluate_backward,
     expectation_mapping,
+    lookup,
     semideviation_mapping,
+    write_values_csv,
 )
 from kcompress.transport import integrated_distance
 
@@ -127,22 +129,24 @@ def test_mappings_monotone_in_values():
 def test_zero_costs_give_zero_values():
     system = random_discrete_system(np.random.default_rng(2))
     costs = [lambda x: 0.0] * (system.horizon + 1)
-    table = evaluate_backward(system, costs, expectation_mapping())
+    values = evaluate_backward(system, costs, expectation_mapping())
     for t in range(system.horizon + 1):
         for x in system.supports[t]:
-            assert table.value(t, x) == 0.0
+            assert value_at(system, values, t, x) == 0.0
 
 
 def test_deterministic_chain_sums_path():
     supports = ([[0.0]], [[1.0]], [[2.0]])
     kernels = (
-        DiscreteKernel([[0.0]], (dirac([1.0]),)),
-        DiscreteKernel([[1.0]], (dirac([2.0]),)),
+        DiscreteKernel.from_rows([[0.0]], (dirac([1.0]),)),
+        DiscreteKernel.from_rows([[1.0]], (dirac([2.0]),)),
     )
     system = DiscreteSystem(supports, kernels)
     costs = [lambda x: float(x[0]) + 1.0] * 3
-    table = evaluate_backward(system, costs, expectation_mapping())
-    assert table.value(0, [0.0]) == pytest.approx((0 + 1) + (1 + 1) + (2 + 1))
+    values = evaluate_backward(system, costs, expectation_mapping())
+    assert value_at(system, values, 0, [0.0]) == pytest.approx(
+        (0 + 1) + (1 + 1) + (2 + 1)
+    )
 
 
 def test_matches_path_enumeration():
@@ -155,19 +159,21 @@ def test_matches_path_enumeration():
             (lambda x, c=coeff[t]: float(np.dot(c, x)))
             for t in range(horizon + 1)
         ]
-        table = evaluate_backward(system, costs, expectation_mapping())
+        values = evaluate_backward(system, costs, expectation_mapping())
         expected = path_expectation(system, costs)
-        assert table.value(0, system.supports[0][0]) == pytest.approx(
-            expected, abs=1e-12
+        assert value_at(system, values, 0, system.supports[0][0]) == (
+            pytest.approx(expected, abs=1e-12)
         )
 
 
 def test_terminal_values_are_terminal_costs():
     system = random_discrete_system(np.random.default_rng(8))
     costs = [lambda x: float(np.sum(x * x))] * (system.horizon + 1)
-    table = evaluate_backward(system, costs, expectation_mapping())
+    values = evaluate_backward(system, costs, expectation_mapping())
     for x in system.supports[-1]:
-        assert table.value(system.horizon, x) == float(np.sum(x * x))
+        assert value_at(system, values, system.horizon, x) == float(
+            np.sum(x * x)
+        )
 
 
 def test_identical_kernels_identical_values():
@@ -180,11 +186,11 @@ def test_identical_kernels_identical_values():
     b = evaluate_backward(twin, costs, sigma)
     for t in range(system.horizon + 1):
         for x in system.supports[t]:
-            assert a.value(t, x) == b.value(t, x)
+            assert value_at(system, a, t, x) == value_at(system, b, t, x)
 
 
 def test_missing_next_stage_point():
-    kernel = DiscreteKernel([[0.0]], (dirac([5.0]),))
+    kernel = DiscreteKernel.from_rows([[0.0]], (dirac([5.0]),))
     system = DiscreteSystem(([[0.0]], [[1.0]]), (kernel,))
     costs = [lambda x: 0.0] * 2
     with pytest.raises(MissingValueError):
@@ -235,7 +241,7 @@ def ragged_system(rng, horizon=3, max_states=6):
             if w.sum() == 0.0:
                 w[-1] = 1.0
             rows.append(DiscreteDistribution(atoms, w / w.sum()))
-        kernels.append(DiscreteKernel(supports[t], tuple(rows)))
+        kernels.append(DiscreteKernel.from_rows(supports[t], tuple(rows)))
     return DiscreteSystem(tuple(supports), tuple(kernels))
 
 
@@ -251,21 +257,47 @@ def test_matches_per_point_reference(kappa):
             (lambda x, c=coeff[t]: float(np.dot(c, x) + np.dot(x, x)))
             for t in range(horizon + 1)
         ]
-        table = evaluate_backward(system, costs, sigma)
+        values = evaluate_backward(system, costs, sigma)
         want = per_point_values(system, costs, kappa)
         for t in range(horizon + 1):
-            assert table.stage_points(t) == sorted(want[t])
+            assert values[t].shape == (len(system.supports[t]),)
             for key, value in want[t].items():
-                assert table.value(t, key) == pytest.approx(
+                assert value_at(system, values, t, key) == pytest.approx(
                     value, rel=1e-12, abs=1e-12
                 )
+
+
+def test_values_csv_one_row_per_distinct_point(tmp_path):
+    # stage 0 repeats a point, once as -0.0: the row keeps the first
+    # occurrence's coordinates and the last occurrence's value
+    supports = (
+        np.array([[1.0, -0.0], [0.5, 2.0], [1.0, 0.0]]),
+        np.array([[3.0, 1.0], [-1.0, 4.0]]),
+    )
+    values = (np.array([1.5, 2.5, 3.5]), np.array([0.25, 0.125]))
+    path = tmp_path / "values.csv"
+    write_values_csv(path, supports, values)
+    assert path.read_text().splitlines() == [
+        "t,x0,x1,value",
+        "0,0.5,2.0,2.5",
+        "0,1.0,-0.0,3.5",
+        "1,-1.0,4.0,0.125",
+        "1,3.0,1.0,0.25",
+    ]
+
+
+def test_lookup_finds_last_occurrence():
+    points = np.array([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
+    assert lookup(points, [[2.0, 3.0], [0.0, 1.0]], 1).tolist() == [1, 2]
+    with pytest.raises(MissingValueError, match="stage 1"):
+        lookup(points, [[2.0, 3.0], [5.0, 5.0]], 1)
 
 
 def test_missing_point_after_shared_rows():
     # the first two rows share a support; the third reaches a point that
     # stage 1 lacks
     shared = DiscreteDistribution([[1.0], [2.0]], [0.5, 0.5])
-    kernel = DiscreteKernel(
+    kernel = DiscreteKernel.from_rows(
         [[0.0], [0.5], [0.7]],
         (shared, DiscreteDistribution([[1.0], [2.0]], [0.2, 0.8]),
          DiscreteDistribution([[2.0], [3.0]], [0.5, 0.5])),
@@ -278,7 +310,7 @@ def test_missing_point_after_shared_rows():
 def test_row_count_checked():
     # one row for two support points: the system is refused when built, so
     # evaluate_backward never sees it
-    kernel = DiscreteKernel([[0.0]], (dirac([1.0]),))
+    kernel = DiscreteKernel.from_rows([[0.0]], (dirac([1.0]),))
     with pytest.raises(LengthMismatchError):
         DiscreteSystem(([[0.0], [0.5]], [[1.0]]), (kernel,))
 
@@ -290,7 +322,7 @@ def test_cost_count_checked():
 
 
 def test_discrete_system_validates_sources():
-    kernel = DiscreteKernel([[0.0]], (dirac([1.0]),))
+    kernel = DiscreteKernel.from_rows([[0.0]], (dirac([1.0]),))
     with pytest.raises(SourceMismatchError):
         DiscreteSystem(([[9.0]], [[1.0]]), (kernel,))
     with pytest.raises(LengthMismatchError):
@@ -302,10 +334,10 @@ def chain_parts():
     chain."""
     supports = ([[0.0]], [[1.0], [2.0]], [[3.0]])
     kernels = (
-        DiscreteKernel(
+        DiscreteKernel.from_rows(
             [[0.0]], (DiscreteDistribution([[1.0], [2.0]], [0.5, 0.5]),)
         ),
-        DiscreteKernel([[1.0], [2.0]], (dirac([3.0]), dirac([3.0]))),
+        DiscreteKernel.from_rows([[1.0], [2.0]], (dirac([3.0]), dirac([3.0]))),
     )
     marginals = (
         dirac([0.0]),
@@ -356,31 +388,6 @@ def test_discrete_system_rejects_inconsistent_parts(corrupt, error):
     corrupt(parts)
     with pytest.raises(error):
         DiscreteSystem(*parts)
-
-
-def test_value_table_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    table = ValueTable(2)
-    for t in range(3):
-        for _ in range(4):
-            table.set_value(t, rng.normal(size=2), float(rng.normal()))
-    path = tmp_path / "values.csv"
-    table.to_csv(path)
-    back = ValueTable.from_csv(path)
-    assert back.dim == 2
-    for t in range(3):
-        assert back.stage_points(t) == table.stage_points(t)
-        for key in table.stage_points(t):
-            assert back.value(t, key) == table.value(t, key)
-
-
-def test_value_table_missing_lookup():
-    table = ValueTable(1)
-    table.set_value(0, [1.0], 2.0)
-    with pytest.raises(MissingValueError):
-        table.value(0, [3.0])
-    with pytest.raises(MissingValueError):
-        table.value(1, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +454,15 @@ def test_bound_dominates_perturbed_value_error():
         lipschitz = [
             discrete_lipschitz(
                 system.supports[t + 1],
-                [exact.value(t + 1, y) for y in system.supports[t + 1]],
+                [value_at(system, exact, t + 1, y)
+                 for y in system.supports[t + 1]],
             )
             for t in range(horizon)
         ]
         for t in range(horizon):
             err = sum(
-                float(w) * abs(tilde.value(t, x) - exact.value(t, x))
+                float(w) * abs(value_at(system, tilde, t, x)
+                               - value_at(system, exact, t, x))
                 for x, w in marginals[t].atoms()
             )
             bound = error_bound(lipschitz, [1.0] * (horizon - 1), deltas, t)

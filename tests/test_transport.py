@@ -224,7 +224,11 @@ def _kernel_pair(rng, n_src=3):
     lam = DiscreteDistribution(sources, rng.dirichlet(np.ones(n_src)))
     rows_q = tuple(_random_distribution(rng, max_atoms=5) for _ in range(n_src))
     rows_qt = tuple(_random_distribution(rng, max_atoms=5) for _ in range(n_src))
-    return lam, DiscreteKernel(sources, rows_q), DiscreteKernel(sources, rows_qt)
+    return (
+        lam,
+        DiscreteKernel.from_rows(sources, rows_q),
+        DiscreteKernel.from_rows(sources, rows_qt),
+    )
 
 
 def test_integrated_identical_kernels():
@@ -244,8 +248,8 @@ def test_integrated_single_source_equals_row_distance():
 def test_integrated_two_sources_hand_value():
     sources = np.array([[0.0], [10.0]])
     lam = DiscreteDistribution(sources, [0.5, 0.5])
-    q = DiscreteKernel(sources, (_dirac((0.0,)), _dirac((0.0,))))
-    qt = DiscreteKernel(sources, (_dirac((1.0,)), _dirac((3.0,))))
+    q = DiscreteKernel.from_rows(sources, (_dirac((0.0,)), _dirac((0.0,))))
+    qt = DiscreteKernel.from_rows(sources, (_dirac((1.0,)), _dirac((3.0,))))
     # row distances are 1.0 and 3.0 by the single-atom transport rule
     assert wasserstein_exact(q.rows[0], qt.rows[0], 1)[0] == pytest.approx(1.0)
     assert wasserstein_exact(q.rows[1], qt.rows[1], 1)[0] == pytest.approx(3.0)
