@@ -3,8 +3,10 @@
 
 Runs the selection solver once per seed on 100 samples per component with
 256 Sobol candidates over [-12, 12]^2 and budget 51, then prints a small
-table (distance, duality gap, iterations, wall time) and the mean distance
-across seeds. Mirrors the summary columns the CLI writes in select mode.
+table (distance, duality gap, iterations, stop reason, wall time) and the
+mean distance across seeds. Mirrors the summary columns the CLI writes in
+select mode. Exits 1 when any seed's solve stops short of the duality
+certificate (stop reason other than "certified").
 """
 
 import argparse
@@ -52,16 +54,17 @@ def main(argv=None):
     box = (np.array(args.box[:2]), np.array(args.box[2:]))
     rows = []
     print(f"{'seed':>6} {'dim_beta':>9} {'distance':>9} {'gap':>10} "
-          f"{'iters':>6} {'wall_s':>7}")
+          f"{'iters':>6} {'stop':>10} {'wall_s':>7}")
     for seed in args.seeds:
         instance, result, distance, wall = run_once(
             seed, args.samples, args.candidates, args.budget, args.order,
             box, args.max_iter, args.threads,
         )
         print(f"{seed:>6} {instance.dim_beta:>9} {distance:>9.4f} "
-              f"{result.gap:>10.2e} {result.iterations:>6} {wall:>7.2f}")
+              f"{result.gap:>10.2e} {result.iterations:>6} "
+              f"{result.stop_reason:>10} {wall:>7.2f}")
         rows.append([seed, instance.dim_beta, instance.dim_gamma,
-                     round(wall, 4), distance, result.gap])
+                     round(wall, 4), distance, result.gap, result.stop_reason])
     mean = float(np.mean([r[4] for r in rows]))
     print(f"mean distance over {len(rows)} seeds: {mean:.4f}")
 
@@ -69,9 +72,13 @@ def main(argv=None):
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seed", "dim_beta", "dim_gamma", "wall_time_s",
-                             "distance", "gap"])
+                             "distance", "gap", "stop_reason"])
             writer.writerows(rows)
         print(f"wrote {args.out}")
+    uncertified = [r[0] for r in rows if r[6] != "certified"]
+    if uncertified:
+        print(f"not certified: seeds {uncertified}", file=sys.stderr)
+        return 1
     return 0
 
 

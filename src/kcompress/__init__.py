@@ -5,7 +5,7 @@ The package splits into layers:
 * core: discrete distributions, kernels, systems, cost matrices.
 * transport: exact Wasserstein distances and assignment distances.
 * oracle: exhaustive solver for the selection problem on tiny instances.
-* dual: the dual subgradient method with momentum (the workhorse).
+* dual: the certified dual subgradient method (the workhorse).
 * pipeline: stage-by-stage approximation of a Markov system.
 * risk: backward value evaluation with pluggable risk mappings.
 * generators: seeded Gaussian mixture sampling and Sobol lattices.

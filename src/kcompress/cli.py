@@ -414,7 +414,9 @@ def _coord_header(dim: int):
 
 
 def _write_diagnostics(path: Path, result):
-    # rows are streamed, never held: a solve can run thousands of iterations
+    # primal is the best feasible objective so far, gap its distance to the
+    # best dual value so far; rows are streamed, never held
+    gaps = result.history_primal - np.maximum.accumulate(result.history_dual)
     rows = (
         [
             j,
@@ -423,11 +425,16 @@ def _write_diagnostics(path: Path, result):
             repr(float(result.history_alpha[j])),
             repr(float(result.history_theta0[j])),
             repr(float(result.history_elapsed_ms[j])),
+            repr(float(result.history_primal[j])),
+            repr(float(gaps[j])),
         ]
         for j in range(result.iterations)
     )
     _write_csv(
-        path, ["j", "dual", "sum_gamma", "alpha", "theta0", "elapsed_ms"], rows
+        path,
+        ["j", "dual", "sum_gamma", "alpha", "theta0", "elapsed_ms", "primal",
+         "gap"],
+        rows,
     )
 
 
@@ -582,6 +589,7 @@ def run_select(cfg: ExperimentConfig):
             "seed": seed,
             "selected_distribution": distribution_to_dict(selected_marginal),
             "selected_indices": np.flatnonzero(result.gamma).tolist(),
+            "stop_reason": result.stop_reason,
             "sum_gamma": int(result.gamma.sum()),
         }
         _write_json(cfg.out / f"result_seed{seed}.json", payload)
@@ -594,6 +602,7 @@ def run_select(cfg: ExperimentConfig):
                 repr(round(wall, 6)),
                 repr(float(distance)),
                 repr(float(result.gap)),
+                result.stop_reason,
             ]
         )
         if cfg.emit_plot_data:
@@ -618,16 +627,19 @@ def run_select(cfg: ExperimentConfig):
             )
             _write_plan(cfg.out / f"plan_seed{seed}.csv", columns, masses)
         log.info(
-            "select seed=%d: distance=%.6f gap=%.3e sum_gamma=%d wall=%.2fs",
+            "select seed=%d: distance=%.6f gap=%.3e (%s) sum_gamma=%d"
+            " wall=%.2fs",
             seed,
             distance,
             result.gap,
+            result.stop_reason,
             int(result.gamma.sum()),
             wall,
         )
     _write_csv(
         cfg.out / "summary.csv",
-        ["seed", "dim_beta", "dim_gamma", "wall_time_s", "distance", "gap"],
+        ["seed", "dim_beta", "dim_gamma", "wall_time_s", "distance", "gap",
+         "stop_reason"],
         summary,
     )
     _write_metadata(cfg, time.perf_counter() - start)
@@ -697,6 +709,7 @@ def run_pipeline(cfg: ExperimentConfig):
                     repr(round(solve, 6)),
                     repr(float(approx.deltas[t])),
                     repr(float(result.gap)),
+                    result.stop_reason,
                 ]
             )
             if cfg.emit_plot_data:
@@ -720,11 +733,13 @@ def run_pipeline(cfg: ExperimentConfig):
                     _point_rows(instance.candidates[np.flatnonzero(result.gamma)]),
                 )
             log.info(
-                "pipeline seed=%d stage=%d: delta=%.6f gap=%.3e support=%d",
+                "pipeline seed=%d stage=%d: delta=%.6f gap=%.3e (%s)"
+                " support=%d",
                 seed,
                 t,
                 approx.deltas[t],
                 result.gap,
+                result.stop_reason,
                 len(approx.supports[t + 1]),
             )
         log.info("pipeline seed=%d: wall=%.2fs", seed, wall)
@@ -739,6 +754,7 @@ def run_pipeline(cfg: ExperimentConfig):
             "solve_s",
             "delta",
             "gap",
+            "stop_reason",
         ],
         summary,
     )

@@ -1,4 +1,4 @@
-"""Dual subgradient method with momentum for the selection problem.
+"""Dual ascent for the selection problem, stopped on a duality certificate.
 
 The budgeted selection problem relaxes into independent per-candidate
 subproblems once the assignment and budget constraints are dualized with
@@ -10,8 +10,12 @@ sum_si max(0, theta_si - w_s d_sik), the dual function is
 its inner minimizer selects candidate k iff score_k > theta0 and covers
 particle (s,i) with k iff w_s d_sik < theta_si, and a supergradient is
 g0 = sum_k gamma_k - M, g_si = 1 - sum_k beta_sik. run_subgradient ascends
-L_D with momentum-smoothed supergradients and a 1/sqrt(j) step schedule,
-then recovers a feasible selection by weighted averaging and rounding.
+L_D with the Polyak step towards the best feasible objective found so far
+(Polyak 1969; Held, Wolfe & Crowder 1974). Every iterate's inner selection,
+repaired to the budget, is a feasible selection, so its objective is an
+upper bound UB on the optimum; every dual value is a lower bound (weak
+duality). The run stops once UB is within CERT_TOL of the best dual value:
+the returned selection is then provably within that share of the optimum.
 
 All per-candidate work is done in fixed-size column blocks reduced in block
 order, so results are identical for any worker count. Each block is swept
@@ -24,7 +28,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +35,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EmptyHistoryError,
     NegativeGapError,
     ValidationError,
 )
@@ -43,10 +45,19 @@ from .oracle import SelectionInstance
 # bitwise reproducible across --threads settings.
 SWEEP_BLOCK = 512
 
+# A run is certified once UB - best dual <= CERT_TOL * UB.
+CERT_TOL = 1e-4
+# The Polyak step scale lambda halves after this many iterations without a
+# new best dual value; once it falls below LAMBDA_FLOOR the ascent has
+# stabilized short of the certificate (an integrality gap, or steps too
+# small to matter).
+STALL_ITERS = 20
+LAMBDA_FLOOR = 1e-6
+
 
 @dataclass
 class DualState:
-    """Multipliers and momentum buffers of the dual ascent.
+    """Multipliers of the dual ascent.
 
     theta is stored flat over all particles in group order; offsets are
     implied by the instance's group sizes. theta0 stays nonnegative (it is
@@ -55,51 +66,40 @@ class DualState:
 
     theta0: float
     theta: np.ndarray
-    m0: float = 0.0
-    m: np.ndarray | None = None
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta0 < 0:
             raise ValidationError("theta0 must be nonnegative")
-        if self.m is None:
-            self.m = np.zeros_like(self.theta)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters of the dual ascent (defaults follow the reference
-    experiment: alpha0=0.01, epsilon=1e-7, kappa1=kappa2=0.35, band 5%)."""
+    """Settings of the dual ascent: the iteration cap and the sweep's worker
+    count (results are identical for any count). The step rule and the
+    stopping test have no settings; see run_subgradient. No step of the
+    solver reads seed."""
 
-    alpha0: float = 0.01
-    epsilon: float = 1e-7
-    kappa1: float = 0.35
-    kappa2: float = 0.35
-    band: float = 0.05
     max_iter: int = 5000
-    window: int = 50
     seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
-        if self.alpha0 <= 0 or self.epsilon <= 0:
-            raise ValidationError("alpha0 and epsilon must be positive")
-        if not (0 <= self.kappa1 < 1 and 0 <= self.kappa2 < 1):
-            raise ValidationError("kappa1, kappa2 must lie in [0, 1)")
-        if not (0 < self.band < 1):
-            raise ValidationError("band must lie in (0, 1)")
-        if self.max_iter < 1 or self.window < 1 or self.threads < 1:
-            raise ValidationError("max_iter, window, threads must be >= 1")
+        if self.max_iter < 1 or self.threads < 1:
+            raise ValidationError("max_iter, threads must be >= 1")
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     """Outcome of run_subgradient.
 
-    history_* arrays are aligned per iteration: raw dual value, number of
-    selected candidates of the inner solution, step size, theta0. gamma and
-    beta_assignment describe the recovered feasible selection; gap is its
+    history_* arrays are aligned per iteration: raw dual value, best
+    feasible objective so far (UB), number of selected candidates of the
+    inner solution, step size, theta0, elapsed milliseconds. gamma and
+    beta_assignment describe the selection that gives UB; gap is its
     objective minus the best dual value (nonnegative by weak duality).
+    stop_reason is "certified", "stabilized" or "max_iter" (see
+    run_subgradient).
     """
 
     gamma: np.ndarray
@@ -107,13 +107,19 @@ class SelectionResult:
     objective: float
     best_dual: float
     gap: float
-    converged: bool
+    stop_reason: str
     iterations: int
     history_dual: np.ndarray
+    history_primal: np.ndarray
     history_sum_gamma: np.ndarray
     history_alpha: np.ndarray
     history_theta0: np.ndarray
     history_elapsed_ms: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        """True when the run stopped on the duality certificate."""
+        return self.stop_reason == "certified"
 
 
 class _Scratch(threading.local):
@@ -251,27 +257,6 @@ def initial_state(instance: SelectionInstance) -> DualState:
     return DualState(theta0=max(0.0, float(kth) / 2.0), theta=theta)
 
 
-def primal_recovery(entries, budget: int):
-    """Average the recorded inner selections and round to a feasible one.
-
-    entries: sequence of (gamma, alpha) pairs from near-optimal iterations.
-    gamma_bar weighs each gamma by its step size; gamma_rounded keeps the
-    budget largest averages (ties to the lowest index).
-    """
-    entries = list(entries)
-    if not entries:
-        raise EmptyHistoryError("primal recovery needs at least one iteration")
-    alphas = np.array([a for _, a in entries], dtype=np.float64)
-    weights = alphas / alphas.sum()
-    gamma_bar = np.zeros(len(entries[0][0]))
-    for (gamma, _), w in zip(entries, weights):
-        gamma_bar += w * np.asarray(gamma, dtype=np.float64)
-    top = np.argsort(-gamma_bar, kind="stable")[:budget]
-    rounded = np.zeros(len(gamma_bar), dtype=np.int8)
-    rounded[top] = 1
-    return gamma_bar, rounded
-
-
 def _repair_with_scores(gamma, scores, theta0, budget: int):
     gamma = np.asarray(gamma).astype(np.int8).copy()
     excess = int(gamma.sum()) - budget
@@ -320,10 +305,7 @@ def duality_gap(objective: float, best_dual: float) -> float:
 
 
 def _objective_for(wd, gamma):
-    sel = np.flatnonzero(gamma)
-    if len(sel) == 0:
-        return math.inf
-    return float(wd[:, sel].min(axis=1).sum())
+    return float(wd[:, np.flatnonzero(gamma)].min(axis=1).sum())
 
 
 def _assignment_for(instance: SelectionInstance, gamma):
@@ -338,19 +320,23 @@ def _assignment_for(instance: SelectionInstance, gamma):
 def run_subgradient(
     instance: SelectionInstance, config: SolverConfig
 ) -> SelectionResult:
-    """Algorithm: ascend the dual with momentum, then recover a primal.
+    """Algorithm: Polyak ascent of the dual, stopped on a certificate.
 
-    Per iteration j (starting at 0) the inner solution at theta^(j) gives a
-    supergradient; momenta are decayed with kappa1/kappa2 and applied with
-    step alpha0/sqrt(j+1); theta0 is projected back to [0, inf). Iteration
-    stops once the selected count lies within the band around the budget
-    and the dual value has stabilized to epsilon, or at max_iter with
-    converged=False. The returned gamma is the best-objective selection
-    among the rounded recovery average, the repaired final inner solution,
-    and the repaired near-best window iterates.
+    Per iteration j (starting at 0) one sweep at theta^(j) gives the dual
+    value L_j, the supergradient g_j = (g0, g_si) and the scores. The
+    inner selection, repaired to the budget (or, when empty, the budget
+    highest-scoring candidates), is a feasible selection; UB_j is the best
+    objective among those seen so far. The step is
+
+        alpha_j = lambda_j (UB_j - L_j) / ||g_j||^2,
+
+    theta += alpha_j g and theta0 = max(0, theta0 + alpha_j g0). lambda
+    starts at 1 and halves after STALL_ITERS iterations without a new best
+    dual. The run stops "certified" once UB_j - best dual <= CERT_TOL UB_j,
+    "stabilized" when g_j = 0 or lambda falls below LAMBDA_FLOOR, and
+    otherwise "max_iter". The returned gamma is the selection that gives UB.
     """
     wd = instance.stacked_weighted_costs()
-    n, k = wd.shape
     m_budget = instance.budget
     # one sweep buffer per worker thread for the whole solve
     scratch = _scratch_for(wd)
@@ -361,89 +347,68 @@ def run_subgradient(
         if config.threads > 1
         else None
     )
-    hist_dual, hist_sum, hist_alpha, hist_theta0, hist_ms = [], [], [], [], []
-    # every inner selection, one bit per candidate, for the recovery average
-    recovery: list = []
-    # near-best inner selections with their scores, kept for end-of-run repair
-    repair_ring: deque = deque(maxlen=config.window)
+    hist_dual, hist_primal, hist_sum, hist_alpha = [], [], [], []
+    hist_theta0, hist_ms = [], []
     best_dual = -math.inf
-    converged = False
-    last_entry = None
+    upper, best_gamma = math.inf, None
+    step_scale, stall = 1.0, 0
+    stop_reason = "max_iter"
     t0 = time.perf_counter()
     try:
-        for j in range(config.max_iter):
+        for _ in range(config.max_iter):
             gamma, cover, scores, dual_neg = _sweep(
                 wd, state.theta, state.theta0, executor, scratch
             )
             dual = dual_neg + float(state.theta.sum()) - m_budget * state.theta0
             sum_gamma = int(gamma.sum())
-            alpha = config.alpha0 / math.sqrt(j + 1)
+            if sum_gamma:
+                feasible = _repair_with_scores(
+                    gamma, scores, state.theta0, m_budget
+                )
+            else:
+                feasible = np.zeros(len(gamma), dtype=np.int8)
+                feasible[np.argsort(-scores, kind="stable")[:m_budget]] = 1
+            objective = _objective_for(wd, feasible)
+            if objective < upper:
+                upper, best_gamma = objective, feasible
+            if dual > best_dual:
+                best_dual, stall = dual, 0
+            else:
+                stall += 1
+                if stall == STALL_ITERS:
+                    step_scale, stall = step_scale / 2.0, 0
+            g0 = float(sum_gamma - m_budget)
+            g = 1.0 - cover
+            norm2 = g0 * g0 + float(g @ g)
+            alpha = step_scale * (upper - dual) / norm2 if norm2 > 0 else 0.0
             hist_dual.append(dual)
+            hist_primal.append(upper)
             hist_sum.append(sum_gamma)
             hist_alpha.append(alpha)
             hist_theta0.append(state.theta0)
             hist_ms.append((time.perf_counter() - t0) * 1e3)
-            best_dual = max(best_dual, dual)
-            recovery.append(np.packbits(gamma))
-            last_entry = (gamma.astype(np.int8), scores, state.theta0)
-            if dual >= best_dual - 0.01 * abs(best_dual):
-                repair_ring.append(last_entry)
-            in_band = (
-                (1 - config.band) * m_budget
-                <= sum_gamma
-                <= (1 + config.band) * m_budget
-            )
-            if (
-                j > 0
-                and in_band
-                and abs(dual - hist_dual[-2]) <= config.epsilon
-            ):
-                converged = True
+            if upper - best_dual <= CERT_TOL * upper:
+                stop_reason = "certified"
                 break
-            g0 = float(sum_gamma) - m_budget
-            g = 1.0 - cover
-            state.m0 = (1 - config.kappa1) * g0 + config.kappa1 * state.m0
-            state.theta0 = max(0.0, state.theta0 + alpha * state.m0)
-            state.m = (1 - config.kappa2) * g + config.kappa2 * state.m
-            state.theta = state.theta + alpha * state.m
+            if norm2 == 0 or step_scale < LAMBDA_FLOOR:
+                stop_reason = "stabilized"
+                break
+            state.theta0 = max(0.0, state.theta0 + alpha * g0)
+            state.theta = state.theta + alpha * g
     finally:
         if executor is not None:
             executor.shutdown()
 
-    # recovery window: near-best iterations only, newest last, capped
-    threshold = best_dual - 0.01 * abs(best_dual)
-    near_iters = [j for j, d in enumerate(hist_dual) if d >= threshold]
-    near = [
-        (np.unpackbits(recovery[j], count=k), hist_alpha[j])
-        for j in near_iters[-config.window :]
-    ]
-    _, rounded = primal_recovery(near, m_budget)
-    # candidate selections: the rounded average, the repaired final inner
-    # solution, and the repaired near-best window iterates; keep the best
-    candidates = [_repair_with_scores(rounded, last_entry[1], last_entry[2],
-                                      m_budget)]
-    candidates.append(
-        _repair_with_scores(last_entry[0], last_entry[1], last_entry[2],
-                            m_budget)
-    )
-    for g, sc, th0 in repair_ring:
-        candidates.append(_repair_with_scores(g, sc, th0, m_budget))
-    final_gamma, objective = None, math.inf
-    for gm in candidates:
-        obj = _objective_for(wd, gm)
-        if obj < objective:
-            final_gamma, objective = gm, obj
-    assignment = _assignment_for(instance, final_gamma)
-    gap = duality_gap(objective, best_dual)
     return SelectionResult(
-        gamma=final_gamma,
-        beta_assignment=assignment,
-        objective=objective,
+        gamma=best_gamma,
+        beta_assignment=_assignment_for(instance, best_gamma),
+        objective=upper,
         best_dual=best_dual,
-        gap=gap,
-        converged=converged,
+        gap=duality_gap(upper, best_dual),
+        stop_reason=stop_reason,
         iterations=len(hist_dual),
         history_dual=np.array(hist_dual),
+        history_primal=np.array(hist_primal),
         history_sum_gamma=np.array(hist_sum),
         history_alpha=np.array(hist_alpha),
         history_theta0=np.array(hist_theta0),

@@ -57,10 +57,6 @@ class EmptyInstanceError(ValidationError):
     pass
 
 
-class EmptyHistoryError(ValidationError):
-    pass
-
-
 class NegativeGapError(KCompressError):
     """A duality gap negative beyond float tolerance: weak duality broke."""
 

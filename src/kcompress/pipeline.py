@@ -290,6 +290,8 @@ def load_system(path) -> DiscreteSystem:
     parser closes it, so the rows' nested lists never exist all at once; a
     row whose support list equals the previous row's shares its array.
     system_from_dict then validates the system as for a plain json.load.
+    A file that is not JSON, or holds a non-numeric coordinate or weight,
+    raises ValidationError naming the file.
     """
     last = [None, None]  # the previous support list and its array
 
@@ -303,5 +305,11 @@ def load_system(path) -> DiscreteSystem:
             "weights": np.asarray(obj["weights"], np.float64),
         }
 
-    with open(path) as fh:
-        return system_from_dict(json.load(fh, object_hook=decode))
+    try:
+        with open(path) as fh:
+            return system_from_dict(json.load(fh, object_hook=decode))
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        # not JSON, or a coordinate or weight that is not a number
+        raise ValidationError(f"system file {path}: {exc}") from None

@@ -187,6 +187,19 @@ def test_solver_recovery_sampling_is_unknown(tmp_path):
     assert err.value.field == "solver.recovery_sampling"
 
 
+@pytest.mark.parametrize(
+    "name", ["alpha0", "epsilon", "kappa1", "kappa2", "band", "window"]
+)
+def test_deleted_step_schedule_fields_are_unknown(tmp_path, name):
+    data = select_config(tmp_path / "o")
+    data["solver"][name] = 0.5
+    cfg_path = write_config(tmp_path / "c.json", data)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path, {})
+    assert err.value.field == f"solver.{name}"
+    assert "unknown solver field" in str(err.value)
+
+
 def test_default_mixture_is_five_components(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", select_config(tmp_path / "o"))
     cfg = load_config(cfg_path, {})
@@ -269,13 +282,23 @@ def test_select_artifacts_and_summary(tmp_path):
         "wall_time_s",
         "distance",
         "gap",
+        "stop_reason",
     ]
     assert summary[1][0] == "2"
     assert int(summary[1][1]) == 5 * 25 * 24
+    assert summary[1][6] == result["stop_reason"]
+    assert result["stop_reason"] in ("certified", "stabilized", "max_iter")
+    assert result["converged"] == (result["stop_reason"] == "certified")
 
     diag = read_csv(out / "diagnostics_seed2.csv")
-    assert diag[0] == ["j", "dual", "sum_gamma", "alpha", "theta0", "elapsed_ms"]
+    assert diag[0] == ["j", "dual", "sum_gamma", "alpha", "theta0",
+                       "elapsed_ms", "primal", "gap"]
     assert len(diag) - 1 == result["iterations"]
+    best_dual = -np.inf
+    for row in diag[1:]:
+        best_dual = max(best_dual, float(row[1]))
+        assert float(row[7]) == float(row[6]) - best_dual
+    assert float(diag[-1][6]) == result["objective"]
 
     samples = read_csv(out / "samples_seed2.csv")
     assert samples[0] == ["group", "x0", "x1"]
@@ -389,6 +412,10 @@ def test_pipeline_then_evaluate(tmp_path):
     assert len(summary) == 3
     header = summary[0]
     assert header[4:6] == ["wall_time_s", "solve_s"]
+    assert header[-1] == "stop_reason"
+    assert {row[-1] for row in summary[1:]} <= {
+        "certified", "stabilized", "max_iter"
+    }
     for row in summary[1:]:
         # the stage's wall time covers sampling and building around the solve
         assert float(row[4]) >= float(row[5]) > 0.0
@@ -541,6 +568,27 @@ def test_evaluate_malformed_system_file_exits_1(tmp_path, capsys, mangle,
     assert main(["evaluate", "--config", eval_cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{not json", id="not-json"),
+    pytest.param(
+        json.dumps({"supports": [[["a", 1]]], "kernels": [], "marginals": [],
+                    "deltas": []}),
+        id="non-numeric-coordinate",
+    ),
+])
+def test_evaluate_unreadable_system_file_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "system.json"
+    path.write_text(text)
+    eval_cfg = write_config(
+        tmp_path / "e.json",
+        {"mode": "evaluate", "out": str(tmp_path / "o"),
+         "system_path": str(path)},
+    )
+    assert main(["evaluate", "--config", eval_cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_pipeline_config_requires_stages(tmp_path):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import enumerate_lagrangian_min, random_tiny_instance
+from kcompress.core import DiscreteDistribution
 from kcompress.dual import (
+    CERT_TOL,
+    STALL_ITERS,
     SWEEP_BLOCK,
     DualState,
     SelectionResult,
@@ -15,14 +18,19 @@ from kcompress.dual import (
     duality_gap,
     initial_state,
     inner_solution,
-    primal_recovery,
     repair_feasibility,
     run_subgradient,
     subgradient,
     _sweep,
 )
-from kcompress.errors import EmptyHistoryError, NegativeGapError
+from kcompress.errors import NegativeGapError
+from kcompress.generators import (
+    demo_mixture,
+    sample_gaussian_mixture,
+    sobol_lattice,
+)
 from kcompress.oracle import SelectionInstance, solve_exact
+from kcompress.pipeline import build_stage_instance
 
 
 def _zero_state(instance):
@@ -274,43 +282,8 @@ def test_batch_estimates_unbiased():
 
 
 # ---------------------------------------------------------------------------
-# primal recovery and repair
+# repair
 # ---------------------------------------------------------------------------
-
-def test_recovery_constant_history():
-    gamma = np.array([1, 0, 1, 0], dtype=np.int8)
-    bar, rounded = primal_recovery([(gamma, 0.5), (gamma, 0.25)], 2)
-    np.testing.assert_array_equal(bar, gamma)
-    np.testing.assert_array_equal(rounded, gamma)
-
-
-def test_recovery_tie_to_lowest_index():
-    bar, rounded = primal_recovery(
-        [(np.array([1, 0]), 0.1), (np.array([0, 1]), 0.1)], 1
-    )
-    np.testing.assert_allclose(bar, [0.5, 0.5])
-    np.testing.assert_array_equal(rounded, [1, 0])
-
-
-def test_recovery_mass_identity():
-    rng = np.random.default_rng(11)
-    entries = [
-        (rng.integers(0, 2, size=6).astype(np.int8), float(rng.uniform(0.1, 1)))
-        for _ in range(12)
-    ]
-    bar, _ = primal_recovery(entries, 3)
-    alphas = np.array([a for _, a in entries])
-    omega = alphas / alphas.sum()
-    expected = float(
-        sum(w * g.sum() for (g, _), w in zip(entries, omega))
-    )
-    assert bar.sum() == pytest.approx(expected, abs=1e-12)
-
-
-def test_recovery_empty_history():
-    with pytest.raises(EmptyHistoryError):
-        primal_recovery([], 1)
-
 
 def test_repair_noop_when_feasible():
     rng = np.random.default_rng(12)
@@ -389,6 +362,48 @@ def test_run_matches_oracle_mostly():
     assert hits >= 18
 
 
+def _mixture_instance(samples, count, budget, seed=0):
+    """The desk experiment's mixture at a chosen size: `samples` per
+    component, the first `count` Sobol points of [-12, 12]^2, order 1."""
+    components = demo_mixture()
+    marginal = DiscreteDistribution(
+        np.array([c.mean for c in components]), np.full(5, 0.2)
+    )
+    box = (np.array([-12.0, -12.0]), np.array([12.0, 12.0]))
+    clouds = sample_gaussian_mixture(components, samples, seed)
+    return build_stage_instance(
+        marginal, clouds, sobol_lattice(2, count, box), 1.0, budget
+    )
+
+
+def _replay_polyak(inst, result):
+    """Replay the ascent from the initial state and check the Polyak
+    identity alpha_j ||g_j||^2 = lambda_j (UB_j - L_j) at every iteration,
+    with lambda starting at 1 and halving after STALL_ITERS iterations
+    without a new best dual. Returns the last lambda."""
+    state = initial_state(inst)
+    step_scale, stall, best = 1.0, 0, -np.inf
+    for j in range(result.iterations):
+        g0, g = subgradient(inst, state, inner_solution(inst, state))
+        dual = result.history_dual[j]
+        assert dual_value(inst, state) == pytest.approx(dual, abs=1e-12)
+        if dual > best:
+            best, stall = dual, 0
+        else:
+            stall += 1
+            if stall == STALL_ITERS:
+                step_scale, stall = step_scale / 2.0, 0
+        alpha = result.history_alpha[j]
+        assert alpha * (g0 * g0 + float(g @ g)) == pytest.approx(
+            step_scale * (result.history_primal[j] - dual), rel=1e-9, abs=1e-15
+        )
+        state = DualState(
+            theta0=max(0.0, state.theta0 + alpha * g0),
+            theta=state.theta + alpha * g,
+        )
+    return step_scale
+
+
 def test_history_shapes_and_best_dual():
     rng = np.random.default_rng(15)
     inst = random_tiny_instance(rng)
@@ -401,9 +416,8 @@ def test_history_shapes_and_best_dual():
     # best-so-far trace is non-decreasing by construction
     best_so_far = np.maximum.accumulate(result.history_dual)
     assert np.all(np.diff(best_so_far) >= 0)
-    np.testing.assert_allclose(
-        result.history_alpha, 0.01 / np.sqrt(np.arange(1, n + 1))
-    )
+    assert len(result.history_primal) == n
+    _replay_polyak(inst, result)
 
 
 def test_run_is_deterministic_across_threads():
@@ -413,11 +427,26 @@ def test_run_is_deterministic_across_threads():
         run_subgradient(inst, SolverConfig(max_iter=120, threads=t))
         for t in (1, 4)
     ]
-    a, b = results
+    _assert_same_run(*results)
+
+
+def _assert_same_run(a, b):
     np.testing.assert_array_equal(a.gamma, b.gamma)
     np.testing.assert_array_equal(a.history_dual, b.history_dual)
+    np.testing.assert_array_equal(a.history_primal, b.history_primal)
+    np.testing.assert_array_equal(a.history_alpha, b.history_alpha)
     assert a.objective == b.objective
     assert a.best_dual == b.best_dual
+    assert a.stop_reason == b.stop_reason
+
+
+def test_multiblock_run_is_deterministic_across_threads():
+    # three sweep blocks, so the worker pool takes part
+    inst = _mixture_instance(10, 2 * SWEEP_BLOCK + 100, 11)
+    _assert_same_run(*(
+        run_subgradient(inst, SolverConfig(max_iter=200, threads=t))
+        for t in (1, 4)
+    ))
 
 
 def test_selection_respects_budget():
@@ -429,3 +458,58 @@ def test_selection_respects_budget():
         selected = set(np.flatnonzero(result.gamma))
         for group in result.beta_assignment:
             assert set(group) <= selected
+
+
+def test_polyak_step_scale_halves_on_stall():
+    inst = _mixture_instance(30, 256, 11)
+    result = run_subgradient(inst, SolverConfig(max_iter=150))
+    assert result.stop_reason == "max_iter"
+    assert result.iterations == 150
+    assert _replay_polyak(inst, result) < 1.0
+
+
+def test_primal_trace_is_best_feasible_so_far():
+    inst = _mixture_instance(20, 128, 11)
+    result = run_subgradient(inst, SolverConfig())
+    primal = result.history_primal
+    assert np.all(np.isfinite(primal))
+    assert np.all(np.diff(primal) <= 0)
+    assert primal[-1] == result.objective
+    wd = inst.stacked_weighted_costs()
+    selected = np.flatnonzero(result.gamma)
+    assert 1 <= len(selected) <= inst.budget
+    assert wd[:, selected].min(axis=1).sum() == result.objective
+    # every iterate's dual value is a lower bound on every primal value
+    assert result.history_dual.max() <= primal.min() + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_desk_seeds_certify(seed):
+    # the paper's desk experiment: 5 x 100 particles, 256 candidates, M=51
+    result = run_subgradient(
+        _mixture_instance(100, 256, 51, seed), SolverConfig(seed=seed)
+    )
+    assert result.stop_reason == "certified"
+    assert result.converged
+    assert result.gap <= CERT_TOL * result.objective
+    assert result.gap == result.objective - result.best_dual
+
+
+def test_nested_candidates_do_not_worsen():
+    # the first 64 Sobol points are a subset of the first 128
+    small = run_subgradient(_mixture_instance(30, 64, 10), SolverConfig())
+    large = run_subgradient(_mixture_instance(30, 128, 10), SolverConfig())
+    assert small.stop_reason == large.stop_reason == "certified"
+    assert large.objective <= (1 + CERT_TOL) * small.objective
+
+
+@pytest.mark.parametrize("count, budget", [(64, 10), (128, 10), (128, 20)])
+def test_larger_budget_does_not_worsen(count, budget):
+    tight = run_subgradient(
+        _mixture_instance(30, count, budget), SolverConfig()
+    )
+    loose = run_subgradient(
+        _mixture_instance(30, count, budget + 1), SolverConfig()
+    )
+    assert tight.stop_reason == loose.stop_reason == "certified"
+    assert loose.objective <= (1 + CERT_TOL) * tight.objective
