@@ -17,24 +17,24 @@ import time
 import numpy as np
 
 from kcompress.core import DiscreteDistribution
-from kcompress.dual import SolverConfig, run_subgradient
-from kcompress.generators import demo_mixture, sample_gaussian_mixture, sobol_lattice
-from kcompress.pipeline import build_stage_instance
+from kcompress.dual import SolverConfig
+from kcompress.generators import demo_mixture, sample_gaussian_mixture
+from kcompress.pipeline import compress_stage, stage_candidates
 
 
 def run_once(seed, samples, n_candidates, budget, order, box, max_iter, threads):
+    """One desk solve; its stage's wall_s covers sampling through the
+    composed marginal."""
+    started = time.perf_counter()
     components = demo_mixture()
-    means = np.array([c.mean for c in components])
     weights = np.full(len(components), 1.0 / len(components))
+    marginal = DiscreteDistribution([c.mean for c in components], weights)
     clouds = sample_gaussian_mixture(components, samples, seed)
-    candidates = sobol_lattice(2, n_candidates, box)
-    marginal = DiscreteDistribution(means, weights)
-    instance = build_stage_instance(marginal, clouds, candidates, order, budget)
+    candidates = stage_candidates(clouds, n_candidates, "lattice", 0.0, box,
+                                  None)
     config = SolverConfig(max_iter=max_iter, seed=seed, threads=threads)
-    t0 = time.perf_counter()
-    result = run_subgradient(instance, config)
-    wall = time.perf_counter() - t0
-    return instance, result, result.objective ** (1.0 / order), wall
+    return compress_stage(marginal, clouds, candidates, order, budget, config,
+                          started)
 
 
 def main(argv=None):
@@ -56,15 +56,17 @@ def main(argv=None):
     print(f"{'seed':>6} {'dim_beta':>9} {'distance':>9} {'gap':>10} "
           f"{'iters':>6} {'stop':>10} {'wall_s':>7}")
     for seed in args.seeds:
-        instance, result, distance, wall = run_once(
+        stage = run_once(
             seed, args.samples, args.candidates, args.budget, args.order,
             box, args.max_iter, args.threads,
         )
-        print(f"{seed:>6} {instance.dim_beta:>9} {distance:>9.4f} "
+        instance, result = stage.instance, stage.result
+        print(f"{seed:>6} {instance.dim_beta:>9} {stage.delta:>9.4f} "
               f"{result.gap:>10.2e} {result.iterations:>6} "
-              f"{result.stop_reason:>10} {wall:>7.2f}")
+              f"{result.stop_reason:>10} {stage.wall_s:>7.2f}")
         rows.append([seed, instance.dim_beta, instance.dim_gamma,
-                     round(wall, 4), distance, result.gap, result.stop_reason])
+                     round(stage.wall_s, 4), stage.delta, result.gap,
+                     result.stop_reason])
     mean = float(np.mean([r[4] for r in rows]))
     print(f"mean distance over {len(rows)} seeds: {mean:.4f}")
 

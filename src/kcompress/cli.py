@@ -8,10 +8,10 @@ artifacts into the output directory:
 * result JSON per seed (byte-identical for identical config and seed;
   wall-clock data goes to metadata.json instead),
 * per-iteration diagnostics CSV (j, dual, sum_gamma, alpha, theta0,
-  elapsed_ms),
-* summary.csv with one row per solve (dim_beta, dim_gamma, wall time,
-  achieved distance, duality gap; pipeline rows add the solver loop's own
-  time as solve_s),
+  elapsed_ms, primal, gap),
+* summary.csv with one row per solve (dim_beta, dim_gamma, the stage's wall
+  time from sampling through composition, achieved distance, duality gap,
+  stop_reason; pipeline rows add the solver loop's own time as solve_s),
 * with --emit-plot-data: sample/candidate/selected point CSVs and the
   nearest-assignment transport plan (i, k, mass).
 
@@ -35,28 +35,22 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    WEIGHT_TOL,
     DiscreteDistribution,
-    compose_marginal,
     distribution_to_dict,
     kernel_to_dict,
 )
-from .dual import SolverConfig, run_subgradient
+from .dual import SolverConfig
 from .errors import ConfigError, KCompressError, ValidationError
-from .generators import (
-    GaussianComponent,
-    demo_mixture,
-    sample_gaussian_mixture,
-    sobol_lattice,
-)
+from .generators import GaussianComponent, demo_mixture, sample_gaussian_mixture
 from .pipeline import (
     GenerativeSystem,
     StageSpec,
     approximate_system,
     assignment_plan,
-    build_stage_instance,
-    candidate_lattice,
-    implied_kernel,
+    compress_stage,
     load_system,
+    stage_candidates,
     system_to_dict,
 )
 from .risk import (
@@ -153,12 +147,35 @@ def _as(kind, value, field: str):
         raise ConfigError(f"{field} must be a number, got {value!r}", field)
 
 
-def _components_from(data: dict):
-    raw = data.get("components")
+def _typed(raw, kind, field: str):
+    """raw when it is a kind (dict: a JSON object, list: a JSON list), an
+    empty one when it is absent."""
     if raw is None:
+        return kind()
+    if not isinstance(raw, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{field} must be {name}, got {raw!r}", field)
+    return raw
+
+
+def _floats(raw, field: str) -> np.ndarray:
+    """raw as a flat array of finite floats."""
+    try:
+        values = np.asarray(raw, dtype=np.float64).ravel()
+        if np.all(np.isfinite(values)):
+            return values
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{field} must be finite numbers, got {raw!r}", field)
+
+
+def _components_from(data: dict):
+    if data.get("components") is None:
         return tuple(demo_mixture())
     out = []
-    for i, comp in enumerate(raw):
+    for i, comp in enumerate(
+        _typed(data["components"], list, "mixture.components")
+    ):
         try:
             out.append(GaussianComponent(comp["mean"], comp["cov"]))
         except (KeyError, TypeError, KCompressError) as exc:
@@ -166,6 +183,9 @@ def _components_from(data: dict):
                 f"bad mixture component {i}: {exc}",
                 field=f"mixture.components[{i}]",
             ) from exc
+    if len({c.mean.shape for c in out}) != 1:
+        raise ConfigError("mixture.components needs one or more components"
+                          " of one dimension", "mixture.components")
     return tuple(out)
 
 
@@ -228,16 +248,18 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a nonempty list", field="seeds")
         seeds = tuple(_as(int, s, "seeds") for s in seeds)
 
-        mixture = data.get("mixture") or {}
+        mixture = _typed(data.get("mixture"), dict, "mixture")
         components = _components_from(mixture)
         weights = mixture.get("weights")
         if weights is None:
             weights = np.full(len(components), 1.0 / len(components))
         else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if len(weights) != len(components):
+            weights = _floats(weights, "mixture.weights")
+            if (len(weights) != len(components) or np.any(weights <= 0)
+                    or abs(weights.sum() - 1.0) > WEIGHT_TOL):
                 raise ConfigError(
-                    "one mixture weight per component required",
+                    "mixture.weights needs one positive weight per component,"
+                    f" summing to 1; got {mixture['weights']!r}",
                     field="mixture.weights",
                 )
         samples = mixture.get("samples_per_component", 100)
@@ -248,7 +270,7 @@ class ExperimentConfig:
                 field="mixture.samples_per_component",
             )
 
-        cand = data.get("candidates") or {}
+        cand = _typed(data.get("candidates"), dict, "candidates")
         count = cand.get("count")
         count = None if count is None else _as(int, count, "candidates.count")
         box = _box_from(cand.get("box"), "candidates.box")
@@ -262,17 +284,19 @@ class ExperimentConfig:
         if order < 1:
             raise ConfigError("order must be >= 1", field="order")
 
-        solver = dict(data.get("solver") or {})
+        solver = dict(_typed(data.get("solver"), dict, "solver"))
         bad = set(solver) - _SOLVER_KEYS
         if bad:
             raise ConfigError(
                 f"unknown solver field {sorted(bad)[0]!r}",
                 field=f"solver.{sorted(bad)[0]}",
             )
-        try:
-            SolverConfig(**solver, seed=seeds[0])
-        except (ValidationError, TypeError) as exc:
-            raise ConfigError(f"bad solver settings: {exc}", field="solver") from exc
+        for name, value in solver.items():
+            try:
+                SolverConfig(**{name: value})
+            except ValidationError as exc:
+                raise ConfigError(f"bad solver.{name}: {exc}",
+                                  f"solver.{name}") from None
 
         candidate_mode = data.get("candidate_mode", "lattice")
         if candidate_mode not in ("lattice", "subsample"):
@@ -283,20 +307,20 @@ class ExperimentConfig:
             )
 
         stages = []
-        if data.get("stages") is not None:
-            for i, raw in enumerate(data["stages"]):
-                at = f"stages[{i}]"
-                try:
-                    sizes = {k: _as(int, raw[k], f"{at}.{k}") for k in (
-                        "samples_per_source", "candidate_count", "budget")}
-                    stages.append(StageSpec(t=i, **sizes, order=_as(
-                        float, raw.get("order", order), f"{at}.order")))
-                except (KeyError, TypeError, ValidationError) as exc:
-                    raise ConfigError(f"bad stage {i}: {exc}", at) from exc
+        for i, raw in enumerate(_typed(data.get("stages"), list, "stages")):
+            at = f"stages[{i}]"
+            try:
+                sizes = {k: _as(int, raw[k], f"{at}.{k}") for k in (
+                    "samples_per_source", "candidate_count", "budget")}
+                stages.append(StageSpec(t=i, **sizes, order=_as(
+                    float, raw.get("order", order), f"{at}.order")))
+            except (AttributeError, KeyError, TypeError,
+                    ValidationError) as exc:
+                raise ConfigError(f"bad stage {i}: {exc}", at) from exc
 
         system = data.get("system")
         if mode == "pipeline":
-            system = _require(data, "system", mode)
+            system = _typed(_require(data, "system", mode), dict, "system")
             if system.get("type") != "gaussian_walk":
                 raise ConfigError(
                     f"unknown system type {system.get('type')!r}"
@@ -308,6 +332,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     "gaussian_walk needs x0 and sigma > 0", field="system"
                 )
+            if _floats(system["x0"], "system.x0").size == 0:
+                raise ConfigError("system.x0 needs a coordinate", "system.x0")
             if not stages:
                 raise ConfigError(
                     "missing required field 'stages' for mode pipeline",
@@ -326,8 +352,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"budget {budget} outside [1, {count}]", field="budget"
                 )
+            pool = len(components) * samples
+            if candidate_mode == "subsample" and count > pool:
+                raise ConfigError(f"candidates.count {count} exceeds the"
+                                  f" {pool} particles to subsample",
+                                  "candidates.count")
 
-        mapping = data.get("mapping") or {"type": "expectation"}
+        mapping = (_typed(data.get("mapping"), dict, "mapping")
+                   or {"type": "expectation"})
         if mapping.get("type") not in ("expectation", "semideviation"):
             raise ConfigError(
                 f"unknown mapping type {mapping.get('type')!r}", field="mapping"
@@ -336,7 +368,8 @@ class ExperimentConfig:
         if not 0.0 <= kappa <= 1.0:
             raise ConfigError(f"mapping.kappa must lie in [0, 1], got {kappa}",
                               "mapping.kappa")
-        costs = tuple(data.get("costs") or ())
+        costs = tuple(_typed(spec, dict, f"costs[{i}]") for i, spec in
+                      enumerate(_typed(data.get("costs"), list, "costs")))
         for i, spec in enumerate(costs):
             bad = set(spec) - {"affine", "norm"}
             if bad:
@@ -344,6 +377,11 @@ class ExperimentConfig:
                     f"unknown cost term {sorted(bad)[0]!r}",
                     field=f"costs[{i}]",
                 )
+            try:
+                cost_function(spec)
+            except ConfigError as exc:
+                raise ConfigError(f"costs[{i}].{exc}",
+                                  f"costs[{i}].{exc.field}") from None
         if mode == "evaluate":
             _require(data, "system_path", mode)
 
@@ -413,7 +451,17 @@ def _coord_header(dim: int):
     return [f"x{i}" for i in range(dim)]
 
 
-def _write_diagnostics(path: Path, result):
+def _write_samples(path: Path, clouds):
+    """The clouds' points, each row led by its cloud's index."""
+    _write_csv(path, ["group"] + _coord_header(clouds[0].shape[1]),
+               (row for s, cloud in enumerate(clouds)
+                for row in _point_rows(cloud, prefix=(s,))))
+
+
+def _write_stage(cfg: ExperimentConfig, tag: str, stage):
+    """diagnostics_{tag}.csv for one compressed stage and, with
+    emit_plot_data, its samples_/candidates_/selected_{tag}.csv."""
+    result = stage.result
     # primal is the best feasible objective so far, gap its distance to the
     # best dual value so far; rows are streamed, never held
     gaps = result.history_primal - np.maximum.accumulate(result.history_dual)
@@ -431,11 +479,20 @@ def _write_diagnostics(path: Path, result):
         for j in range(result.iterations)
     )
     _write_csv(
-        path,
+        cfg.out / f"diagnostics_{tag}.csv",
         ["j", "dual", "sum_gamma", "alpha", "theta0", "elapsed_ms", "primal",
          "gap"],
         rows,
     )
+    if not cfg.emit_plot_data:
+        return
+    _write_samples(cfg.out / f"samples_{tag}.csv", stage.instance.clouds)
+    candidates = stage.instance.candidates
+    header = _coord_header(candidates.shape[1])
+    _write_csv(cfg.out / f"candidates_{tag}.csv", header,
+               _point_rows(candidates))
+    _write_csv(cfg.out / f"selected_{tag}.csv", header,
+               _point_rows(candidates[np.flatnonzero(result.gamma)]))
 
 
 def _write_plan(path: Path, columns, masses):
@@ -465,13 +522,13 @@ def _write_metadata(cfg: ExperimentConfig, wall: float, extra=None):
 def cost_function(spec: dict):
     """Build c(x) = offset + coeff.x + weight * |x - center|^power from the
     JSON cost grammar; an empty spec is the zero cost."""
-    affine = spec.get("affine") or {}
-    norm = spec.get("norm") or {}
-    coeff = np.asarray(affine.get("coeff", []), dtype=np.float64)
-    offset = float(affine.get("offset", 0.0))
-    center = np.asarray(norm.get("center", []), dtype=np.float64)
-    weight = float(norm.get("weight", 1.0)) if norm else 0.0
-    power = float(norm.get("power", 1.0))
+    affine = _typed(spec.get("affine"), dict, "affine")
+    norm = _typed(spec.get("norm"), dict, "norm")
+    coeff = _floats(affine.get("coeff", []), "affine.coeff")
+    offset = _as(float, affine.get("offset", 0.0), "affine.offset")
+    center = _floats(norm.get("center", []), "norm.center")
+    weight = _as(float, norm.get("weight", 1.0), "norm.weight") if norm else 0.0
+    power = _as(float, norm.get("power", 1.0), "norm.power")
 
     def cost(x):
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -506,15 +563,12 @@ def run_generate(cfg: ExperimentConfig):
     start = time.perf_counter()
     for seed in cfg.seeds:
         clouds = _sample_clouds(cfg, seed)
-        dim = clouds[0].shape[1]
-        rows = []
         for s, cloud in enumerate(clouds):
             _write_csv(
                 cfg.out / f"cloud_{s:02d}_seed{seed}.csv",
-                _coord_header(dim),
+                _coord_header(cloud.shape[1]),
                 _point_rows(cloud),
             )
-            rows.extend(_point_rows(cloud, prefix=(s,)))
         # the empirical kernel: each component mean to its own cloud
         kernel = {
             "sources": [c.mean.tolist() for c in cfg.components],
@@ -523,11 +577,7 @@ def run_generate(cfg: ExperimentConfig):
         }
         _write_json(cfg.out / f"empirical_kernel_seed{seed}.json", kernel)
         if cfg.emit_plot_data:
-            _write_csv(
-                cfg.out / f"samples_seed{seed}.csv",
-                ["group"] + _coord_header(dim),
-                rows,
-            )
+            _write_samples(cfg.out / f"samples_seed{seed}.csv", clouds)
         log.info(
             "generate seed=%d: %d clouds of %d points",
             seed,
@@ -537,36 +587,29 @@ def run_generate(cfg: ExperimentConfig):
     _write_metadata(cfg, time.perf_counter() - start)
 
 
-def _select_candidates(cfg: ExperimentConfig, clouds):
-    if cfg.candidate_box is not None:
-        dim = clouds[0].shape[1]
-        return sobol_lattice(dim, cfg.candidate_count, cfg.candidate_box)
-    return candidate_lattice(clouds, cfg.candidate_count, cfg.margin)
-
-
 def run_select(cfg: ExperimentConfig):
     start = time.perf_counter()
     summary = []
+    marginal = DiscreteDistribution(
+        [c.mean for c in cfg.components], cfg.mixture_weights
+    )
     for seed in cfg.seeds:
-        t0 = time.perf_counter()
+        started = time.perf_counter()
         clouds = _sample_clouds(cfg, seed)
-        means = np.array([c.mean for c in cfg.components])
-        marginal = DiscreteDistribution(means, cfg.mixture_weights)
-        candidates = _select_candidates(cfg, clouds)
-        instance = build_stage_instance(
-            marginal, clouds, candidates, cfg.order, cfg.budget
+        # a subsample draws from the stream of the pipeline's stage 0
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(0, len(clouds)))
         )
-        result = run_subgradient(instance, cfg.solver_config(seed))
-        wall = time.perf_counter() - t0
-        distance = result.objective ** (1.0 / cfg.order)
-
-        kernel = implied_kernel(instance, result.gamma, result.beta_assignment)
-        selected_marginal = compose_marginal(marginal, kernel)
+        candidates = stage_candidates(
+            clouds, cfg.candidate_count, cfg.candidate_mode, cfg.margin,
+            cfg.candidate_box, rng,
+        )
+        stage = compress_stage(marginal, clouds, candidates, cfg.order,
+                               cfg.budget, cfg.solver_config(seed), started)
+        instance, result = stage.instance, stage.result
         # the nearest-assignment coupling is an optimal plan between the
         # pooled clouds and the composed marginal (see assignment_plan)
-        columns, masses, costs = assignment_plan(
-            instance, result.beta_assignment
-        )
+        columns, masses, costs = assignment_plan(instance, result.beta_assignment)
         plan_value = float(np.sum(masses * costs))
         composed_distance = (
             plan_value ** (1.0 / cfg.order) if plan_value > 0 else 0.0
@@ -580,61 +623,31 @@ def run_select(cfg: ExperimentConfig):
             "converged": bool(result.converged),
             "dim_beta": instance.dim_beta,
             "dim_gamma": instance.dim_gamma,
-            "distance": float(distance),
+            "distance": float(stage.delta),
             "gamma": result.gamma.tolist(),
             "gap": float(result.gap),
             "iterations": int(result.iterations),
             "objective": float(result.objective),
             "order": cfg.order,
             "seed": seed,
-            "selected_distribution": distribution_to_dict(selected_marginal),
+            "selected_distribution": distribution_to_dict(stage.marginal),
             "selected_indices": np.flatnonzero(result.gamma).tolist(),
             "stop_reason": result.stop_reason,
             "sum_gamma": int(result.gamma.sum()),
         }
         _write_json(cfg.out / f"result_seed{seed}.json", payload)
-        _write_diagnostics(cfg.out / f"diagnostics_seed{seed}.csv", result)
-        summary.append(
-            [
-                seed,
-                instance.dim_beta,
-                instance.dim_gamma,
-                repr(round(wall, 6)),
-                repr(float(distance)),
-                repr(float(result.gap)),
-                result.stop_reason,
-            ]
-        )
+        _write_stage(cfg, f"seed{seed}", stage)
+        summary.append([
+            seed, instance.dim_beta, instance.dim_gamma,
+            repr(round(stage.wall_s, 6)), repr(float(stage.delta)),
+            repr(float(result.gap)), result.stop_reason,
+        ])
         if cfg.emit_plot_data:
-            dim = candidates.shape[1]
-            rows = []
-            for s, cloud in enumerate(clouds):
-                rows.extend(_point_rows(cloud, prefix=(s,)))
-            _write_csv(
-                cfg.out / f"samples_seed{seed}.csv",
-                ["group"] + _coord_header(dim),
-                rows,
-            )
-            _write_csv(
-                cfg.out / f"candidates_seed{seed}.csv",
-                _coord_header(dim),
-                _point_rows(candidates),
-            )
-            _write_csv(
-                cfg.out / f"selected_seed{seed}.csv",
-                _coord_header(dim),
-                _point_rows(candidates[np.flatnonzero(result.gamma)]),
-            )
             _write_plan(cfg.out / f"plan_seed{seed}.csv", columns, masses)
         log.info(
             "select seed=%d: distance=%.6f gap=%.3e (%s) sum_gamma=%d"
-            " wall=%.2fs",
-            seed,
-            distance,
-            result.gap,
-            result.stop_reason,
-            int(result.gamma.sum()),
-            wall,
+            " wall=%.2fs", seed, stage.delta, result.gap, result.stop_reason,
+            int(result.gamma.sum()), stage.wall_s,
         )
     _write_csv(
         cfg.out / "summary.csv",
@@ -659,19 +672,8 @@ def run_pipeline(cfg: ExperimentConfig):
     start = time.perf_counter()
     summary = []
     for seed in cfg.seeds:
-        collected = []
+        stages = []
         t0 = time.perf_counter()
-        # a stage's wall time runs from the end of the previous stage's
-        # callback (or the start) to its own: sampling, lattice, instance
-        # build, solve, and the previous stage's kernel and composition
-        stage_start = [t0]
-
-        def on_stage(stage, inst, res):
-            collected.append(
-                (stage, inst, res, time.perf_counter() - stage_start[0])
-            )
-            stage_start[0] = time.perf_counter()
-
         approx = approximate_system(
             _walk_system(cfg.system),
             cfg.stages,
@@ -679,83 +681,41 @@ def run_pipeline(cfg: ExperimentConfig):
             candidate_mode=cfg.candidate_mode,
             margin=cfg.margin,
             box=cfg.candidate_box,
-            on_stage=on_stage,
+            on_stage=stages.append,
         )
         wall = time.perf_counter() - t0
         _write_json(
             cfg.out / f"system_seed{seed}.json", system_to_dict(approx)
         )
-        for t, (stage, instance, result, stage_wall) in enumerate(collected):
+        for t, stage in enumerate(stages):
             _write_json(
                 cfg.out / f"stage_{t}_seed{seed}.json",
                 {
-                    "delta": float(approx.deltas[t]),
-                    "kernel": kernel_to_dict(approx.kernels[t]),
-                    "marginal": distribution_to_dict(approx.marginals[t + 1]),
-                    "support": approx.supports[t + 1].tolist(),
+                    "delta": float(stage.delta),
+                    "kernel": kernel_to_dict(stage.kernel),
+                    "marginal": distribution_to_dict(stage.marginal),
+                    "support": stage.marginal.support.tolist(),
                 },
             )
-            _write_diagnostics(
-                cfg.out / f"diagnostics_stage{t}_seed{seed}.csv", result
-            )
+            _write_stage(cfg, f"stage{t}_seed{seed}", stage)
+            result = stage.result
             solve = float(result.history_elapsed_ms[-1]) / 1000.0
-            summary.append(
-                [
-                    seed,
-                    t,
-                    instance.dim_beta,
-                    instance.dim_gamma,
-                    repr(round(stage_wall, 6)),
-                    repr(round(solve, 6)),
-                    repr(float(approx.deltas[t])),
-                    repr(float(result.gap)),
-                    result.stop_reason,
-                ]
-            )
-            if cfg.emit_plot_data:
-                dim = instance.candidates.shape[1]
-                rows = []
-                for s, cloud in enumerate(instance.clouds):
-                    rows.extend(_point_rows(cloud, prefix=(s,)))
-                _write_csv(
-                    cfg.out / f"samples_stage{t}_seed{seed}.csv",
-                    ["group"] + _coord_header(dim),
-                    rows,
-                )
-                _write_csv(
-                    cfg.out / f"candidates_stage{t}_seed{seed}.csv",
-                    _coord_header(dim),
-                    _point_rows(instance.candidates),
-                )
-                _write_csv(
-                    cfg.out / f"selected_stage{t}_seed{seed}.csv",
-                    _coord_header(dim),
-                    _point_rows(instance.candidates[np.flatnonzero(result.gamma)]),
-                )
+            summary.append([
+                seed, t, stage.instance.dim_beta, stage.instance.dim_gamma,
+                repr(round(stage.wall_s, 6)), repr(round(solve, 6)),
+                repr(float(stage.delta)), repr(float(result.gap)),
+                result.stop_reason,
+            ])
             log.info(
                 "pipeline seed=%d stage=%d: delta=%.6f gap=%.3e (%s)"
-                " support=%d",
-                seed,
-                t,
-                approx.deltas[t],
-                result.gap,
-                result.stop_reason,
-                len(approx.supports[t + 1]),
+                " support=%d", seed, t, stage.delta, result.gap,
+                result.stop_reason, len(stage.marginal),
             )
         log.info("pipeline seed=%d: wall=%.2fs", seed, wall)
     _write_csv(
         cfg.out / "summary.csv",
-        [
-            "seed",
-            "stage",
-            "dim_beta",
-            "dim_gamma",
-            "wall_time_s",
-            "solve_s",
-            "delta",
-            "gap",
-            "stop_reason",
-        ],
+        ["seed", "stage", "dim_beta", "dim_gamma", "wall_time_s", "solve_s",
+         "delta", "gap", "stop_reason"],
         summary,
     )
     _write_metadata(cfg, time.perf_counter() - start)

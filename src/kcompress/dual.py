@@ -30,6 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -85,8 +86,13 @@ class SolverConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.threads < 1:
-            raise ValidationError("max_iter, threads must be >= 1")
+        for name in ("max_iter", "threads"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or value < 1):
+                raise ValidationError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)

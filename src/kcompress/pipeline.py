@@ -7,11 +7,14 @@ and forms the implied kernel whose row weights are assignment fractions.
 The achieved stage error Delta_t is the p-th root of the selection
 objective, which equals the integrated transportation distance between the
 empirical clouds and the implied kernel under the current marginal.
+compress_stage is that one step, and stage_candidates the one candidate
+rule; approximate_system repeats them over a horizon.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +28,7 @@ from .core import (
     compose_marginal,
     merge_atoms,
 )
-from .dual import SolverConfig, run_subgradient
+from .dual import SelectionResult, SolverConfig, run_subgradient
 from .errors import (
     EmptyCloudError,
     InfeasibleBudgetError,
@@ -182,6 +185,58 @@ def candidate_subsample(clouds, count: int, rng) -> np.ndarray:
     return pool[idx]
 
 
+def stage_candidates(clouds, count: int, mode: str, margin: float, box,
+                     rng) -> np.ndarray:
+    """The stage's candidate set: in "lattice" mode a Sobol lattice over box,
+    or over the pooled bounding box padded by margin (candidate_lattice)
+    when box is None; in "subsample" mode count pooled particles drawn
+    with rng (candidate_subsample)."""
+    if mode == "subsample":
+        return candidate_subsample(clouds, count, rng)
+    if mode != "lattice":
+        raise ValidationError(f"unknown candidate mode {mode!r}")
+    if box is not None:
+        return sobol_lattice(as_points(clouds[0]).shape[1], count, box)
+    return candidate_lattice(clouds, count, margin)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One compressed stage: the selection instance and its solve, the
+    implied kernel, the marginal composed through it, the achieved error
+    delta (objective ** (1/order)) and the stage's wall time in seconds,
+    from the start of its sampling to the end of the composition."""
+
+    instance: SelectionInstance
+    result: SelectionResult
+    kernel: DiscreteKernel
+    marginal: DiscreteDistribution
+    delta: float
+    wall_s: float
+
+
+def compress_stage(marginal: DiscreteDistribution, clouds, candidates,
+                   order: float, budget: int, solver: SolverConfig,
+                   started: float | None = None) -> Stage:
+    """Select at most budget candidates for the clouds drawn from each
+    marginal atom, form the implied kernel and push the marginal through
+    it. started is the time.perf_counter() reading at which the stage's
+    sampling began (default: now)."""
+    if started is None:
+        started = time.perf_counter()
+    instance = build_stage_instance(marginal, clouds, candidates, order, budget)
+    result = run_subgradient(instance, solver)
+    kernel = implied_kernel(instance, result.gamma, result.beta_assignment)
+    composed = compose_marginal(marginal, kernel)
+    return Stage(instance, result, kernel, composed,
+                 result.objective ** (1.0 / order),
+                 time.perf_counter() - started)
+
+
+def _stream(seed: int, *key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def approximate_system(
     system: GenerativeSystem,
     stages,
@@ -195,60 +250,36 @@ def approximate_system(
 
     Sampling is reproducible: the cloud for source s at stage t comes from
     a generator seeded by (solver.seed, t, s), independent of every other
-    cloud. With box set, the stage candidate lattice uses that fixed box
-    instead of the pooled bounding box. on_stage(stage, instance, result)
-    is called after each stage's solve, for diagnostics collection.
+    cloud, and a subsample of candidates from one seeded by (solver.seed,
+    t, number of sources). With box set, the stage candidate lattice uses
+    that fixed box instead of the pooled bounding box. on_stage(stage) is
+    called with each compress_stage result, for diagnostics collection.
     """
-    if candidate_mode not in ("lattice", "subsample"):
-        raise ValidationError(f"unknown candidate mode {candidate_mode!r}")
-    x0 = system.x0
-    marginal = DiscreteDistribution([x0], [1.0])
-    supports = [marginal.support]
-    marginals = [marginal]
+    marginals = [DiscreteDistribution([system.x0], [1.0])]
     kernels = []
     deltas = []
-    for stage in stages:
-        clouds = []
-        for s, source in enumerate(marginal.support):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(solver.seed, spawn_key=(stage.t, s))
-            )
-            cloud = as_points(
-                system.sampler(stage.t, source, stage.samples_per_source, rng)
-            )
-            clouds.append(cloud)
-        if candidate_mode == "lattice":
-            if box is not None:
-                candidates = sobol_lattice(
-                    clouds[0].shape[1], stage.candidate_count, box
-                )
-            else:
-                candidates = candidate_lattice(
-                    clouds, stage.candidate_count, margin
-                )
-        else:
-            sub_rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    solver.seed, spawn_key=(stage.t, len(marginal))
-                )
-            )
-            candidates = candidate_subsample(
-                clouds, stage.candidate_count, sub_rng
-            )
-        instance = build_stage_instance(
-            marginal, clouds, candidates, stage.order, stage.budget
+    for spec in stages:
+        started = time.perf_counter()
+        marginal = marginals[-1]
+        clouds = [
+            as_points(system.sampler(spec.t, source, spec.samples_per_source,
+                                     _stream(solver.seed, spec.t, s)))
+            for s, source in enumerate(marginal.support)
+        ]
+        candidates = stage_candidates(
+            clouds, spec.candidate_count, candidate_mode, margin, box,
+            _stream(solver.seed, spec.t, len(marginal)),
         )
-        result = run_subgradient(instance, solver)
+        stage = compress_stage(marginal, clouds, candidates, spec.order,
+                               spec.budget, solver, started)
         if on_stage is not None:
-            on_stage(stage, instance, result)
-        kernel = implied_kernel(instance, result.gamma, result.beta_assignment)
-        delta = result.objective ** (1.0 / stage.order)
-        marginal = compose_marginal(marginal, kernel)
-        kernels.append(kernel)
-        deltas.append(delta)
-        marginals.append(marginal)
-        supports.append(marginal.support)
-    return DiscreteSystem(supports, kernels, marginals, deltas)
+            on_stage(stage)
+        kernels.append(stage.kernel)
+        deltas.append(stage.delta)
+        marginals.append(stage.marginal)
+    return DiscreteSystem(
+        [m.support for m in marginals], kernels, marginals, deltas
+    )
 
 
 def system_to_dict(approx: DiscreteSystem) -> dict:

@@ -104,6 +104,34 @@ def _pipeline_config(out):
     (["evaluate", "--system_path", "s.json",
       '--mapping={"type": "semideviation", "kappa": "half"}'],
      "mapping.kappa"),
+    (["select", "--mixture.weights", '["a", 1, 1, 1, 1]'], "mixture.weights"),
+    (["select", "--mixture.weights", "[0.5, 0.5, 0.5, -0.5, 0]"],
+     "mixture.weights"),
+    (["select", "--mixture.weights", "[1, 1, 1, 1, 1]"], "mixture.weights"),
+    (["select", "--mixture.components",
+      '[{"mean": [0, 0], "cov": [[1, 0], [0, 1]]}, {"mean": [0], "cov": [[1]]}]'],
+     "mixture.components"),
+    (["select", "--mixture.components", "[]"], "mixture.components"),
+    (["pipeline", "--system",
+      '{"type": "gaussian_walk", "x0": ["a", 0], "sigma": 1}'], "system.x0"),
+    (["pipeline", "--stages", "5"], "stages"),
+    (["select", "--candidate_mode", "subsample", "--candidates.count", "200"],
+     "candidates.count"),
+    (["select", "--solver", "[1]"], "solver"),
+    (["select", "--solver.max_iter", "2.5"], "solver.max_iter"),
+    (["select", "--solver.max_iter", "true"], "solver.max_iter"),
+    (["select", "--solver.threads", "1.5"], "solver.threads"),
+    (["evaluate", "--system_path", "s.json", "--costs", "[5]"], "costs[0]"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"norm": {"weight": "x"}}]'], "costs[0].norm.weight"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"norm": {"power": "x"}}]'], "costs[0].norm.power"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"affine": {"offset": "x"}}]'], "costs[0].affine.offset"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{}, {"affine": {"coeff": ["a", 1]}}]'],
+     "costs[1].affine.coeff"),
+    (["evaluate", "--system_path", "s.json", "--mapping", '"x"'], "mapping"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
     mode = argv[0]
@@ -313,6 +341,18 @@ def test_select_artifacts_and_summary(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["mode"] == "select"
     assert "wall_time_s" in meta
+
+
+def test_select_subsample_candidates_are_particles(tmp_path):
+    out = tmp_path / "sel"
+    data = select_config(out, seeds=(5,), k=24, m=6, n=20)
+    data["candidate_mode"] = "subsample"
+    cfg_path = write_config(tmp_path / "c.json", data)
+    assert main(["select", "--config", cfg_path, "--emit-plot-data"]) == 0
+    particles = {tuple(r[1:]) for r in read_csv(out / "samples_seed5.csv")[1:]}
+    candidates = read_csv(out / "candidates_seed5.csv")[1:]
+    assert len(candidates) == 24
+    assert all(tuple(r) in particles for r in candidates)
 
 
 def test_select_plan_is_optimal_coupling(tmp_path):

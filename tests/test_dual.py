@@ -23,7 +23,7 @@ from kcompress.dual import (
     subgradient,
     _sweep,
 )
-from kcompress.errors import NegativeGapError
+from kcompress.errors import NegativeGapError, ValidationError
 from kcompress.generators import (
     demo_mixture,
     sample_gaussian_mixture,
@@ -513,3 +513,13 @@ def test_larger_budget_does_not_worsen(count, budget):
     )
     assert tight.stop_reason == loose.stop_reason == "certified"
     assert loose.objective <= (1 + CERT_TOL) * tight.objective
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 2.5), ("max_iter", True), ("max_iter", 0),
+    ("threads", 1.5), ("threads", False), ("threads", "2"),
+])
+def test_solver_config_needs_positive_integers(field, value):
+    with pytest.raises(ValidationError, match=field):
+        SolverConfig(**{field: value})
+    assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3

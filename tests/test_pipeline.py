@@ -22,8 +22,10 @@ from kcompress.pipeline import (
     build_stage_instance,
     candidate_lattice,
     candidate_subsample,
+    compress_stage,
     implied_kernel,
     load_system,
+    stage_candidates,
     system_from_dict,
     system_to_dict,
 )
@@ -286,6 +288,53 @@ def test_single_stage_matches_direct_solve():
     kernel = implied_kernel(inst, result.gamma, result.beta_assignment)
     assert np.array_equal(kernel.rows[0].support, approx.kernels[0].rows[0].support)
     assert np.allclose(kernel.rows[0].weights, approx.kernels[0].rows[0].weights)
+
+    stage_step = compress_stage(
+        marginal, clouds, candidates, stage.order, stage.budget, solver
+    )
+    assert np.array_equal(stage_step.result.gamma, result.gamma)
+    assert np.array_equal(stage_step.kernel.support, kernel.support)
+    assert np.array_equal(stage_step.kernel.matrix, kernel.matrix)
+    assert stage_step.delta == result.objective ** (1.0 / stage.order)
+    composed = compose_marginal(marginal, kernel)
+    assert np.array_equal(stage_step.marginal.support, composed.support)
+    assert np.array_equal(stage_step.marginal.weights, composed.weights)
+    assert stage_step.wall_s > 0
+
+
+def test_on_stage_gets_each_stage_of_the_system():
+    system = walk_system()
+    stages = walk_stages(3, n=20, k=16, m=4)
+    seen = []
+    approx = approximate_system(
+        system, stages, SolverConfig(max_iter=200, seed=8),
+        on_stage=seen.append,
+    )
+    assert len(seen) == 3
+    for t, stage in enumerate(seen):
+        assert np.array_equal(stage.kernel.matrix, approx.kernels[t].matrix)
+        assert np.array_equal(stage.kernel.support, approx.supports[t + 1])
+        assert np.array_equal(stage.marginal.weights,
+                              approx.marginals[t + 1].weights)
+        assert stage.delta == approx.deltas[t]
+        assert stage.instance.dim_gamma == 16
+        assert stage.wall_s >= stage.result.history_elapsed_ms[-1] / 1e3
+
+
+def test_stage_candidates_follows_the_mode():
+    clouds = [np.arange(12.0).reshape(6, 2), np.ones((4, 2))]
+    box = (np.zeros(2), np.full(2, 2.0))
+    lattice = stage_candidates(clouds, 8, "lattice", 0.05, None, None)
+    assert np.array_equal(lattice, candidate_lattice(clouds, 8, 0.05))
+    fixed = stage_candidates(clouds, 8, "lattice", 0.05, box, None)
+    assert np.all((fixed >= 0.0) & (fixed <= 2.0))
+    sub = stage_candidates(clouds, 5, "subsample", 0.05, box,
+                           np.random.default_rng(3))
+    assert np.array_equal(
+        sub, candidate_subsample(clouds, 5, np.random.default_rng(3))
+    )
+    with pytest.raises(ValidationError):
+        stage_candidates(clouds, 5, "grid", 0.05, None, None)
 
 
 def test_deterministic_kernel_compresses_exactly():
