@@ -357,6 +357,13 @@ class ExperimentConfig:
                 raise ConfigError(f"candidates.count {count} exceeds the"
                                   f" {pool} particles to subsample",
                                   "candidates.count")
+        if candidate_mode == "subsample":
+            # box and margin shape the lattice; a subsample never reads them
+            for field, given in (("candidates.box", box is not None),
+                                 ("margin", "margin" in data)):
+                if given:
+                    raise ConfigError(f"{field} applies to lattice candidates"
+                                      " only, not subsample", field)
 
         mapping = (_typed(data.get("mapping"), dict, "mapping")
                    or {"type": "expectation"})
@@ -770,7 +777,11 @@ def run_evaluate(cfg: ExperimentConfig):
         "evaluate_s": writing - evaluating,
         "write_s": end - writing,
     }
-    _write_metadata(cfg, end - start, {"phases": phases})
+    _write_metadata(cfg, end - start, {
+        "phases": phases,
+        "system_bytes": Path(cfg.system_path).stat().st_size,
+        "kernel_rows": sum(len(kernel) for kernel in system.kernels),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,28 @@ def random_discrete_system(rng, horizon=3, max_states=5, dim=2):
     return DiscreteSystem(tuple(supports), tuple(kernels))
 
 
+def ragged_system_dict(rng, sizes):
+    """A system in the file schema whose rows sit on random subsets of the
+    next support, some with zero-weight atoms."""
+    supports = [[[0.0, 0.0]]] + [rng.normal(size=(n, 2)).tolist() for n in sizes]
+    kernels = []
+    for t in range(len(sizes)):
+        rows = []
+        for _ in supports[t]:
+            idx = rng.choice(sizes[t], size=int(rng.integers(1, sizes[t] + 1)),
+                             replace=False)
+            w = rng.uniform(0.0, 1.0, size=len(idx))
+            w[0] = 0.0 if len(idx) > 1 else 1.0
+            rows.append({"support": [supports[t + 1][i] for i in idx],
+                         "weights": (w / w.sum()).tolist()})
+        kernels.append({"sources": supports[t], "rows": rows})
+    marginals = [
+        {"support": s, "weights": [1.0 / len(s)] * len(s)} for s in supports
+    ]
+    return {"supports": supports, "kernels": kernels,
+            "marginals": marginals, "deltas": [0.0] * len(sizes)}
+
+
 def path_expectation(system, costs):
     """E[sum_t c_t(X_t)] by exhaustive path enumeration from the single
     initial state, as a ground truth for the backward recursion."""

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import ragged_system_dict
 from kcompress.cli import (
     ExperimentConfig,
     cost_function,
@@ -132,6 +133,9 @@ def _pipeline_config(out):
       '--costs=[{}, {"affine": {"coeff": ["a", 1]}}]'],
      "costs[1].affine.coeff"),
     (["evaluate", "--system_path", "s.json", "--mapping", '"x"'], "mapping"),
+    (["select", "--candidate_mode", "subsample"], "candidates.box"),
+    (["pipeline", "--candidate_mode", "subsample", "--margin", "0.1"],
+     "margin"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
     mode = argv[0]
@@ -347,6 +351,7 @@ def test_select_subsample_candidates_are_particles(tmp_path):
     out = tmp_path / "sel"
     data = select_config(out, seeds=(5,), k=24, m=6, n=20)
     data["candidate_mode"] = "subsample"
+    del data["candidates"]["box"]  # a lattice setting, refused here
     cfg_path = write_config(tmp_path / "c.json", data)
     assert main(["select", "--config", cfg_path, "--emit-plot-data"]) == 0
     particles = {tuple(r[1:]) for r in read_csv(out / "samples_seed5.csv")[1:]}
@@ -485,31 +490,9 @@ def test_pipeline_then_evaluate(tmp_path):
         assert float(row[3]) == pytest.approx(float(x @ x), abs=1e-12)
 
 
-def _ragged_system_dict(rng, sizes):
-    """A system in the file schema whose rows sit on random subsets of the
-    next support, some with zero-weight atoms."""
-    supports = [[[0.0, 0.0]]] + [rng.normal(size=(n, 2)).tolist() for n in sizes]
-    kernels = []
-    for t in range(len(sizes)):
-        rows = []
-        for _ in supports[t]:
-            idx = rng.choice(sizes[t], size=int(rng.integers(1, sizes[t] + 1)),
-                             replace=False)
-            w = rng.uniform(0.0, 1.0, size=len(idx))
-            w[0] = 0.0 if len(idx) > 1 else 1.0
-            rows.append({"support": [supports[t + 1][i] for i in idx],
-                         "weights": (w / w.sum()).tolist()})
-        kernels.append({"sources": supports[t], "rows": rows})
-    marginals = [
-        {"support": s, "weights": [1.0 / len(s)] * len(s)} for s in supports
-    ]
-    return {"supports": supports, "kernels": kernels,
-            "marginals": marginals, "deltas": [0.0] * len(sizes)}
-
-
 def test_evaluate_values_csv_and_phases(tmp_path):
     rng = np.random.default_rng(29)
-    data = _ragged_system_dict(rng, [5, 7, 4])
+    data = ragged_system_dict(rng, [5, 7, 4])
     (tmp_path / "system.json").write_text(json.dumps(data))
     kappa = 0.5
     eval_cfg = write_config(
@@ -557,6 +540,9 @@ def test_evaluate_values_csv_and_phases(tmp_path):
     assert set(phases) == {"decode_s", "evaluate_s", "write_s"}
     assert all(v >= 0.0 for v in phases.values())
     assert sum(phases.values()) <= meta["wall_time_s"]
+    # what the decode read: the file's size and the rows of all kernels
+    assert meta["system_bytes"] == (tmp_path / "system.json").stat().st_size
+    assert meta["kernel_rows"] == 1 + 5 + 7
 
 
 def test_evaluate_missing_system_file_exits_1(tmp_path, capsys):
@@ -587,7 +573,7 @@ def _evaluate_config(tmp_path, system, **extra):
     {"affine": {"coeff": [1.0]}},
 ])
 def test_evaluate_cost_of_wrong_dimension_exits_2(tmp_path, capsys, term):
-    data = _ragged_system_dict(np.random.default_rng(3), [3, 2])
+    data = ragged_system_dict(np.random.default_rng(3), [3, 2])
     eval_cfg = _evaluate_config(tmp_path, data, costs=[{}, term, {}])
     assert main(["evaluate", "--config", eval_cfg]) == 2
     err = capsys.readouterr().err
@@ -603,7 +589,7 @@ def test_evaluate_cost_of_wrong_dimension_exits_2(tmp_path, capsys, term):
 ])
 def test_evaluate_malformed_system_file_exits_1(tmp_path, capsys, mangle,
                                                named):
-    data = mangle(_ragged_system_dict(np.random.default_rng(3), [3, 2]))
+    data = mangle(ragged_system_dict(np.random.default_rng(3), [3, 2]))
     eval_cfg = _evaluate_config(tmp_path, data)
     assert main(["evaluate", "--config", eval_cfg]) == 1
     err = capsys.readouterr().err

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import random_discrete_system, ragged_system_dict
 from kcompress.core import DiscreteDistribution, compose_marginal, dirac
 from kcompress.dual import SolverConfig, run_subgradient
 from kcompress.errors import (
@@ -459,6 +462,112 @@ def test_load_system_matches_json_load(tmp_path):
         assert_same_system(load_system(path), system_from_dict(data))
 
 
+def assert_reads_as_json_load(path, text):
+    """load_system reads text as system_from_dict(json.loads(text)) does:
+    the same system, or an error of the same class."""
+    path.write_text(text)
+    try:
+        want = system_from_dict(json.loads(text))
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            load_system(path)
+        assert type(got.value) is type(exc)
+        return
+    assert_same_system(load_system(path), want)
+
+
+def _spaced_dumps(data):
+    """JSON with tabs, newlines and returns around every token."""
+    return "\r\n\t" + json.dumps(data, indent="\t",
+                                   separators=(" \t,\r\n", "\n:\t ")) + "\n "
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 3),
+       ragged=st.booleans())
+def test_load_system_reads_any_layout_as_json_load(tmp_path_factory, seed,
+                                                   horizon, ragged):
+    rng = np.random.default_rng(seed)
+    if ragged:
+        data = ragged_system_dict(rng, rng.integers(1, 5, size=horizon))
+    else:
+        dim = int(rng.integers(1, 3))
+        data = system_to_dict(random_discrete_system(rng, horizon, dim=dim))
+    path = tmp_path_factory.mktemp("layout") / "system.json"
+    for text in (json.dumps(data), json.dumps(data, indent=2, sort_keys=True),
+                 _spaced_dumps(data)):
+        assert_reads_as_json_load(path, text)
+
+
+def _one_kernel_text(rows, support=((1.0,), (2.0,))):
+    """A one-stage system's text, its kernel's rows written as given."""
+    support = json.dumps([list(x) for x in support])
+    return ('{"supports": [[[0.0], [5.0]], %s], "kernels": [{"sources": '
+            '[[0.0], [5.0]], "rows": [%s]}], "marginals": [], "deltas": []}'
+            % (support, ", ".join(rows)))
+
+
+def _row(support, weights):
+    return '{"support": %s, "weights": %s}' % (support, weights)
+
+
+def _alternating_supports_text():
+    """Kernel 1's five rows switch between two overlapping supports."""
+    rng = np.random.default_rng(8)
+    data = ragged_system_dict(rng, [5, 6])
+    first, second = data["supports"][2][:3], data["supports"][2][2:]
+    for i, row in enumerate(data["kernels"][1]["rows"]):
+        support = (first, second)[i % 2]
+        w = rng.uniform(0.1, 1.0, size=len(support))
+        row.update(support=support, weights=(w / w.sum()).tolist())
+    data["marginals"] = []
+    return json.dumps(data)
+
+
+def _duplicate_kernel_keys_text():
+    """Each kernel's unknown key and first "rows" are dropped, and so is the
+    first "kernels"."""
+    text = json.dumps(small_system_dict()).replace(
+        '{"sources": ', '{"note": 1, "rows": [5], "sources": ')
+    garbage = '"kernels": [{"sources": [[0.0]], "rows": [[1.0]]}], '
+    return text.replace('"kernels": ', garbage + '"kernels": ', 1)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_one_kernel_text([_row("[[1.0], [2.0]]", "[0.5, 0.5]"),
+                                   _row("[[2.0]]", "[1.0]")]),
+                 id="ragged-rows"),
+    pytest.param(_one_kernel_text([_row("[[1.0]]", "[1.0]"),
+                                   _row("[[1.0], [2.0]]", "[0.25, 0.75]")]),
+                 id="prefix-of-next"),
+    pytest.param(_one_kernel_text([_row("[[1.0], [2.0]]", "[0.25, 0.75]"),
+                                   _row("[[1.0]]", "[1.0]")]),
+                 id="next-is-prefix"),
+    pytest.param(_one_kernel_text([_row("5", "[1.0]"), _row("56", "[1.0]")],
+                                  support=((5.0,), (56.0,))),
+                 id="bare-number-then-longer"),
+    pytest.param(_one_kernel_text(
+        [_row("[[1.0], [2.0]]", "[0.25, 0.75]"),
+         '{"support": [[9.0]], "weights": [0.5, 0.5], '
+         '"support": [[1.0], [2.0]]}']), id="duplicate-key"),
+    pytest.param(_one_kernel_text(
+        [_row("[[1.0], [2.0]]", "[0.25, 0.75]"),
+         '{"support": [[1.0], [2.0]], "note": {"support": [[3.0]]}, '
+         '"weights": [0.5, 0.5]}']), id="unknown-row-key"),
+    pytest.param(_one_kernel_text(
+        ['{"support": [[1.0], [2.0]], "weights": [0.25, 0.75]}',
+         '{"support":[[1.0],[2.0]],"weights":[0.5,0.5]}']),
+        id="same-support-other-spacing"),
+    pytest.param(_one_kernel_text(["[[1.0]]", _row("[[1.0]]", "[1.0]")]),
+                 id="row-not-an-object"),
+    pytest.param(_alternating_supports_text(), id="alternating-supports"),
+    pytest.param(_duplicate_kernel_keys_text(),
+                 id="duplicate-kernel-keys"),
+])
+def test_load_system_reads_row_texts_as_json_load(tmp_path, text):
+    assert_reads_as_json_load(tmp_path / "system.json", text)
+
+
 def _nan_weight(data):
     data["kernels"][1]["rows"][1]["weights"][0] = float("nan")
 
@@ -495,6 +604,31 @@ def _delta_count(data):
     data["deltas"].append(0.3)
 
 
+def _truncated(data):
+    text = json.dumps(data)
+    return text[: text.index("0.375")]
+
+
+def _trailing_garbage(data):
+    return json.dumps(data) + "\n]"
+
+
+def _non_string_key(data):
+    return json.dumps(data).replace('"weights"', "weights", 2)
+
+
+def _missing_comma(data):
+    return json.dumps(data).replace('], "weights"', '] "weights"', 1)
+
+
+def _missing_colon(data):
+    return json.dumps(data).replace('"rows": [', '"rows" [', 1)
+
+
+def _list_root(data):
+    return json.dumps([data])
+
+
 @pytest.mark.parametrize("corrupt, error", [
     (_nan_weight, NonFiniteError),
     (_negative_weight, NegativeWeightError),
@@ -505,13 +639,23 @@ def _delta_count(data):
     (_marginal_off_support, SourceMismatchError),
     (_marginal_count, LengthMismatchError),
     (_delta_count, LengthMismatchError),
+    (_truncated, ValueError),
+    (_trailing_garbage, ValueError),
+    (_non_string_key, ValueError),
+    (_missing_comma, ValueError),
+    (_missing_colon, ValueError),
+    (_list_root, ValidationError),
 ])
 def test_load_system_rejects_like_json_load(tmp_path, corrupt, error):
     data = small_system_dict()
-    corrupt(data)
+    # corrupt edits data in place, or returns the file's text
+    text = corrupt(data)
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data) if text is None else text)
     with pytest.raises(error):
         system_from_dict(json.loads(path.read_text()))
-    with pytest.raises(error):
+    with pytest.raises(error) as exc:
         load_system(path)
+    assert isinstance(exc.value, ValidationError)
+    if error is ValueError:  # not JSON: the error names the file
+        assert str(path) in str(exc.value)
