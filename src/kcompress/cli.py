@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -140,11 +141,18 @@ def _require(data: dict, key: str, mode: str):
 
 
 def _as(kind, value, field: str):
-    """kind(value) for kind int or float, or a ConfigError naming field."""
+    """value as a finite float, or for kind int as an integral int (2.0 but
+    not 2.7); anything else, a bool too, is a ConfigError naming field."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be a number, got {value!r}", field)
+        if not isinstance(value, bool):
+            number = kind(value)
+            exact = kind is float or isinstance(value, str) or number == value
+            if exact and math.isfinite(number):
+                return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{field} must be {what}, got {value!r}", field)
 
 
 def _typed(raw, kind, field: str):
@@ -536,6 +544,9 @@ def cost_function(spec: dict):
     center = _floats(norm.get("center", []), "norm.center")
     weight = _as(float, norm.get("weight", 1.0), "norm.weight") if norm else 0.0
     power = _as(float, norm.get("power", 1.0), "norm.power")
+    if power < 0:
+        raise ConfigError(f"norm.power must be >= 0, got {power!r}",
+                          "norm.power")
 
     def cost(x):
         x = np.asarray(x, dtype=np.float64).ravel()

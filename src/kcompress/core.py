@@ -295,7 +295,21 @@ def compose_marginal(lam: DiscreteDistribution, kernel: DiscreteKernel) -> Discr
     return DiscreteDistribution(kernel.support, weights)
 
 
-def pairwise_cost(a, b, order: float, block: int = 1024) -> CostMatrix:
+_BLOCK = 1024  # rows per pass of pairwise_cost, bounding its temporary
+
+
+def distance_power(diff: np.ndarray, order: float) -> np.ndarray:
+    """|diff|^order over the last axis: the Euclidean length of each
+    difference vector raised to the p-th power, as pairwise_cost forms it."""
+    sq = np.einsum("...d,...d->...", diff, diff)
+    if order == 2:
+        return sq
+    if order == 1:
+        return np.sqrt(sq)
+    return np.sqrt(sq) ** order
+
+
+def pairwise_cost(a, b, order: float) -> CostMatrix:
     """Euclidean distances raised to the p-th power, entry (i, k) = |a_i - b_k|^p.
 
     Rows are processed in blocks to bound temporary memory for large inputs.
@@ -309,16 +323,10 @@ def pairwise_cost(a, b, order: float, block: int = 1024) -> CostMatrix:
             f"point dimensions differ: {pa.shape[1]} vs {pb.shape[1]}"
         )
     out = np.empty((len(pa), len(pb)), dtype=np.float64)
-    for start in range(0, len(pa), block):
-        stop = min(start + block, len(pa))
+    for start in range(0, len(pa), _BLOCK):
+        stop = min(start + _BLOCK, len(pa))
         diff = pa[start:stop, None, :] - pb[None, :, :]
-        sq = np.einsum("ikd,ikd->ik", diff, diff)
-        if order == 2:
-            out[start:stop] = sq
-        elif order == 1:
-            out[start:stop] = np.sqrt(sq)
-        else:
-            out[start:stop] = np.sqrt(sq) ** order
+        out[start:stop] = distance_power(diff, order)
     return CostMatrix(out, order)
 
 

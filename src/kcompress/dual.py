@@ -20,7 +20,7 @@ the returned selection is then provably within that share of the optimum.
 All per-candidate work is done in fixed-size column blocks reduced in block
 order, so results are identical for any worker count. Each block is swept
 in place in a per-thread buffer that lives as long as the solve, over the
-instance's one cached stacked cost matrix.
+instance's one weighted cost matrix.
 """
 
 from __future__ import annotations
@@ -310,19 +310,6 @@ def duality_gap(objective: float, best_dual: float) -> float:
     return gap
 
 
-def _objective_for(wd, gamma):
-    return float(wd[:, np.flatnonzero(gamma)].min(axis=1).sum())
-
-
-def _assignment_for(instance: SelectionInstance, gamma):
-    sel = np.flatnonzero(gamma)
-    assignment = []
-    for s in range(instance.n_groups):
-        block = instance.cost_block(s, 0, instance.n_candidates)[:, sel]
-        assignment.append(sel[np.argmin(block, axis=1)])
-    return tuple(assignment)
-
-
 def run_subgradient(
     instance: SelectionInstance, config: SolverConfig
 ) -> SelectionResult:
@@ -374,7 +361,7 @@ def run_subgradient(
             else:
                 feasible = np.zeros(len(gamma), dtype=np.int8)
                 feasible[np.argsort(-scores, kind="stable")[:m_budget]] = 1
-            objective = _objective_for(wd, feasible)
+            objective = instance.objective(feasible)
             if objective < upper:
                 upper, best_gamma = objective, feasible
             if dual > best_dual:
@@ -407,7 +394,7 @@ def run_subgradient(
 
     return SelectionResult(
         gamma=best_gamma,
-        beta_assignment=_assignment_for(instance, best_gamma),
+        beta_assignment=instance.nearest(best_gamma),
         objective=upper,
         best_dual=best_dual,
         gap=duality_gap(upper, best_dual),

@@ -1,23 +1,23 @@
 """The particle-selection problem and its exhaustive ground-truth solver.
 
 A SelectionInstance holds per-source particle clouds with group weights
-w_s = lambda_s / n_s, a candidate set of K points, the per-group cost blocks
-d_sik = d(x_si, zeta_k)^p, and a budget M on the number of selected
-candidates. solve_exact enumerates candidate subsets outright and is guarded
-to tiny sizes; it exists so the dual method has an independent optimum to be
-checked against.
+w_s = lambda_s / n_s, a candidate set of K points, the order p, and a budget
+M on the number of selected candidates. From these it builds, once, the one
+matrix every solver reads: the weighted costs w_s * d(x_si, zeta_k)^p of all
+particles stacked in group order. solve_exact enumerates candidate subsets
+outright and is guarded to tiny sizes; it exists so the dual method has an
+independent optimum to be checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .core import CostMatrix, as_points, pairwise_cost
+from .core import as_points, pairwise_cost
 from .errors import (
-    DimensionMismatchError,
     EmptyInstanceError,
     EnumerationGuardError,
     InfeasibleBudgetError,
@@ -36,16 +36,18 @@ class SelectionInstance:
 
     weights[s] is the per-particle weight w_s of group s (so the group's
     total mass is weights[s] * len(clouds[s]) and all masses sum to 1).
-    costs[s] is the (n_s, K) block of p-powered distances.
+    The read-only (N, K) weighted cost matrix, row (s, i) holding
+    w_s * d(x_si, zeta_k)^p, follows from the points and order and is
+    built when the instance is.
     """
 
     weights: np.ndarray
     clouds: tuple
     candidates: np.ndarray
-    costs: tuple
     order: float
     budget: int
     sources: np.ndarray | None = None
+    _wd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -70,35 +72,30 @@ class SelectionInstance:
             raise InfeasibleBudgetError(
                 f"budget {self.budget} outside [1, {k}]"
             )
-        costs = tuple(self.costs)
-        if len(costs) != len(clouds):
-            raise LengthMismatchError("one cost block per group required")
-        for block, cloud in zip(costs, clouds):
-            if block.entries.shape != (len(cloud), k):
-                raise DimensionMismatchError(
-                    f"cost block {block.entries.shape} does not match "
-                    f"({len(cloud)}, {k})"
-                )
-        object.__setattr__(self, "costs", costs)
         if self.sources is not None:
             sources = as_points(self.sources)
             if len(sources) != len(clouds):
                 raise LengthMismatchError("one source point per group required")
             object.__setattr__(self, "sources", sources)
+        order = float(self.order)
+        wd = np.vstack([
+            pairwise_cost(cloud, candidates, order).entries * w
+            for w, cloud in zip(weights, clouds)
+        ])
+        wd.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "clouds", clouds)
         object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_wd", wd)
 
     @classmethod
     def build(
         cls, groups, candidates, p: float, budget: int, sources=None
     ) -> "SelectionInstance":
-        """Build from (weight, particles) pairs, computing the cost blocks."""
-        weights = np.array([w for w, _ in groups], dtype=np.float64)
-        clouds = tuple(as_points(pts) for _, pts in groups)
-        cands = as_points(candidates)
-        costs = tuple(pairwise_cost(c, cands, p) for c in clouds)
-        return cls(weights, clouds, cands, costs, float(p), budget, sources)
+        """Build from (weight, particles) pairs."""
+        return cls([w for w, _ in groups], [pts for _, pts in groups],
+                   candidates, p, budget, sources)
 
     @property
     def n_groups(self) -> int:
@@ -123,23 +120,23 @@ class SelectionInstance:
     def group_sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.clouds])
 
-    def cost_block(self, s: int, start: int, stop: int) -> np.ndarray:
-        """The (n_s, stop-start) slice of d_sik."""
-        return self.costs[s].entries[:, start:stop]
-
     def stacked_weighted_costs(self) -> np.ndarray:
-        """All w_s * d_sik rows stacked into one read-only (N, K) array,
-        built on the first call and shared by every later one."""
-        stacked = self.__dict__.get("_stacked")
-        if stacked is None:
-            blocks = [
-                self.cost_block(s, 0, self.n_candidates) * self.weights[s]
-                for s in range(self.n_groups)
-            ]
-            stacked = np.vstack(blocks)
-            stacked.flags.writeable = False
-            object.__setattr__(self, "_stacked", stacked)
-        return stacked
+        """The read-only (N, K) matrix of w_s * d_sik, rows in group order;
+        every call returns the same array."""
+        return self._wd
+
+    def objective(self, gamma) -> float:
+        """Selection objective of the 0/1 vector gamma: each particle's
+        cheapest weighted cost over the selected candidates, summed."""
+        return float(self._wd[:, np.flatnonzero(gamma)].min(axis=1).sum())
+
+    def nearest(self, gamma) -> tuple:
+        """Per group, each particle's cheapest selected candidate (absolute
+        index) by the weighted costs objective reads; ties go to the lowest
+        index."""
+        sel = np.flatnonzero(gamma)
+        cols = sel[np.argmin(self._wd[:, sel], axis=1)]
+        return tuple(np.split(cols, np.cumsum(self.group_sizes())[:-1]))
 
 
 def solve_exact(instance: SelectionInstance):
@@ -158,20 +155,13 @@ def solve_exact(instance: SelectionInstance):
             f"K={k}, M={m} beyond the enumeration guard "
             f"(K<={ENUMERATION_MAX_K}, M<={ENUMERATION_MAX_M})"
         )
-    wd = instance.stacked_weighted_costs()
     best_val = np.inf
     best_subset = None
     for size in range(1, m + 1):
         for subset in combinations(range(k), size):
-            val = float(wd[:, subset].min(axis=1).sum())
+            gamma = np.bincount(subset, minlength=k).astype(np.int8)
+            val = instance.objective(gamma)
             if val < best_val or (val == best_val and subset < best_subset):
                 best_val = val
-                best_subset = subset
-    gamma = np.zeros(k, dtype=np.int8)
-    gamma[list(best_subset)] = 1
-    cols = np.array(best_subset)
-    assignment = []
-    for s in range(instance.n_groups):
-        block = instance.cost_block(s, 0, k)[:, cols]
-        assignment.append(cols[np.argmin(block, axis=1)])
-    return gamma, best_val, tuple(assignment)
+                best_subset, best_gamma = subset, gamma
+    return best_gamma, best_val, instance.nearest(best_gamma)

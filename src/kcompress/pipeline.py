@@ -27,6 +27,7 @@ from .core import (
     DiscreteSystem,
     as_points,
     compose_marginal,
+    distance_power,
     merge_atoms,
 )
 from .dual import SelectionResult, SolverConfig, run_subgradient
@@ -157,12 +158,11 @@ def assignment_plan(instance: SelectionInstance, assignment):
     is optimal and its cost is the selection objective.
     """
     _, _, columns = _assigned_support(instance, assignment)
-    costs = [
-        instance.cost_block(s, 0, instance.n_candidates)[np.arange(len(g)), g]
-        for s, g in enumerate(assignment)
-    ]
+    assigned = instance.candidates[np.concatenate(assignment)]
+    costs = distance_power(np.concatenate(instance.clouds) - assigned,
+                           instance.order)
     masses = np.repeat(instance.weights, instance.group_sizes())
-    return columns, masses, np.concatenate(costs)
+    return columns, masses, costs
 
 
 def candidate_lattice(clouds, count: int, margin: float = 0.05) -> np.ndarray:

@@ -30,6 +30,7 @@ from kcompress.core import (
     DiscreteSystem,
     compose_marginal,
     dirac,
+    pairwise_cost,
 )
 from kcompress.dual import (
     DualState,
@@ -190,8 +191,8 @@ def test_criterion_5_dual_correctness():
         )
         closed = dual_value(instance, state)
         costs = [
-            instance.cost_block(s, 0, instance.n_candidates)
-            for s in range(instance.n_groups)
+            pairwise_cost(cloud, instance.candidates, instance.order).entries
+            for cloud in instance.clouds
         ]
         theta_groups = []
         offset = 0

@@ -136,6 +136,27 @@ def _pipeline_config(out):
     (["select", "--candidate_mode", "subsample"], "candidates.box"),
     (["pipeline", "--candidate_mode", "subsample", "--margin", "0.1"],
      "margin"),
+    (["select", "--budget", "2.7"], "budget"),
+    (["select", "--budget", "true"], "budget"),
+    (["select", "--budget", "Infinity"], "budget"),
+    (["select", "--mixture.samples_per_component", "10.9"],
+     "mixture.samples_per_component"),
+    (["select", "--margin", "NaN"], "margin"),
+    (["select", "--order", "NaN"], "order"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"affine": {"offset": NaN}}]'], "costs[0].affine.offset"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"affine": {"offset": Infinity}}]'], "costs[0].affine.offset"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"norm": {"weight": NaN}}]'], "costs[0].norm.weight"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"norm": {"weight": -Infinity}}]'], "costs[0].norm.weight"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"norm": {"power": NaN}}]'], "costs[0].norm.power"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"norm": {"power": Infinity}}]'], "costs[0].norm.power"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"norm": {"power": -1}}]'], "costs[0].norm.power"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
     mode = argv[0]

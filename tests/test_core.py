@@ -317,12 +317,13 @@ def test_pairwise_cost_symmetric_zero_diagonal(seed, p):
     np.testing.assert_allclose(c, c.T, atol=1e-12)
 
 
-def test_pairwise_cost_blocked_matches_unblocked():
+def test_pairwise_cost_blocked_matches_unblocked(monkeypatch):
     rng = np.random.default_rng(3)
     a = rng.normal(size=(17, 2))
     b = rng.normal(size=(9, 2))
     full = pairwise_cost(a, b, 1.7).entries
-    blocked = pairwise_cost(a, b, 1.7, block=4).entries
+    monkeypatch.setattr("kcompress.core._BLOCK", 4)
+    blocked = pairwise_cost(a, b, 1.7).entries
     np.testing.assert_array_equal(full, blocked)
 
 

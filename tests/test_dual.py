@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import enumerate_lagrangian_min, random_tiny_instance
-from kcompress.core import DiscreteDistribution
+from kcompress.core import DiscreteDistribution, pairwise_cost
 from kcompress.dual import (
     CERT_TOL,
     STALL_ITERS,
@@ -92,7 +92,10 @@ def test_inner_attains_enumerated_minimum():
         inst = random_tiny_instance(rng, max_particles=4, max_k=8)
         state = _random_state(rng, inst, scale=0.3)
         value = dual_value(inst, state)
-        blocks = [c.entries for c in inst.costs]
+        blocks = [
+            pairwise_cost(cloud, inst.candidates, inst.order).entries
+            for cloud in inst.clouds
+        ]
         brute = enumerate_lagrangian_min(
             inst.weights,
             blocks,
@@ -231,28 +234,33 @@ def test_inner_solution_matches_unfused_formula():
 
 
 def test_stacked_matrix_built_once_per_instance(monkeypatch):
-    builds = []
-    vstack = np.vstack
-
-    def counting_vstack(*args, **kwargs):
-        builds.append(1)
-        return vstack(*args, **kwargs)
-
     rng = np.random.default_rng(21)
-    insts = [random_tiny_instance(rng, max_k=10) for _ in range(2)]
-    monkeypatch.setattr(np, "vstack", counting_vstack)
-    for n_built, inst in enumerate(insts, start=1):
-        state = _random_state(rng, inst)
-        inner_solution(inst, state)
-        dual_value(inst, state)
-        initial_state(inst)
-        batch_subgradient(inst, state, [0, 2])
-        repair_feasibility(inst, np.ones(inst.n_candidates), inst.budget, state)
-        run_subgradient(inst, SolverConfig(max_iter=30))
-        assert len(builds) == n_built
-        wd = inst.stacked_weighted_costs()
-        assert not wd.flags.writeable
-        assert wd is inst.stacked_weighted_costs()
+    inst = random_tiny_instance(rng, max_k=10)
+    state = _random_state(rng, inst)
+    reads = []
+    accessor = SelectionInstance.stacked_weighted_costs
+
+    def recording(self):
+        reads.append(accessor(self))
+        return reads[-1]
+
+    monkeypatch.setattr(SelectionInstance, "stacked_weighted_costs", recording)
+    entry_points = (
+        lambda: inner_solution(inst, state),
+        lambda: dual_value(inst, state),
+        lambda: initial_state(inst),
+        lambda: batch_subgradient(inst, state, [0, 2]),
+        lambda: repair_feasibility(
+            inst, np.ones(inst.n_candidates), inst.budget, state
+        ),
+        lambda: run_subgradient(inst, SolverConfig(max_iter=30)),
+    )
+    for entry in entry_points:
+        before = len(reads)
+        entry()
+        assert len(reads) > before
+    assert all(wd is reads[0] for wd in reads)
+    assert not reads[0].flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import enumerate_selection_optimum, random_tiny_instance
+from kcompress.core import pairwise_cost
 from kcompress.errors import EnumerationGuardError, InfeasibleBudgetError
 from kcompress.oracle import SelectionInstance, solve_exact
 from kcompress.transport import assignment_distance
@@ -20,7 +21,6 @@ def test_budget_not_binding():
         inst.weights,
         inst.clouds,
         inst.candidates,
-        inst.costs,
         inst.order,
         inst.n_candidates,
     )
@@ -69,15 +69,6 @@ def test_zero_budget_rejected_at_build():
         )
 
 
-def test_cost_blocks_are_required():
-    inst = random_tiny_instance(np.random.default_rng(4))
-    with pytest.raises(TypeError):
-        SelectionInstance(
-            inst.weights, inst.clouds, inst.candidates, None, inst.order,
-            inst.budget,
-        )
-
-
 def test_budget_above_k_rejected():
     with pytest.raises(InfeasibleBudgetError):
         SelectionInstance.build([(1.0, [(0.0, 0.0)])], [(1.0, 1.0)], 1.0, 2)
@@ -88,7 +79,10 @@ def test_matches_independent_enumeration():
     for _ in range(25):
         inst = random_tiny_instance(rng)
         gamma, objective, _ = solve_exact(inst)
-        blocks = [c.entries for c in inst.costs]
+        blocks = [
+            pairwise_cost(cloud, inst.candidates, inst.order).entries
+            for cloud in inst.clouds
+        ]
         oracle_val, oracle_subset = enumerate_selection_optimum(
             inst.weights, blocks, inst.budget
         )
@@ -114,7 +108,7 @@ def test_objective_nonincreasing_in_budget():
     prev = np.inf
     for m in range(1, 5):
         sized = SelectionInstance(
-            inst.weights, inst.clouds, inst.candidates, inst.costs, inst.order, m
+            inst.weights, inst.clouds, inst.candidates, inst.order, m
         )
         _, objective, _ = solve_exact(sized)
         assert objective <= prev + 1e-15
@@ -143,3 +137,67 @@ def test_assignment_refers_to_selected_only():
     selected = set(np.flatnonzero(gamma))
     for group in assignment:
         assert set(group) <= selected
+
+
+def test_weighted_costs_are_the_per_group_stack():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        inst = random_tiny_instance(rng)
+        direct = SelectionInstance(
+            inst.weights, inst.clouds, inst.candidates, inst.order,
+            inst.budget,
+        )
+        stack = np.vstack([
+            pairwise_cost(cloud, inst.candidates, inst.order).entries * w
+            for w, cloud in zip(inst.weights, inst.clouds)
+        ])
+        for built in (inst, direct):
+            wd = built.stacked_weighted_costs()
+            assert wd.dtype == np.float64 and not wd.flags.writeable
+            np.testing.assert_array_equal(wd, stack)
+
+
+def _brute_nearest(inst, gamma):
+    """Per particle, the first selected candidate of least weighted cost,
+    by a plain loop over the per-group cost blocks."""
+    selected = np.flatnonzero(gamma)
+    total, assignment = 0.0, []
+    for w, cloud in zip(inst.weights, inst.clouds):
+        block = pairwise_cost(cloud, inst.candidates, inst.order).entries * w
+        picks = []
+        for row in block:
+            best = selected[0]
+            for k in selected[1:]:
+                if row[k] < row[best]:
+                    best = k
+            picks.append(best)
+            total += row[best]
+        assignment.append(picks)
+    return total, assignment
+
+
+def test_nearest_and_objective_match_brute_force():
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(10):
+        inst = random_tiny_instance(rng)
+        for _ in range(5):
+            gamma = (rng.random(inst.n_candidates) < 0.5).astype(np.int8)
+            gamma[rng.integers(inst.n_candidates)] = 1
+            cases.append((inst, gamma))
+    # candidates 1 and 3 are equidistant from every particle
+    tied = SelectionInstance.build(
+        [(0.25, [(0.0, 0.0), (0.0, 2.0)]), (0.25, [(0.0, -1.0), (0.0, 5.0)])],
+        [(9.0, 9.0), (-1.0, 0.0), (4.0, 4.0), (1.0, 0.0)], 2.0, 2,
+    )
+    cases.append((tied, np.array([0, 1, 0, 1], dtype=np.int8)))
+    for inst, gamma in cases:
+        total, assignment = _brute_nearest(inst, gamma)
+        assert inst.objective(gamma) == pytest.approx(total, rel=1e-12)
+        got = inst.nearest(gamma)
+        assert len(got) == inst.n_groups
+        for ours, brute in zip(got, assignment):
+            np.testing.assert_array_equal(ours, brute)
+    np.testing.assert_array_equal(
+        np.concatenate(tied.nearest([0, 1, 0, 1])), [1, 1, 1, 1]
+    )
