@@ -459,7 +459,8 @@ def _write_csv(path: Path, header, rows):
 
 
 def _point_rows(points, prefix=()):
-    return [list(prefix) + [repr(float(c)) for c in p] for p in points]
+    # csv writes a Python float as its repr
+    return [[*prefix, *p] for p in points.tolist()]
 
 
 def _coord_header(dim: int):
@@ -480,18 +481,13 @@ def _write_stage(cfg: ExperimentConfig, tag: str, stage):
     # primal is the best feasible objective so far, gap its distance to the
     # best dual value so far; rows are streamed, never held
     gaps = result.history_primal - np.maximum.accumulate(result.history_dual)
-    rows = (
-        [
-            j,
-            repr(float(result.history_dual[j])),
-            int(result.history_sum_gamma[j]),
-            repr(float(result.history_alpha[j])),
-            repr(float(result.history_theta0[j])),
-            repr(float(result.history_elapsed_ms[j])),
-            repr(float(result.history_primal[j])),
-            repr(float(gaps[j])),
-        ]
-        for j in range(result.iterations)
+    rows = zip(
+        range(result.iterations),
+        *(column.tolist() for column in (
+            result.history_dual, result.history_sum_gamma,
+            result.history_alpha, result.history_theta0,
+            result.history_elapsed_ms, result.history_primal, gaps,
+        )),
     )
     _write_csv(
         cfg.out / f"diagnostics_{tag}.csv",
@@ -511,10 +507,7 @@ def _write_stage(cfg: ExperimentConfig, tag: str, stage):
 
 
 def _write_plan(path: Path, columns, masses):
-    rows = (
-        [i, int(k), repr(float(m))]
-        for i, (k, m) in enumerate(zip(columns, masses))
-    )
+    rows = zip(range(len(columns)), columns.tolist(), masses.tolist())
     _write_csv(path, ["i", "k", "mass"], rows)
 
 
@@ -824,7 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="single seed")
         p.add_argument(
-            "--threads", type=int, default=None, help="solver worker threads"
+            "--threads", type=int, default=None,
+            help="solver.threads (checked, not used by the solver)"
         )
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument(

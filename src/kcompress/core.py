@@ -298,21 +298,33 @@ def compose_marginal(lam: DiscreteDistribution, kernel: DiscreteKernel) -> Discr
 _BLOCK = 1024  # rows per pass of pairwise_cost, bounding its temporary
 
 
+def _raise_to(sq: np.ndarray, order: float) -> np.ndarray:
+    """Squared lengths to lengths^order, in place."""
+    if order != 2:
+        np.sqrt(sq, out=sq)
+        if order != 1:
+            sq **= order
+    return sq
+
+
 def distance_power(diff: np.ndarray, order: float) -> np.ndarray:
     """|diff|^order over the last axis: the Euclidean length of each
-    difference vector raised to the p-th power, as pairwise_cost forms it."""
-    sq = np.einsum("...d,...d->...", diff, diff)
-    if order == 2:
-        return sq
-    if order == 1:
-        return np.sqrt(sq)
-    return np.sqrt(sq) ** order
+    difference vector raised to the p-th power. The squares are added
+    coordinate by coordinate, as pairwise_cost adds them, so both give the
+    same bits for the same pair of points."""
+    diff = np.asarray(diff, dtype=np.float64)
+    sq = np.zeros(diff.shape[:-1])
+    for j in range(diff.shape[-1]):
+        sq += diff[..., j] * diff[..., j]
+    return _raise_to(sq, order)
 
 
 def pairwise_cost(a, b, order: float) -> CostMatrix:
     """Euclidean distances raised to the p-th power, entry (i, k) = |a_i - b_k|^p.
 
-    Rows are processed in blocks to bound temporary memory for large inputs.
+    Squares are accumulated one coordinate at a time from outer differences,
+    so no (n, m, dim) array is formed; rows are processed in blocks to bound
+    the temporaries for large inputs.
     """
     if order < 1:
         raise InvalidOrderError(f"order p must be >= 1, got {order}")
@@ -322,11 +334,16 @@ def pairwise_cost(a, b, order: float) -> CostMatrix:
         raise DimensionMismatchError(
             f"point dimensions differ: {pa.shape[1]} vs {pb.shape[1]}"
         )
-    out = np.empty((len(pa), len(pb)), dtype=np.float64)
+    out = np.zeros((len(pa), len(pb)), dtype=np.float64)
+    buf = np.empty((min(len(pa), _BLOCK), len(pb)), dtype=np.float64)
     for start in range(0, len(pa), _BLOCK):
         stop = min(start + _BLOCK, len(pa))
-        diff = pa[start:stop, None, :] - pb[None, :, :]
-        out[start:stop] = distance_power(diff, order)
+        sq, diff = out[start:stop], buf[: stop - start]
+        for j in range(pa.shape[1]):
+            np.subtract.outer(pa[start:stop, j], pb[:, j], out=diff)
+            diff *= diff
+            sq += diff
+        _raise_to(sq, order)
     return CostMatrix(out, order)
 
 

@@ -17,20 +17,25 @@ upper bound UB on the optimum; every dual value is a lower bound (weak
 duality). The run stops once UB is within CERT_TOL of the best dual value:
 the returned selection is then provably within that share of the optimum.
 
-All per-candidate work is done in fixed-size column blocks reduced in block
-order, so results are identical for any worker count. Each block is swept
-in place in a per-thread buffer that lives as long as the solve, over the
-instance's one weighted cost matrix.
+Every entry point sweeps the instance's one candidate-major weighted cost
+matrix through a _Screen: it keeps only the entries w_s d_sik below
+cap_si = 2 max(theta_si, 0), the only ones that can have a positive slack
+theta_si - w_s d_sik while theta stays at or below its cap (safe screening;
+El Ghaoui, Viallon & Rabbani 2012, and the Lagrangian p-median of Beasley
+1993). A sweep then costs two bincounts over the kept entries, and the
+screen is rebuilt only when some theta_si rises above its cap. Every dropped
+entry contributes exactly +0.0, and the kept ones are summed in the dense
+formula's particle order, so the results are those of the dense sweep to
+the bit.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +46,12 @@ from .errors import (
 )
 from .oracle import SelectionInstance
 
-# Candidate columns are processed in fixed blocks of this many entries; the
-# block grid must not depend on the worker count or results would not be
-# bitwise reproducible across --threads settings.
-SWEEP_BLOCK = 512
-
+# The negative dual part sum_k min(0, theta0 - score_k) is summed in chunks
+# of this many candidates, in candidate order: the order the block-wise
+# dense sweep summed it in, so dual values and every history built on them
+# stay bit-identical to it at any K (one numpy sum over all K candidates
+# differs in the last bits above K = 1024).
+SUM_CHUNK = 512
 # A run is certified once UB - best dual <= CERT_TOL * UB.
 CERT_TOL = 1e-4
 # The Polyak step scale lambda halves after this many iterations without a
@@ -76,10 +82,11 @@ class DualState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of the dual ascent: the iteration cap and the sweep's worker
-    count (results are identical for any count). The step rule and the
-    stopping test have no settings; see run_subgradient. No step of the
-    solver reads seed."""
+    """Settings of the dual ascent: the iteration cap. The step rule and the
+    stopping test have no settings; see run_subgradient. threads is checked
+    but read by no step of the solver (the screened sweep runs on one
+    thread), and neither is seed; both stay because existing configs and
+    callers pass them."""
 
     max_iter: int = 5000
     seed: int = 0
@@ -128,71 +135,61 @@ class SelectionResult:
         return self.stop_reason == "certified"
 
 
-class _Scratch(threading.local):
-    """Per-thread sweep buffer: room for one (N, SWEEP_BLOCK) block, made on
-    a thread's first block and reused by every later block and call."""
+class _Sweep(NamedTuple):
+    """Inner solution summary of one sweep: selected candidates, per-particle
+    cover counts over them, scores, the negative dual part sum_k min(0,
+    theta0 - score_k), and which kept entries of the screen cover their
+    particle (positive slack on a selected candidate)."""
 
-    def __init__(self, n: int, width: int):
-        self.flat = np.empty(n * width)
-        self.n = n
-
-    def block(self, width: int) -> np.ndarray:
-        return self.flat[: self.n * width].reshape(self.n, width)
-
-
-def _scratch_for(wd) -> _Scratch:
-    n, k = wd.shape
-    return _Scratch(n, min(k, SWEEP_BLOCK))
+    gamma: np.ndarray
+    cover: np.ndarray
+    scores: np.ndarray
+    dual_neg: float
+    active: np.ndarray
 
 
-def _sweep_block(wd_block, theta, theta0, buf, beta_block=None):
-    """One fused pass over a column block: buf ends as max(0, slack)."""
-    np.subtract(theta[:, None], wd_block, out=buf)
-    np.maximum(buf, 0.0, out=buf)
-    scores = buf.sum(axis=0)
-    sel = scores > theta0
-    cover = np.count_nonzero(buf[:, sel], axis=1)
-    dual_neg = float(np.minimum(0.0, theta0 - scores).sum())
-    if beta_block is not None:
-        np.greater(buf, 0.0, out=beta_block)
-        beta_block &= sel
-    return sel, cover, scores, dual_neg
+class _Screen:
+    """The entries of a candidate-major (K, N) weighted cost matrix that can
+    have a positive slack, as flat candidate, particle and cost arrays in
+    row-major order.
+
+    Built at theta, it keeps w_s d_sik < cap_si = 2 max(theta_si, 0). At any
+    later theta <= cap every dropped entry has w_s d_sik >= theta_si, so its
+    slack max(0, theta_si - w_s d_sik) is exactly 0; a sweep at a theta that
+    exceeds its cap anywhere rebuilds the screen first.
+    """
+
+    def __init__(self, wdt: np.ndarray):
+        self.wdt = wdt
+        self.cap = None
+
+    def _build(self, theta):
+        self.cap = 2.0 * np.maximum(theta, 0.0)
+        kept = np.flatnonzero(self.wdt < self.cap)
+        self.cand, self.part = np.divmod(kept, self.wdt.shape[1])
+        self.cost = self.wdt.ravel()[kept]
+
+    def sweep(self, theta, theta0) -> _Sweep:
+        if self.cap is None or np.any(theta > self.cap):
+            self._build(theta)
+        k, n = self.wdt.shape
+        slack = theta[self.part] - self.cost
+        np.maximum(slack, 0.0, out=slack)
+        # per candidate, its particles in index order: the dense column sum
+        scores = np.bincount(self.cand, weights=slack, minlength=k)
+        gamma = scores > theta0
+        active = slack > 0.0
+        active &= gamma[self.cand]
+        cover = np.bincount(self.part[active], minlength=n)
+        neg = np.minimum(0.0, theta0 - scores)
+        dual_neg = 0.0
+        for start in range(0, k, SUM_CHUNK):
+            dual_neg += float(neg[start:start + SUM_CHUNK].sum())
+        return _Sweep(gamma, cover, scores, dual_neg, active)
 
 
-def _sweep(wd, theta, theta0, executor=None, scratch=None, beta=None):
-    """Inner solution summary over all candidates: per-candidate selection,
-    per-particle cover counts, scores, and the negative dual part. Blocks
-    are reduced in index order regardless of the executor. With beta given
-    (a boolean (N, K) array), the inner assignment is written into it."""
-    n, k = wd.shape
-    if scratch is None:
-        scratch = _scratch_for(wd)
-
-    def run(s):
-        stop = min(s + SWEEP_BLOCK, k)
-        return _sweep_block(
-            wd[:, s:stop],
-            theta,
-            theta0,
-            scratch.block(stop - s),
-            None if beta is None else beta[:, s:stop],
-        )
-
-    starts = range(0, k, SWEEP_BLOCK)
-    # a single block gains nothing from a worker round trip
-    if executor is None or len(starts) == 1:
-        parts = [run(s) for s in starts]
-    else:
-        parts = list(executor.map(run, starts))
-    gamma = np.concatenate([p[0] for p in parts])
-    cover = np.zeros(n)
-    for p in parts:
-        cover += p[1]
-    scores = np.concatenate([p[2] for p in parts])
-    dual_neg = 0.0
-    for p in parts:
-        dual_neg += p[3]
-    return gamma, cover, scores, dual_neg
+def _screen(instance: SelectionInstance) -> _Screen:
+    return _Screen(instance.stacked_weighted_costs().T)
 
 
 def _check_state(instance: SelectionInstance, state: DualState):
@@ -211,19 +208,18 @@ def inner_solution(instance: SelectionInstance, state: DualState):
     the zero branch.
     """
     _check_state(instance, state)
-    wd = instance.stacked_weighted_costs()
-    beta = np.empty(wd.shape, dtype=bool)
-    gamma, _, _, _ = _sweep(wd, state.theta, state.theta0, beta=beta)
-    return gamma.astype(np.int8), beta
+    screen = _screen(instance)
+    inner = screen.sweep(state.theta, state.theta0)
+    beta = np.zeros((instance.n_particles, instance.n_candidates), dtype=bool)
+    beta[screen.part[inner.active], screen.cand[inner.active]] = True
+    return inner.gamma.astype(np.int8), beta
 
 
 def dual_value(instance: SelectionInstance, state: DualState) -> float:
     """L_D(theta) by the closed form."""
     _check_state(instance, state)
-    wd = instance.stacked_weighted_costs()
-    _, _, _, dual_neg = _sweep(wd, state.theta, state.theta0)
     return (
-        dual_neg
+        _screen(instance).sweep(state.theta, state.theta0).dual_neg
         + float(state.theta.sum())
         - instance.budget * state.theta0
     )
@@ -244,23 +240,22 @@ def batch_subgradient(instance: SelectionInstance, state: DualState, batch):
     batch sums by K/B so they are unbiased under uniform batch draws.
     """
     _check_state(instance, state)
-    wd = instance.stacked_weighted_costs()
+    wdt = instance.stacked_weighted_costs().T
     cols = np.asarray(batch, dtype=np.intp)
-    sel, cover, _, _ = _sweep(wd[:, cols], state.theta, state.theta0)
-    scale = wd.shape[1] / len(cols)
-    g0 = scale * float(np.sum(sel)) - instance.budget
-    g = 1.0 - scale * cover
+    inner = _Screen(wdt[cols]).sweep(state.theta, state.theta0)
+    scale = len(wdt) / len(cols)
+    g0 = scale * float(np.sum(inner.gamma)) - instance.budget
+    g = 1.0 - scale * inner.cover
     return g0, g
 
 
 def initial_state(instance: SelectionInstance) -> DualState:
     """Starting multipliers: theta_si at each particle's cheapest weighted
-    cost, theta0 at half the budget-th largest initial score."""
-    wd = instance.stacked_weighted_costs()
-    theta = wd.min(axis=1)
-    _, _, scores, _ = _sweep(wd, theta, 0.0)
-    kth = np.sort(scores)[-instance.budget]
-    return DualState(theta0=max(0.0, float(kth) / 2.0), theta=theta)
+    cost, theta0 at half the budget-th largest score there. That score is
+    0: at theta_si = min_k w_s d_sik no slack theta_si - w_s d_sik is
+    positive, so every score is 0 and theta0 starts at 0.0."""
+    theta = instance.stacked_weighted_costs().T.min(axis=0)
+    return DualState(theta0=0.0, theta=theta)
 
 
 def _repair_with_scores(gamma, scores, theta0, budget: int):
@@ -285,8 +280,7 @@ def repair_feasibility(
     lowest index.
     """
     _check_state(instance, state)
-    wd = instance.stacked_weighted_costs()
-    _, _, scores, _ = _sweep(wd, state.theta, state.theta0)
+    scores = _screen(instance).sweep(state.theta, state.theta0).scores
     return _repair_with_scores(gamma, scores, state.theta0, budget)
 
 
@@ -329,17 +323,10 @@ def run_subgradient(
     "stabilized" when g_j = 0 or lambda falls below LAMBDA_FLOOR, and
     otherwise "max_iter". The returned gamma is the selection that gives UB.
     """
-    wd = instance.stacked_weighted_costs()
     m_budget = instance.budget
-    # one sweep buffer per worker thread for the whole solve
-    scratch = _scratch_for(wd)
-
+    # one screen for the whole solve, rebuilt only when theta outgrows it
+    screen = _screen(instance)
     state = initial_state(instance)
-    executor = (
-        ThreadPoolExecutor(max_workers=config.threads)
-        if config.threads > 1
-        else None
-    )
     hist_dual, hist_primal, hist_sum, hist_alpha = [], [], [], []
     hist_theta0, hist_ms = [], []
     best_dual = -math.inf
@@ -347,50 +334,46 @@ def run_subgradient(
     step_scale, stall = 1.0, 0
     stop_reason = "max_iter"
     t0 = time.perf_counter()
-    try:
-        for _ in range(config.max_iter):
-            gamma, cover, scores, dual_neg = _sweep(
-                wd, state.theta, state.theta0, executor, scratch
+    for _ in range(config.max_iter):
+        gamma, cover, scores, dual_neg, _ = screen.sweep(
+            state.theta, state.theta0
+        )
+        dual = dual_neg + float(state.theta.sum()) - m_budget * state.theta0
+        sum_gamma = int(gamma.sum())
+        if sum_gamma:
+            feasible = _repair_with_scores(
+                gamma, scores, state.theta0, m_budget
             )
-            dual = dual_neg + float(state.theta.sum()) - m_budget * state.theta0
-            sum_gamma = int(gamma.sum())
-            if sum_gamma:
-                feasible = _repair_with_scores(
-                    gamma, scores, state.theta0, m_budget
-                )
-            else:
-                feasible = np.zeros(len(gamma), dtype=np.int8)
-                feasible[np.argsort(-scores, kind="stable")[:m_budget]] = 1
-            objective = instance.objective(feasible)
-            if objective < upper:
-                upper, best_gamma = objective, feasible
-            if dual > best_dual:
-                best_dual, stall = dual, 0
-            else:
-                stall += 1
-                if stall == STALL_ITERS:
-                    step_scale, stall = step_scale / 2.0, 0
-            g0 = float(sum_gamma - m_budget)
-            g = 1.0 - cover
-            norm2 = g0 * g0 + float(g @ g)
-            alpha = step_scale * (upper - dual) / norm2 if norm2 > 0 else 0.0
-            hist_dual.append(dual)
-            hist_primal.append(upper)
-            hist_sum.append(sum_gamma)
-            hist_alpha.append(alpha)
-            hist_theta0.append(state.theta0)
-            hist_ms.append((time.perf_counter() - t0) * 1e3)
-            if upper - best_dual <= CERT_TOL * upper:
-                stop_reason = "certified"
-                break
-            if norm2 == 0 or step_scale < LAMBDA_FLOOR:
-                stop_reason = "stabilized"
-                break
-            state.theta0 = max(0.0, state.theta0 + alpha * g0)
-            state.theta = state.theta + alpha * g
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        else:
+            feasible = np.zeros(len(gamma), dtype=np.int8)
+            feasible[np.argsort(-scores, kind="stable")[:m_budget]] = 1
+        objective = instance.objective(feasible)
+        if objective < upper:
+            upper, best_gamma = objective, feasible
+        if dual > best_dual:
+            best_dual, stall = dual, 0
+        else:
+            stall += 1
+            if stall == STALL_ITERS:
+                step_scale, stall = step_scale / 2.0, 0
+        g0 = float(sum_gamma - m_budget)
+        g = 1.0 - cover
+        norm2 = g0 * g0 + float(g @ g)
+        alpha = step_scale * (upper - dual) / norm2 if norm2 > 0 else 0.0
+        hist_dual.append(dual)
+        hist_primal.append(upper)
+        hist_sum.append(sum_gamma)
+        hist_alpha.append(alpha)
+        hist_theta0.append(state.theta0)
+        hist_ms.append((time.perf_counter() - t0) * 1e3)
+        if upper - best_dual <= CERT_TOL * upper:
+            stop_reason = "certified"
+            break
+        if norm2 == 0 or step_scale < LAMBDA_FLOOR:
+            stop_reason = "stabilized"
+            break
+        state.theta0 = max(0.0, state.theta0 + alpha * g0)
+        state.theta = state.theta + alpha * g
 
     return SelectionResult(
         gamma=best_gamma,

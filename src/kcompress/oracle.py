@@ -3,8 +3,8 @@
 A SelectionInstance holds per-source particle clouds with group weights
 w_s = lambda_s / n_s, a candidate set of K points, the order p, and a budget
 M on the number of selected candidates. From these it builds, once, the one
-matrix every solver reads: the weighted costs w_s * d(x_si, zeta_k)^p of all
-particles stacked in group order. solve_exact enumerates candidate subsets
+matrix every solver reads: the weighted costs w_s * d(x_si, zeta_k)^p, one
+row per candidate and one column per particle, particles in group order. solve_exact enumerates candidate subsets
 outright and is guarded to tiny sizes; it exists so the dual method has an
 independent optimum to be checked against.
 """
@@ -36,9 +36,10 @@ class SelectionInstance:
 
     weights[s] is the per-particle weight w_s of group s (so the group's
     total mass is weights[s] * len(clouds[s]) and all masses sum to 1).
-    The read-only (N, K) weighted cost matrix, row (s, i) holding
+    The read-only weighted cost matrix, entry (k, (s, i)) holding
     w_s * d(x_si, zeta_k)^p, follows from the points and order and is
-    built when the instance is.
+    built when the instance is. It is stored candidate-major, (K, N), so
+    the rows of a selection are contiguous.
     """
 
     weights: np.ndarray
@@ -47,6 +48,7 @@ class SelectionInstance:
     order: float
     budget: int
     sources: np.ndarray | None = None
+    _wdt: np.ndarray = field(init=False, repr=False, compare=False)
     _wd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,16 +80,18 @@ class SelectionInstance:
                 raise LengthMismatchError("one source point per group required")
             object.__setattr__(self, "sources", sources)
         order = float(self.order)
-        wd = np.vstack([
-            pairwise_cost(cloud, candidates, order).entries * w
-            for w, cloud in zip(weights, clouds)
-        ])
-        wd.flags.writeable = False
+        wdt = np.empty((k, int(sizes.sum())))
+        ends = np.cumsum(sizes)
+        for w, cloud, end in zip(weights, clouds, ends):
+            np.multiply(pairwise_cost(candidates, cloud, order).entries, w,
+                        out=wdt[:, end - len(cloud):end])
+        wdt.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "clouds", clouds)
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_wd", wd)
+        object.__setattr__(self, "_wdt", wdt)
+        object.__setattr__(self, "_wd", wdt.T)
 
     @classmethod
     def build(
@@ -122,20 +126,22 @@ class SelectionInstance:
 
     def stacked_weighted_costs(self) -> np.ndarray:
         """The read-only (N, K) matrix of w_s * d_sik, rows in group order;
-        every call returns the same array."""
+        every call returns the same array. It is a view of the stored
+        candidate-major matrix, so its transpose is that C-contiguous
+        (K, N) array."""
         return self._wd
 
     def objective(self, gamma) -> float:
         """Selection objective of the 0/1 vector gamma: each particle's
         cheapest weighted cost over the selected candidates, summed."""
-        return float(self._wd[:, np.flatnonzero(gamma)].min(axis=1).sum())
+        return float(self._wdt[np.flatnonzero(gamma)].min(axis=0).sum())
 
     def nearest(self, gamma) -> tuple:
         """Per group, each particle's cheapest selected candidate (absolute
         index) by the weighted costs objective reads; ties go to the lowest
         index."""
         sel = np.flatnonzero(gamma)
-        cols = sel[np.argmin(self._wd[:, sel], axis=1)]
+        cols = sel[np.argmin(self._wdt[sel], axis=0)]
         return tuple(np.split(cols, np.cumsum(self.group_sizes())[:-1]))
 
 

@@ -7,6 +7,7 @@ from kcompress.core import (
     DiscreteDistribution,
     DiscreteKernel,
     compose_marginal,
+    distance_power,
     distribution_from_dict,
     distribution_to_dict,
     kernel_from_dict,
@@ -325,6 +326,40 @@ def test_pairwise_cost_blocked_matches_unblocked(monkeypatch):
     monkeypatch.setattr("kcompress.core._BLOCK", 4)
     blocked = pairwise_cost(a, b, 1.7).entries
     np.testing.assert_array_equal(full, blocked)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_pairwise_cost_agrees_with_distance_power(dim):
+    # plan costs come from distance_power on the assigned differences, so
+    # they must be the very entries of the cost matrix
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(23, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+    b = rng.normal(size=(11, dim))
+    for p in (1.0, 1.5, 2.0, 3.0):
+        np.testing.assert_array_equal(
+            pairwise_cost(a, b, p).entries,
+            distance_power(a[:, None, :] - b[None, :, :], p),
+        )
+
+
+def _einsum_cost(a, b, p):
+    diff = a[:, None, :] - b[None, :, :]
+    sq = np.einsum("...d,...d->...", diff, diff)
+    if p == 2:
+        return sq
+    return np.sqrt(sq) if p == 1 else np.sqrt(sq) ** p
+
+
+def test_pairwise_cost_matches_einsum_form_up_to_two_dims():
+    rng = np.random.default_rng(11)
+    for case in range(200):
+        dim = 1 + case % 2
+        a = rng.normal(size=(rng.integers(1, 30), dim))
+        b = rng.normal(size=(rng.integers(1, 30), dim)) * rng.uniform(0.1, 50)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            np.testing.assert_array_equal(
+                pairwise_cost(a, b, p).entries, _einsum_cost(a, b, p)
+            )
 
 
 def test_distribution_json_round_trip():

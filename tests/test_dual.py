@@ -1,4 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +8,7 @@ from kcompress.core import DiscreteDistribution, pairwise_cost
 from kcompress.dual import (
     CERT_TOL,
     STALL_ITERS,
-    SWEEP_BLOCK,
+    SUM_CHUNK,
     DualState,
     SelectionResult,
     SolverConfig,
@@ -21,7 +20,8 @@ from kcompress.dual import (
     repair_feasibility,
     run_subgradient,
     subgradient,
-    _sweep,
+    _repair_with_scores,
+    _Screen,
 )
 from kcompress.errors import NegativeGapError, ValidationError
 from kcompress.generators import (
@@ -30,7 +30,7 @@ from kcompress.generators import (
     sobol_lattice,
 )
 from kcompress.oracle import SelectionInstance, solve_exact
-from kcompress.pipeline import build_stage_instance
+from kcompress.pipeline import build_stage_instance, stage_candidates
 
 
 def _zero_state(instance):
@@ -180,23 +180,33 @@ def test_weak_duality_random_multipliers():
 
 
 # ---------------------------------------------------------------------------
-# the fused sweep kernel
+# the screened sweep kernel
 # ---------------------------------------------------------------------------
 
-def _reference_sweep(wd, theta, theta0):
-    """The unfused per-block formula: a fresh slack array and a boolean
-    cover mask per block, blocks reduced in index order."""
-    n, k = wd.shape
-    gamma, scores, cover, dual_neg = [], [], np.zeros(n), 0.0
-    for s in range(0, k, SWEEP_BLOCK):
-        slack = theta[:, None] - wd[:, s : s + SWEEP_BLOCK]
-        block_scores = np.maximum(slack, 0.0).sum(axis=0)
-        sel = block_scores > theta0
-        cover += ((slack > 0.0) & sel[None, :]).sum(axis=1).astype(np.float64)
-        dual_neg += float(np.minimum(0.0, theta0 - block_scores).sum())
-        gamma.append(sel)
-        scores.append(block_scores)
-    return np.concatenate(gamma), cover, np.concatenate(scores), dual_neg
+def _dense_sweep(wd, theta, theta0):
+    """The dense formula over an (N, K) matrix: every slack
+    max(0, theta_si - w_s d_sik), scores summed particle by particle in
+    index order, cover counted over the selected candidates, and the
+    negative dual part summed in SUM_CHUNK-candidate chunks in order."""
+    slack = np.maximum(theta[:, None] - wd, 0.0)
+    scores = np.zeros(wd.shape[1])
+    for row in slack:
+        scores += row
+    gamma = scores > theta0
+    cover = ((slack > 0.0) & gamma[None, :]).sum(axis=1)
+    neg = np.minimum(0.0, theta0 - scores)
+    dual_neg = 0.0
+    for start in range(0, len(neg), SUM_CHUNK):
+        dual_neg += float(neg[start:start + SUM_CHUNK].sum())
+    return gamma, cover, scores, dual_neg
+
+
+def _assert_sweep_is_dense(got, wd, theta, theta0):
+    expected = _dense_sweep(wd, theta, theta0)
+    for a, b in zip(got[:3], expected[:3]):
+        np.testing.assert_array_equal(a, b)
+    assert got.dual_neg == expected[3]
+    return expected
 
 
 @pytest.mark.parametrize("k", [1, 511, 512, 513, 1500])
@@ -204,21 +214,79 @@ def test_fused_sweep_matches_reference(k):
     rng = np.random.default_rng(k)
     wd = rng.uniform(0.0, 1.0, size=(37, k)) / 37
     theta = rng.uniform(-0.005, 0.03, size=37)
-    scores = np.maximum(theta[:, None] - wd, 0.0).sum(axis=0)
+    scores = _dense_sweep(wd, theta, 0.0)[2]
     # a threshold inside the score range, so some candidates are selected
     theta0 = float(np.quantile(scores, 0.7)) if k > 1 else scores[0] / 2
-    expected = _reference_sweep(wd, theta, theta0)
+    screen = _Screen(np.ascontiguousarray(wd.T))
+    expected = _assert_sweep_is_dense(
+        screen.sweep(theta, theta0), wd, theta, theta0
+    )
     assert expected[0].any() and expected[1].any()
-    for threads in (1, 2, 4):
-        executor = ThreadPoolExecutor(threads) if threads > 1 else None
-        try:
-            got = _sweep(wd, theta, theta0, executor)
-        finally:
-            if executor is not None:
-                executor.shutdown()
-        for a, b in zip(got[:3], expected[:3]):
-            np.testing.assert_array_equal(a, b)
-        assert got[3] == expected[3]
+    # at theta0 = 0 every positive score enters the dual part's sum
+    _assert_sweep_is_dense(screen.sweep(theta, 0.0), wd, theta, 0.0)
+    # a smaller theta reuses the screen and still sweeps exactly
+    cap = screen.cap
+    smaller = theta * rng.uniform(0.5, 1.0, size=37)
+    _assert_sweep_is_dense(screen.sweep(smaller, theta0), wd, smaller, theta0)
+    assert screen.cap is cap
+
+
+def test_screen_is_exact_at_caps_ties_and_nonpositive_rows():
+    rng = np.random.default_rng(30)
+    n, k = 40, 300
+    wd = rng.uniform(0.0, 1.0, size=(n, k)) / n
+    wd[3, :] = 0.0  # a particle on top of every candidate
+    screen = _Screen(np.ascontiguousarray(wd.T))
+    start = wd.min(axis=1) * 1.5
+    _assert_sweep_is_dense(screen.sweep(start, 0.0), wd, start, 0.0)
+    built = screen.cap
+
+    theta = start.copy()
+    theta[:5] = [0.0, -0.0, -0.01, 0.0, -1.0]  # rows with theta <= 0
+    theta[5:10] = wd[5:10].min(axis=1)  # ties w d == theta
+    theta0 = 0.001
+    _assert_sweep_is_dense(screen.sweep(theta, theta0), wd, theta, theta0)
+    assert screen.cap is built  # theta stayed under the caps
+
+    # a row above its cap: the screen is rebuilt, and stays exact
+    theta[20] = 2.5 * built[20] + 0.01
+    theta[3] = 0.02
+    theta[11:15] = wd[11:15, 100]  # ties away from the row minima
+    _assert_sweep_is_dense(screen.sweep(theta, theta0), wd, theta, theta0)
+    assert screen.cap is not built
+    np.testing.assert_array_equal(screen.cap, 2.0 * np.maximum(theta, 0.0))
+    assert screen.cap[3] > 0.0
+
+
+def test_initial_state_is_the_dense_formula():
+    """theta0 starts at half the budget-th largest score at the row
+    minima, which is always 0."""
+    rng = np.random.default_rng(31)
+    instances = [random_tiny_instance(rng) for _ in range(100)]
+    instances += [_mixture_instance(20, 64, 10, seed) for seed in range(3)]
+    for inst in instances:
+        wd = inst.stacked_weighted_costs()
+        theta = wd.min(axis=1)
+        scores = _dense_sweep(wd, theta, 0.0)[2]
+        kth = np.sort(scores)[-inst.budget]
+        state = initial_state(inst)
+        np.testing.assert_array_equal(state.theta, theta)
+        assert state.theta0 == max(0.0, float(kth) / 2.0) == 0.0
+
+
+def test_batch_subgradient_is_the_dense_formula():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        inst = random_tiny_instance(rng, max_k=10)
+        state = _random_state(rng, inst, scale=0.5)
+        k = inst.n_candidates
+        cols = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        g0, g = batch_subgradient(inst, state, cols)
+        wd = inst.stacked_weighted_costs()[:, cols]
+        sel, cover, _, _ = _dense_sweep(wd, state.theta, state.theta0)
+        scale = k / len(cols)
+        assert g0 == scale * float(sel.sum()) - inst.budget
+        np.testing.assert_array_equal(g, 1.0 - scale * cover)
 
 
 def test_inner_solution_matches_unfused_formula():
@@ -412,6 +480,95 @@ def _replay_polyak(inst, result):
     return step_scale
 
 
+def _dense_run(inst, max_iter=5000):
+    """run_subgradient's ascent written out over the dense (N, K) matrix:
+    the dense initial state and sweep, the dense objective, and the same
+    repair, step and stopping rules. Returns the histories and the answer."""
+    wd = np.ascontiguousarray(inst.stacked_weighted_costs())
+    m = inst.budget
+    theta = wd.min(axis=1)
+    kth = np.sort(_dense_sweep(wd, theta, 0.0)[2])[-m]
+    theta0 = max(0.0, float(kth) / 2.0)
+    hist = {"dual": [], "primal": [], "sum_gamma": [], "alpha": [],
+            "theta0": []}
+    best, upper, best_gamma = -np.inf, np.inf, None
+    step_scale, stall, stop = 1.0, 0, "max_iter"
+    for _ in range(max_iter):
+        gamma, cover, scores, dual_neg = _dense_sweep(wd, theta, theta0)
+        dual = dual_neg + float(theta.sum()) - m * theta0
+        if gamma.any():
+            feasible = _repair_with_scores(gamma, scores, theta0, m)
+        else:
+            feasible = np.zeros(len(gamma), dtype=np.int8)
+            feasible[np.argsort(-scores, kind="stable")[:m]] = 1
+        objective = float(wd[:, feasible == 1].min(axis=1).sum())
+        if objective < upper:
+            upper, best_gamma = objective, feasible
+        if dual > best:
+            best, stall = dual, 0
+        else:
+            stall += 1
+            if stall == STALL_ITERS:
+                step_scale, stall = step_scale / 2.0, 0
+        g0 = float(gamma.sum() - m)
+        g = 1.0 - cover
+        norm2 = g0 * g0 + float(g @ g)
+        alpha = step_scale * (upper - dual) / norm2 if norm2 > 0 else 0.0
+        for key, value in zip(hist, (dual, upper, int(gamma.sum()), alpha,
+                                     theta0)):
+            hist[key].append(value)
+        if upper - best <= CERT_TOL * upper:
+            stop = "certified"
+            break
+        if norm2 == 0 or step_scale < 1e-6:
+            stop = "stabilized"
+            break
+        theta0 = max(0.0, theta0 + alpha * g0)
+        theta = theta + alpha * g
+    return hist, best_gamma, upper, best, stop
+
+
+def _assert_is_dense_run(inst, result):
+    hist, gamma, objective, best, stop = _dense_run(inst)
+    for key, values in hist.items():
+        np.testing.assert_array_equal(
+            getattr(result, f"history_{key}"), values, err_msg=key
+        )
+    np.testing.assert_array_equal(result.gamma, gamma)
+    assert (result.objective, result.best_dual, result.stop_reason) == (
+        objective, best, stop
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_desk_run_is_the_dense_ascent(seed):
+    inst = _mixture_instance(100, 256, 51, seed)
+    _assert_is_dense_run(inst, run_subgradient(inst, SolverConfig()))
+
+
+def test_subsample_run_is_the_dense_ascent(monkeypatch):
+    # candidates on particles: their zero costs keep caps at 0 until theta
+    # rises, so the screen is rebuilt again and again
+    components = demo_mixture()
+    marginal = DiscreteDistribution(
+        np.array([c.mean for c in components]), np.full(5, 0.2)
+    )
+    clouds = sample_gaussian_mixture(components, 40, 4)
+    candidates = stage_candidates(
+        clouds, 100, "subsample", 0.05, None, np.random.default_rng(4)
+    )
+    inst = build_stage_instance(marginal, clouds, candidates, 1.0, 20)
+    builds = []
+    build = _Screen._build
+    monkeypatch.setattr(
+        _Screen, "_build",
+        lambda self, theta: builds.append(1) or build(self, theta),
+    )
+    result = run_subgradient(inst, SolverConfig())
+    assert len(builds) > 20
+    _assert_is_dense_run(inst, result)
+
+
 def test_history_shapes_and_best_dual():
     rng = np.random.default_rng(15)
     inst = random_tiny_instance(rng)
@@ -449,8 +606,8 @@ def _assert_same_run(a, b):
 
 
 def test_multiblock_run_is_deterministic_across_threads():
-    # three sweep blocks, so the worker pool takes part
-    inst = _mixture_instance(10, 2 * SWEEP_BLOCK + 100, 11)
+    # three chunks of the dual sum
+    inst = _mixture_instance(10, 2 * SUM_CHUNK + 100, 11)
     _assert_same_run(*(
         run_subgradient(inst, SolverConfig(max_iter=200, threads=t))
         for t in (1, 4)
