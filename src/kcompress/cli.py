@@ -21,7 +21,6 @@ KC_LOG={error,info,debug} controls logging verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -40,6 +39,7 @@ from .core import (
     DiscreteDistribution,
     distribution_to_dict,
     kernel_to_dict,
+    write_csv,
 )
 from .dual import SolverConfig
 from .errors import ConfigError, KCompressError, ValidationError
@@ -450,28 +450,19 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
-def _point_rows(points, prefix=()):
-    # csv writes a Python float as its repr
-    return [[*prefix, *p] for p in points.tolist()]
-
-
 def _coord_header(dim: int):
     return [f"x{i}" for i in range(dim)]
 
 
+def _write_points(path: Path, points):
+    write_csv(path, _coord_header(points.shape[1]), zip(*points.T.tolist()))
+
+
 def _write_samples(path: Path, clouds):
     """The clouds' points, each row led by its cloud's index."""
-    _write_csv(path, ["group"] + _coord_header(clouds[0].shape[1]),
-               (row for s, cloud in enumerate(clouds)
-                for row in _point_rows(cloud, prefix=(s,))))
+    groups = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
+    write_csv(path, ["group"] + _coord_header(clouds[0].shape[1]),
+              zip(groups.tolist(), *np.concatenate(clouds).T.tolist()))
 
 
 def _write_stage(cfg: ExperimentConfig, tag: str, stage):
@@ -489,7 +480,7 @@ def _write_stage(cfg: ExperimentConfig, tag: str, stage):
             result.history_elapsed_ms, result.history_primal, gaps,
         )),
     )
-    _write_csv(
+    write_csv(
         cfg.out / f"diagnostics_{tag}.csv",
         ["j", "dual", "sum_gamma", "alpha", "theta0", "elapsed_ms", "primal",
          "gap"],
@@ -499,16 +490,9 @@ def _write_stage(cfg: ExperimentConfig, tag: str, stage):
         return
     _write_samples(cfg.out / f"samples_{tag}.csv", stage.instance.clouds)
     candidates = stage.instance.candidates
-    header = _coord_header(candidates.shape[1])
-    _write_csv(cfg.out / f"candidates_{tag}.csv", header,
-               _point_rows(candidates))
-    _write_csv(cfg.out / f"selected_{tag}.csv", header,
-               _point_rows(candidates[np.flatnonzero(result.gamma)]))
-
-
-def _write_plan(path: Path, columns, masses):
-    rows = zip(range(len(columns)), columns.tolist(), masses.tolist())
-    _write_csv(path, ["i", "k", "mass"], rows)
+    _write_points(cfg.out / f"candidates_{tag}.csv", candidates)
+    _write_points(cfg.out / f"selected_{tag}.csv",
+                  candidates[np.flatnonzero(result.gamma)])
 
 
 def _write_metadata(cfg: ExperimentConfig, wall: float, extra=None):
@@ -570,16 +554,11 @@ def _sample_clouds(cfg: ExperimentConfig, seed: int):
     )
 
 
-def run_generate(cfg: ExperimentConfig):
-    start = time.perf_counter()
+def run_generate(cfg: ExperimentConfig, start: float):
     for seed in cfg.seeds:
         clouds = _sample_clouds(cfg, seed)
         for s, cloud in enumerate(clouds):
-            _write_csv(
-                cfg.out / f"cloud_{s:02d}_seed{seed}.csv",
-                _coord_header(cloud.shape[1]),
-                _point_rows(cloud),
-            )
+            _write_points(cfg.out / f"cloud_{s:02d}_seed{seed}.csv", cloud)
         # the empirical kernel: each component mean to its own cloud
         kernel = {
             "sources": [c.mean.tolist() for c in cfg.components],
@@ -598,8 +577,16 @@ def run_generate(cfg: ExperimentConfig):
     _write_metadata(cfg, time.perf_counter() - start)
 
 
-def run_select(cfg: ExperimentConfig):
-    start = time.perf_counter()
+def _phases(start: float) -> dict:
+    """Seconds spent in each part of a select or pipeline run: config_s to
+    read and check the config (up to now), stage_s to compress the stages
+    and write_s to form and write the artifacts but metadata.json."""
+    return {"config_s": time.perf_counter() - start, "stage_s": 0.0,
+            "write_s": 0.0}
+
+
+def run_select(cfg: ExperimentConfig, start: float):
+    phases = _phases(start)
     summary = []
     marginal = DiscreteDistribution(
         [c.mean for c in cfg.components], cfg.mixture_weights
@@ -617,10 +604,12 @@ def run_select(cfg: ExperimentConfig):
         )
         stage = compress_stage(marginal, clouds, candidates, cfg.order,
                                cfg.budget, cfg.solver_config(seed), started)
+        phases["stage_s"] += stage.wall_s
+        writing = time.perf_counter()
         instance, result = stage.instance, stage.result
         # the nearest-assignment coupling is an optimal plan between the
         # pooled clouds and the composed marginal (see assignment_plan)
-        columns, masses, costs = assignment_plan(instance, result.beta_assignment)
+        columns, masses, costs = assignment_plan(stage)
         plan_value = float(np.sum(masses * costs))
         composed_distance = (
             plan_value ** (1.0 / cfg.order) if plan_value > 0 else 0.0
@@ -648,25 +637,31 @@ def run_select(cfg: ExperimentConfig):
         }
         _write_json(cfg.out / f"result_seed{seed}.json", payload)
         _write_stage(cfg, f"seed{seed}", stage)
-        summary.append([
+        summary.append((
             seed, instance.dim_beta, instance.dim_gamma,
-            repr(round(stage.wall_s, 6)), repr(float(stage.delta)),
-            repr(float(result.gap)), result.stop_reason,
-        ])
+            round(stage.wall_s, 6), float(stage.delta), float(result.gap),
+            result.stop_reason,
+        ))
         if cfg.emit_plot_data:
-            _write_plan(cfg.out / f"plan_seed{seed}.csv", columns, masses)
+            write_csv(cfg.out / f"plan_seed{seed}.csv", ["i", "k", "mass"],
+                      zip(range(len(columns)), columns.tolist(),
+                          masses.tolist()))
+        phases["write_s"] += time.perf_counter() - writing
         log.info(
             "select seed=%d: distance=%.6f gap=%.3e (%s) sum_gamma=%d"
             " wall=%.2fs", seed, stage.delta, result.gap, result.stop_reason,
             int(result.gamma.sum()), stage.wall_s,
         )
-    _write_csv(
+    writing = time.perf_counter()
+    write_csv(
         cfg.out / "summary.csv",
         ["seed", "dim_beta", "dim_gamma", "wall_time_s", "distance", "gap",
          "stop_reason"],
         summary,
     )
-    _write_metadata(cfg, time.perf_counter() - start)
+    end = time.perf_counter()
+    phases["write_s"] += end - writing
+    _write_metadata(cfg, end - start, {"phases": phases})
 
 
 def _walk_system(spec: dict) -> GenerativeSystem:
@@ -679,8 +674,8 @@ def _walk_system(spec: dict) -> GenerativeSystem:
     return GenerativeSystem(x0, sampler)
 
 
-def run_pipeline(cfg: ExperimentConfig):
-    start = time.perf_counter()
+def run_pipeline(cfg: ExperimentConfig, start: float):
+    phases = _phases(start)
     summary = []
     for seed in cfg.seeds:
         stages = []
@@ -694,7 +689,9 @@ def run_pipeline(cfg: ExperimentConfig):
             box=cfg.candidate_box,
             on_stage=stages.append,
         )
-        wall = time.perf_counter() - t0
+        writing = time.perf_counter()
+        wall = writing - t0
+        phases["stage_s"] += wall
         _write_json(
             cfg.out / f"system_seed{seed}.json", system_to_dict(approx)
         )
@@ -711,29 +708,32 @@ def run_pipeline(cfg: ExperimentConfig):
             _write_stage(cfg, f"stage{t}_seed{seed}", stage)
             result = stage.result
             solve = float(result.history_elapsed_ms[-1]) / 1000.0
-            summary.append([
+            summary.append((
                 seed, t, stage.instance.dim_beta, stage.instance.dim_gamma,
-                repr(round(stage.wall_s, 6)), repr(round(solve, 6)),
-                repr(float(stage.delta)), repr(float(result.gap)),
-                result.stop_reason,
-            ])
+                round(stage.wall_s, 6), round(solve, 6), float(stage.delta),
+                float(result.gap), result.stop_reason,
+            ))
             log.info(
                 "pipeline seed=%d stage=%d: delta=%.6f gap=%.3e (%s)"
                 " support=%d", seed, t, stage.delta, result.gap,
                 result.stop_reason, len(stage.marginal),
             )
+        phases["write_s"] += time.perf_counter() - writing
         log.info("pipeline seed=%d: wall=%.2fs", seed, wall)
-    _write_csv(
+    writing = time.perf_counter()
+    write_csv(
         cfg.out / "summary.csv",
         ["seed", "stage", "dim_beta", "dim_gamma", "wall_time_s", "solve_s",
          "delta", "gap", "stop_reason"],
         summary,
     )
-    _write_metadata(cfg, time.perf_counter() - start)
+    end = time.perf_counter()
+    phases["write_s"] += end - writing
+    _write_metadata(cfg, end - start, {"phases": phases})
 
 
-def run_evaluate(cfg: ExperimentConfig):
-    start = time.perf_counter()
+def run_evaluate(cfg: ExperimentConfig, start: float):
+    loading = time.perf_counter()
     system = load_system(cfg.system_path)
     decoded = time.perf_counter()
     horizon = system.horizon
@@ -777,7 +777,7 @@ def run_evaluate(cfg: ExperimentConfig):
     )
     end = time.perf_counter()
     phases = {
-        "decode_s": decoded - start,
+        "decode_s": decoded - loading,
         "evaluate_s": writing - evaluating,
         "write_s": end - writing,
     }
@@ -794,6 +794,7 @@ def run_evaluate(cfg: ExperimentConfig):
 
 def run_experiment(config_path, overrides=None) -> int:
     """Load, validate, and execute one experiment config; returns 0."""
+    start = time.perf_counter()
     cfg = load_config(config_path, overrides)
     cfg.out.mkdir(parents=True, exist_ok=True)
     runner = {
@@ -802,7 +803,7 @@ def run_experiment(config_path, overrides=None) -> int:
         "pipeline": run_pipeline,
         "evaluate": run_evaluate,
     }[cfg.mode]
-    runner(cfg)
+    runner(cfg, start)
     return 0
 
 
@@ -811,21 +812,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kcompress",
         description="Compress empirical Markov kernels onto small supports.",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODES:
-        p = sub.add_parser(mode, help=f"run an experiment in {mode} mode")
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="single seed")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="solver.threads (checked, not used by the solver)"
-        )
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--emit-plot-data",
-            action="store_true",
-            help="write sample/candidate/selected CSVs",
-        )
+    parser.add_argument("mode", choices=_MODES)
+    parser.add_argument("--config", default=None, help="JSON config path")
+    parser.add_argument("--seed", type=int, default=None, help="single seed")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="solver.threads (checked, not used by the solver)"
+    )
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument(
+        "--emit-plot-data",
+        action="store_true",
+        help="write sample/candidate/selected CSVs",
+    )
     return parser
 
 

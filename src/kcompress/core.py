@@ -14,6 +14,7 @@ p-th powers of distances, which is what pairwise_cost produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
 )
 
 WEIGHT_TOL = 1e-12
+CSV_BLOCK_ROWS = 128
 
 
 def as_points(points) -> np.ndarray:
@@ -348,7 +350,7 @@ def pairwise_cost(a, b, order: float) -> CostMatrix:
 
 
 # ---------------------------------------------------------------------------
-# JSON schema helpers
+# artifact formats: JSON schema helpers and the CSV writer
 # ---------------------------------------------------------------------------
 
 def distribution_to_dict(dist: DiscreteDistribution) -> dict:
@@ -373,3 +375,23 @@ def kernel_from_dict(data: dict) -> DiscreteKernel:
     rows = (SimpleNamespace(support=r["support"], weights=r["weights"])
             for r in data["rows"])
     return DiscreteKernel.from_rows(data["sources"], rows)
+
+
+def write_csv(path, header, rows):
+    """Write header and rows, tuples of ints, floats and strings as long as
+    the header, with csv.writer's bytes in UTF-8, CSV_BLOCK_ROWS rows at a
+    time. A row of another length raises TypeError, and a field that csv
+    would quote (holding ',', '"', '\r' or '\n', or the empty only field
+    of a row) ValueError."""
+    width = len(header)
+    line = ",".join(["%s"] * width) + "\r\n"
+    rows = chain([tuple(header)], rows)
+    with open(path, "wb") as fh:
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            data = "".join(map(line.__mod__, block)).encode()
+            # each line holds width - 1 commas, a "\r" and a "\n" of its own
+            special = len(data) - len(data.translate(None, b',"\r\n'))
+            if special != len(block) * (width + 1) or (
+                    width == 1 and b"\n\r\n" in b"\n" + data):
+                raise ValueError(f"{path}: a field needs CSV quoting")
+            fh.write(data)

@@ -113,22 +113,18 @@ def demo_mixture():
 
 def _direction_integers(dim_index: int) -> np.ndarray:
     """Direction integers v_1..v_NBITS (already shifted) for one dimension."""
-    v = np.zeros(_NBITS, dtype=np.uint64)
-    if dim_index == 0:
-        for i in range(_NBITS):
-            v[i] = np.uint64(1) << np.uint64(_NBITS - 1 - i)
-        return v
-    s, a, m_init = _JOE_KUO[dim_index - 1]
-    m = list(m_init)
+    # dimension one, van der Corput, has every m_i = 1
+    s, a, m = ((_NBITS, 0, (1,) * _NBITS) if dim_index == 0
+               else _JOE_KUO[dim_index - 1])
+    m = list(m)
     for i in range(s, _NBITS):
         new = m[i - s] ^ (m[i - s] << s)
         for j in range(1, s):
             if (a >> (s - 1 - j)) & 1:
                 new ^= m[i - j] << j
         m.append(new)
-    for i in range(_NBITS):
-        v[i] = np.uint64(m[i]) << np.uint64(_NBITS - 1 - i)
-    return v
+    return np.array([mi << (_NBITS - 1 - i) for i, mi in enumerate(m)],
+                    dtype=np.uint64)
 
 
 def sobol_unit(dim: int, count: int) -> np.ndarray:
@@ -142,12 +138,12 @@ def sobol_unit(dim: int, count: int) -> np.ndarray:
     if count > 2**_NBITS:
         raise ValidationError("count exceeds the 32-bit sequence length")
     directions = np.stack([_direction_integers(d) for d in range(dim)])
+    # point n is point n-1 xor the direction of n's lowest set bit, whose
+    # index frexp reads off exactly from the power of two n & -n
+    n = np.arange(1, count, dtype=np.int64)
+    lowest = np.frexp((n & -n).astype(np.float64))[1] - 1
     out = np.zeros((count, dim), dtype=np.uint64)
-    state = np.zeros(dim, dtype=np.uint64)
-    for n in range(1, count):
-        c = (n & -n).bit_length() - 1
-        state ^= directions[:, c]
-        out[n] = state
+    np.bitwise_xor.accumulate(directions[:, lowest].T, axis=0, out=out[1:])
     return out.astype(np.float64) / _SCALE
 
 

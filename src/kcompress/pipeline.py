@@ -120,18 +120,19 @@ def _assigned_support(instance: SelectionInstance, assignment):
 
 
 def implied_kernel(
-    instance: SelectionInstance, gamma, assignment
+    instance: SelectionInstance, gamma, assignment, assigned=None
 ) -> DiscreteKernel:
     """Kernel whose row weights are per-source assignment fractions.
 
     The support is the candidates that received an assignment, in index
     order, coinciding points merged. Requires the instance to carry source
-    coordinates (build_stage_instance attaches them).
+    coordinates (build_stage_instance attaches them). assigned is
+    _assigned_support(instance, assignment) when the caller has it.
     """
     sources = instance.sources
     if sources is None:
         raise SourceMismatchError("instance carries no source coordinates")
-    used, support, columns = _assigned_support(instance, assignment)
+    used, support, columns = assigned or _assigned_support(instance, assignment)
     if not np.all(np.asarray(gamma)[used]):
         raise UnselectedAssignmentError(
             "assignment references unselected candidates"
@@ -144,12 +145,12 @@ def implied_kernel(
     )
 
 
-def assignment_plan(instance: SelectionInstance, assignment):
-    """The coupling behind implied_kernel: each particle, in flat group
+def assignment_plan(stage: Stage):
+    """The coupling behind the stage's kernel: each particle, in flat group
     order, sends its whole group weight w_s to its assigned candidate.
 
     Returns (columns, masses, costs), one entry per particle: the column
-    of the assigned candidate in implied_kernel's support, w_s, and
+    of the assigned candidate in the kernel's support, w_s, and
     d(x_si, zeta_k)^p. The first marginal is the pooled weighted clouds and
     the second is the marginal composed through implied_kernel. With every
     particle on its nearest selected candidate (as run_subgradient assigns
@@ -157,12 +158,12 @@ def assignment_plan(instance: SelectionInstance, assignment):
     sum_i w_i min_k d^p of any coupling onto the selection, so the coupling
     is optimal and its cost is the selection objective.
     """
-    _, _, columns = _assigned_support(instance, assignment)
-    assigned = instance.candidates[np.concatenate(assignment)]
+    instance, result = stage.instance, stage.result
+    assigned = instance.candidates[np.concatenate(result.beta_assignment)]
     costs = distance_power(np.concatenate(instance.clouds) - assigned,
                            instance.order)
     masses = np.repeat(instance.weights, instance.group_sizes())
-    return columns, masses, costs
+    return stage.columns, masses, costs
 
 
 def candidate_lattice(clouds, count: int, margin: float = 0.05) -> np.ndarray:
@@ -205,8 +206,9 @@ def stage_candidates(clouds, count: int, mode: str, margin: float, box,
 class Stage:
     """One compressed stage: the selection instance and its solve, the
     implied kernel, the marginal composed through it, the achieved error
-    delta (objective ** (1/order)) and the stage's wall time in seconds,
-    from the start of its sampling to the end of the composition."""
+    delta (objective ** (1/order)), the stage's wall time in seconds, from
+    the start of its sampling to the end of the composition, and each
+    particle's column in the kernel's support, in flat group order."""
 
     instance: SelectionInstance
     result: SelectionResult
@@ -214,6 +216,7 @@ class Stage:
     marginal: DiscreteDistribution
     delta: float
     wall_s: float
+    columns: np.ndarray
 
 
 def compress_stage(marginal: DiscreteDistribution, clouds, candidates,
@@ -227,11 +230,13 @@ def compress_stage(marginal: DiscreteDistribution, clouds, candidates,
         started = time.perf_counter()
     instance = build_stage_instance(marginal, clouds, candidates, order, budget)
     result = run_subgradient(instance, solver)
-    kernel = implied_kernel(instance, result.gamma, result.beta_assignment)
+    assigned = _assigned_support(instance, result.beta_assignment)
+    kernel = implied_kernel(instance, result.gamma, result.beta_assignment,
+                            assigned)
     composed = compose_marginal(marginal, kernel)
     return Stage(instance, result, kernel, composed,
                  result.objective ** (1.0 / order),
-                 time.perf_counter() - started)
+                 time.perf_counter() - started, assigned[2])
 
 
 def _stream(seed: int, *key):

@@ -10,13 +10,13 @@ induced by replacing kernels with approximations at stage errors Delta.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from .core import DiscreteDistribution, DiscreteSystem
+from .core import DiscreteDistribution, DiscreteSystem, write_csv
 from .errors import (
     IndexRangeError,
     InvalidKappaError,
@@ -120,14 +120,15 @@ def write_values_csv(path, supports, values):
     """Columns t, x0..x{dim-1}, value: one row per distinct point of each
     stage, sorted by coordinates, with the coordinates of its first
     occurrence and the value of its last; floats in full precision."""
-    rows = [["t"] + [f"x{i}" for i in range(supports[0].shape[1])] + ["value"]]
-    for t, (points, vals) in enumerate(zip(supports, values)):
-        _, first = np.unique(points + 0.0, axis=0, return_index=True)
-        last = lookup(points, points[first], t)
-        rows += ([t, *map(repr, p), repr(v)]
-                 for p, v in zip(points[first].tolist(), vals[last].tolist()))
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    def rows():
+        for t, (points, vals) in enumerate(zip(supports, values)):
+            _, first = np.unique(points + 0.0, axis=0, return_index=True)
+            last = lookup(points, points[first], t)
+            yield from zip(repeat(t), *points[first].T.tolist(),
+                           vals[last].tolist())
+
+    header = ["t"] + [f"x{i}" for i in range(supports[0].shape[1])]
+    write_csv(path, header + ["value"], rows())
 
 
 def error_bound(lipschitz, kernel_consts, deltas, t: int) -> float:

@@ -6,12 +6,15 @@ enumeration oracles below are pure brute force. They exist to cross-check the
 library, so they must not share code with it.
 """
 
+import csv
+import io
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from kcompress.core import DiscreteDistribution, pairwise_cost
+from kcompress.generators import _JOE_KUO
 from kcompress.oracle import SelectionInstance
 
 
@@ -202,3 +205,42 @@ def enumerate_lagrangian_min(weights, costs, budget, theta0, theta):
         val = float(np.sum(gamma * (gain + theta0))) + const
         best = min(best, val)
     return best
+
+
+def csv_module_bytes(header, rows) -> bytes:
+    """header and rows as Python's csv.writer writes them, UTF-8 encoded."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue().encode()
+
+
+def sobol_gray_code(dim, count):
+    """The first count unscrambled Sobol points, point by point: point n is
+    point n - 1 xor the direction integer of n's lowest set bit, with the
+    direction integers built from the package's Joe-Kuo table one entry at
+    a time. The per-point reference for generators.sobol_unit."""
+    nbits = 32
+    directions = np.zeros((dim, nbits), dtype=np.uint64)
+    for d in range(dim):
+        if d == 0:
+            m = [1] * nbits
+        else:
+            s, a, m_init = _JOE_KUO[d - 1]
+            m = list(m_init)
+            for i in range(s, nbits):
+                new = m[i - s] ^ (m[i - s] << s)
+                for j in range(1, s):
+                    if (a >> (s - 1 - j)) & 1:
+                        new ^= m[i - j] << j
+                m.append(new)
+        for i in range(nbits):
+            directions[d, i] = np.uint64(m[i]) << np.uint64(nbits - 1 - i)
+    out = np.zeros((count, dim), dtype=np.uint64)
+    state = np.zeros(dim, dtype=np.uint64)
+    for n in range(1, count):
+        c = (n & -n).bit_length() - 1
+        state ^= directions[:, c]
+        out[n] = state
+    return out.astype(np.float64) / float(2**nbits)

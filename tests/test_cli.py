@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import ragged_system_dict
+from helpers import csv_module_bytes, ragged_system_dict
+from kcompress import cli, risk
 from kcompress.cli import (
     ExperimentConfig,
     cost_function,
@@ -12,7 +14,7 @@ from kcompress.cli import (
     main,
     parse_overrides,
 )
-from kcompress.core import DiscreteDistribution
+from kcompress.core import DiscreteDistribution, write_csv
 from kcompress.errors import ConfigError
 from kcompress.transport import wasserstein_exact
 
@@ -38,6 +40,14 @@ def select_config(out, seeds=(3,), k=24, m=6, n=25, max_iter=150):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def assert_phases(meta, *names):
+    """metadata.json times the named phases, which fit in the wall time."""
+    phases = meta["phases"]
+    assert set(phases) == set(names)
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= meta["wall_time_s"]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +375,7 @@ def test_select_artifacts_and_summary(tmp_path):
 
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["mode"] == "select"
-    assert "wall_time_s" in meta
+    assert_phases(meta, "config_s", "stage_s", "write_s")
 
 
 def test_select_subsample_candidates_are_particles(tmp_path):
@@ -451,6 +461,96 @@ def test_seed_flag_overrides_seed_list(tmp_path):
     assert not (out / "result_seed1.json").exists()
 
 
+def test_options_may_precede_the_mode(tmp_path):
+    out = tmp_path / "sel"
+    cfg_path = write_config(
+        tmp_path / "c.json", select_config(out, seeds=(1,), k=16, m=4, n=15)
+    )
+    assert main(["--seed", "3", "--threads", "1", "select",
+                 "--config", cfg_path]) == 0
+    assert (out / "result_seed3.json").exists()
+    assert not (out / "result_seed1.json").exists()
+
+
+def test_unknown_mode_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compress'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_dotted_overrides_after_the_mode(tmp_path, monkeypatch):
+    seen = []
+
+    def recording(tokens):
+        seen.append(list(tokens))
+        return parse_overrides(tokens)
+
+    monkeypatch.setattr(cli, "parse_overrides", recording)
+    out = tmp_path / "sel"
+    cfg_path = write_config(
+        tmp_path / "c.json", select_config(out, seeds=(1,), k=16, m=4, n=15)
+    )
+    assert main(["select", "--config", cfg_path, "--solver.max_iter", "3",
+                 "--budget=2", "--seed", "5", "--candidates.count", "12"]) == 0
+    assert seen == [["--solver.max_iter", "3", "--budget=2",
+                     "--candidates.count", "12"]]
+    result = json.loads((out / "result_seed5.json").read_text())
+    assert result["budget"] == 2 and result["dim_gamma"] == 12
+    assert result["iterations"] <= 3
+
+
+def test_plot_data_flag_does_not_carry_into_the_next_call(tmp_path):
+    cfg_path = write_config(
+        tmp_path / "c.json",
+        select_config(tmp_path / "unused", seeds=(1,), k=16, m=4, n=15),
+    )
+    assert main(["select", "--config", cfg_path, "--emit-plot-data",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["select", "--config", cfg_path,
+                 "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "samples_seed1.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+        "diagnostics_seed1.csv", "metadata.json", "result_seed1.json",
+        "summary.csv",
+    ]
+
+
+def test_csv_artifacts_are_csv_module_bytes(tmp_path, monkeypatch):
+    """Every CSV file of the four modes, with plot data, holds the bytes
+    csv.writer writes for the same rows."""
+    written = []
+
+    def checked(path, header, rows):
+        rows = list(rows)
+        write_csv(path, header, rows)
+        assert Path(path).read_bytes() == csv_module_bytes(header, rows)
+        written.append(Path(path))
+
+    monkeypatch.setattr(cli, "write_csv", checked)
+    monkeypatch.setattr(risk, "write_csv", checked)
+    sel = write_config(tmp_path / "s.json", select_config(
+        tmp_path / "sel", seeds=(1, 2), k=16, m=4, n=15))
+    assert main(["select", "--config", sel, "--emit-plot-data"]) == 0
+    assert main(["generate", "--config", sel, "--out", str(tmp_path / "gen"),
+                 "--emit-plot-data"]) == 0
+    assert main(["pipeline", "--out", str(tmp_path / "pipe"),
+                 "--emit-plot-data", "--system",
+                 '{"type": "gaussian_walk", "x0": [0.0, 0.0], "sigma": 0.8}',
+                 "--stages", json.dumps([{"samples_per_source": 20,
+                                          "candidate_count": 16,
+                                          "budget": 3}] * 2)]) == 0
+    assert main(["evaluate", "--out", str(tmp_path / "eval"),
+                 "--system_path", str(tmp_path / "pipe" / "system_seed0.json"),
+                 "--costs", '[{"norm": {"power": 2}}]',
+                 "--mapping", '{"type": "semideviation", "kappa": 0.5}']) == 0
+    assert sorted(written) == sorted(p for p in tmp_path.rglob("*.csv"))
+    assert {p.name for p in written} >= {
+        "plan_seed2.csv", "samples_stage1_seed0.csv", "cloud_04_seed1.csv",
+        "values.csv", "summary.csv"}
+
+
 def test_pipeline_then_evaluate(tmp_path):
     pipe_out = tmp_path / "pipe"
     pipe_cfg = write_config(
@@ -485,6 +585,8 @@ def test_pipeline_then_evaluate(tmp_path):
     for row in summary[1:]:
         # the stage's wall time covers sampling and building around the solve
         assert float(row[4]) >= float(row[5]) > 0.0
+    meta = json.loads((pipe_out / "metadata.json").read_text())
+    assert_phases(meta, "config_s", "stage_s", "write_s")
 
     eval_out = tmp_path / "eval"
     eval_cfg = write_config(
@@ -557,10 +659,7 @@ def test_evaluate_values_csv_and_phases(tmp_path):
         assert float(row[3]) == pytest.approx(value, rel=1e-12)
 
     meta = json.loads((tmp_path / "eval" / "metadata.json").read_text())
-    phases = meta["phases"]
-    assert set(phases) == {"decode_s", "evaluate_s", "write_s"}
-    assert all(v >= 0.0 for v in phases.values())
-    assert sum(phases.values()) <= meta["wall_time_s"]
+    assert_phases(meta, "decode_s", "evaluate_s", "write_s")
     # what the decode read: the file's size and the rows of all kernels
     assert meta["system_bytes"] == (tmp_path / "system.json").stat().st_size
     assert meta["kernel_rows"] == 1 + 5 + 7

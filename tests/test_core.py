@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import csv_module_bytes
 from kcompress.core import (
+    CSV_BLOCK_ROWS,
     DiscreteDistribution,
     DiscreteKernel,
     compose_marginal,
@@ -14,6 +16,7 @@ from kcompress.core import (
     kernel_to_dict,
     pairwise_cost,
     validate_distribution,
+    write_csv,
 )
 from kcompress.errors import (
     DimensionMismatchError,
@@ -384,3 +387,52 @@ def test_kernel_json_round_trip():
     np.testing.assert_array_equal(
         back.matrix, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]
     )
+
+
+# ---------------------------------------------------------------------------
+# CSV artifacts
+# ---------------------------------------------------------------------------
+
+CSV_FIELDS = [0, -7, 2**70, -0.0, 5e-324, 1e-05, 1e16, float("nan"),
+              float("inf"), -float("inf"), 0.1, -2.5e-300, "certified", "x0",
+              "", "a b", "\u00e9t\u00e9"]
+
+
+def test_write_csv_matches_csv_module(tmp_path):
+    # rows over two block boundaries, every field in every column
+    rows = [tuple(CSV_FIELDS[(i + j) % len(CSV_FIELDS)] for j in range(3))
+            for i in range(2 * CSV_BLOCK_ROWS + 5)]
+    path = tmp_path / "f.csv"
+    write_csv(path, ["a", "b", "c"], iter(rows))
+    assert path.read_bytes() == csv_module_bytes(["a", "b", "c"], rows)
+    for header, rows in ((["x"], [(1.5,), ("y",)]), (["x", "y"], [])):
+        write_csv(path, header, rows)
+        assert path.read_bytes() == csv_module_bytes(header, rows)
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "hi"', "a\rb", "a\nb",
+                                   "a\r\nb", ",", '"'])
+def test_write_csv_refuses_fields_csv_would_quote(tmp_path, field):
+    assert b'"' in csv_module_bytes(["h", "i"], [(field, 1)])
+    path = tmp_path / "f.csv"
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(path, ["h", field], [])
+    # in a later block, in the last column
+    rows = [(1, 2.0)] * CSV_BLOCK_ROWS + [(3, field)]
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(path, ["h", "i"], rows)
+
+
+def test_write_csv_refuses_an_empty_lone_field(tmp_path):
+    # csv writes '""' for it, so that the row is not an empty line
+    assert csv_module_bytes(["h"], [("",)]) == b'h\r\n""\r\n'
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(tmp_path / "f.csv", ["h"], [("x",), ("",)])
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(tmp_path / "f.csv", [""], [])
+
+
+def test_write_csv_rows_match_the_header_length(tmp_path):
+    for row in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "f.csv", ["a", "b"], [(0, 0), row])

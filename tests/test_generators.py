@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from helpers import sobol_gray_code
 from kcompress.errors import (
     DegenerateBoxError,
     DimUnsupportedError,
@@ -9,6 +10,7 @@ from kcompress.errors import (
     ValidationError,
 )
 from kcompress.generators import (
+    MAX_SOBOL_DIM,
     GaussianComponent,
     demo_mixture,
     sample_gaussian_mixture,
@@ -107,6 +109,13 @@ def test_matches_reference_sobol_generator():
         ours = sobol_unit(dim, 256)
         ref = qmc.Sobol(d=dim, scramble=False).random(256)
         np.testing.assert_array_equal(ours, ref)
+
+
+@pytest.mark.parametrize("dim", range(1, MAX_SOBOL_DIM + 1))
+def test_sobol_unit_equals_gray_code_loop(dim):
+    for count in (1, 2, 3, 255, 256, 257, 4097):
+        ours = sobol_unit(dim, count)
+        assert ours.tobytes() == sobol_gray_code(dim, count).tobytes()
 
 
 def test_box_midpoint_maps_to_zero():
