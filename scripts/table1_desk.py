@@ -1,40 +1,23 @@
 #!/usr/bin/env python3
 """Desk-scale benchmark: compress the five-component Gaussian mixture.
 
-Runs the selection solver once per seed on 100 samples per component with
-256 Sobol candidates over [-12, 12]^2 and budget 51, then prints a small
-table (distance, duality gap, iterations, stop reason, wall time) and the
-mean distance across seeds. Mirrors the summary columns the CLI writes in
-select mode. Exits 1 when any seed's solve stops short of the duality
-certificate (stop reason other than "certified").
+Runs `kcompress select` once over all seeds, on 100 samples per component
+with 256 Sobol candidates over [-12, 12]^2 and budget 51, then prints a
+small table (distance, duality gap, iterations, stop reason, wall time)
+from the run's summary.csv and result_seed*.json, and the mean distance
+across seeds. Exits with select's code when it fails, and 1 when any
+seed's solve stops short of the duality certificate (stop reason other
+than "certified").
 """
 
 import argparse
 import csv
+import json
 import sys
-import time
+import tempfile
+from pathlib import Path
 
-import numpy as np
-
-from kcompress.core import DiscreteDistribution
-from kcompress.dual import SolverConfig
-from kcompress.generators import demo_mixture, sample_gaussian_mixture
-from kcompress.pipeline import compress_stage, stage_candidates
-
-
-def run_once(seed, samples, n_candidates, budget, order, box, max_iter, threads):
-    """One desk solve; its stage's wall_s covers sampling through the
-    composed marginal."""
-    started = time.perf_counter()
-    components = demo_mixture()
-    weights = np.full(len(components), 1.0 / len(components))
-    marginal = DiscreteDistribution([c.mean for c in components], weights)
-    clouds = sample_gaussian_mixture(components, samples, seed)
-    candidates = stage_candidates(clouds, n_candidates, "lattice", 0.0, box,
-                                  None)
-    config = SolverConfig(max_iter=max_iter, seed=seed, threads=threads)
-    return compress_stage(marginal, clouds, candidates, order, budget, config,
-                          started)
+from kcompress.cli import main as kcompress
 
 
 def main(argv=None):
@@ -48,36 +31,42 @@ def main(argv=None):
                         help="x_low y_low x_high y_high")
     parser.add_argument("--max-iter", type=int, default=5000)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--out", default=None, help="optional summary CSV path")
+    parser.add_argument("--out", default=None,
+                        help="directory to keep select's artifacts in"
+                             " (default: a temporary one)")
     args = parser.parse_args(argv)
 
-    box = (np.array(args.box[:2]), np.array(args.box[2:]))
-    rows = []
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(args.out or scratch)
+        code = kcompress([
+            "select", "--out", str(out), "--threads", str(args.threads),
+            "--seeds", json.dumps(args.seeds),
+            "--mixture.samples_per_component", str(args.samples),
+            "--candidates.count", str(args.candidates),
+            "--candidates.box", json.dumps([args.box[:2], args.box[2:]]),
+            "--budget", str(args.budget), "--order", str(args.order),
+            "--solver.max_iter", str(args.max_iter),
+        ])
+        if code != 0:
+            return code
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        iterations = [
+            json.loads((out / f"result_seed{row['seed']}.json").read_text())
+            ["iterations"] for row in rows
+        ]
+
     print(f"{'seed':>6} {'dim_beta':>9} {'distance':>9} {'gap':>10} "
           f"{'iters':>6} {'stop':>10} {'wall_s':>7}")
-    for seed in args.seeds:
-        stage = run_once(
-            seed, args.samples, args.candidates, args.budget, args.order,
-            box, args.max_iter, args.threads,
-        )
-        instance, result = stage.instance, stage.result
-        print(f"{seed:>6} {instance.dim_beta:>9} {stage.delta:>9.4f} "
-              f"{result.gap:>10.2e} {result.iterations:>6} "
-              f"{result.stop_reason:>10} {stage.wall_s:>7.2f}")
-        rows.append([seed, instance.dim_beta, instance.dim_gamma,
-                     round(stage.wall_s, 4), stage.delta, result.gap,
-                     result.stop_reason])
-    mean = float(np.mean([r[4] for r in rows]))
+    for row, iters in zip(rows, iterations):
+        print(f"{row['seed']:>6} {row['dim_beta']:>9} "
+              f"{float(row['distance']):>9.4f} {float(row['gap']):>10.2e} "
+              f"{iters:>6} {row['stop_reason']:>10} "
+              f"{float(row['wall_time_s']):>7.2f}")
+    mean = sum(float(row["distance"]) for row in rows) / len(rows)
     print(f"mean distance over {len(rows)} seeds: {mean:.4f}")
-
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "dim_beta", "dim_gamma", "wall_time_s",
-                             "distance", "gap", "stop_reason"])
-            writer.writerows(rows)
-        print(f"wrote {args.out}")
-    uncertified = [r[0] for r in rows if r[6] != "certified"]
+    uncertified = [int(row["seed"]) for row in rows
+                   if row["stop_reason"] != "certified"]
     if uncertified:
         print(f"not certified: seeds {uncertified}", file=sys.stderr)
         return 1

@@ -19,7 +19,6 @@ from .core import (
     DiscreteSystem,
     compose_marginal,
     pairwise_cost,
-    validate_distribution,
 )
 from .transport import (
     TransportPlan,
@@ -59,6 +58,5 @@ __all__ = [
     "pairwise_cost",
     "run_subgradient",
     "solve_exact",
-    "validate_distribution",
     "wasserstein_exact",
 ]

@@ -15,14 +15,15 @@ artifacts into the output directory:
 * with --emit-plot-data: sample/candidate/selected point CSVs and the
   nearest-assignment transport plan (i, k, mass).
 
-KC_LOG={error,info,debug} controls logging verbosity.
+Options and overrides may come before or after MODE. Each solve, stage
+or evaluation prints an INFO line on stderr unless KC_LOG=error, which is
+read at every line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -55,14 +56,13 @@ from .pipeline import (
     system_to_dict,
 )
 from .risk import (
+    RiskMapping,
     evaluate_backward,
     expectation_mapping,
     lookup,
     semideviation_mapping,
     write_values_csv,
 )
-
-log = logging.getLogger("kcompress")
 
 _MODES = ("generate", "select", "pipeline", "evaluate")
 
@@ -234,7 +234,7 @@ class ExperimentConfig:
     candidate_mode: str
     system_path: str | None
     costs: tuple
-    mapping: dict
+    mapping: RiskMapping
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -383,6 +383,8 @@ class ExperimentConfig:
         if not 0.0 <= kappa <= 1.0:
             raise ConfigError(f"mapping.kappa must lie in [0, 1], got {kappa}",
                               "mapping.kappa")
+        mapping = (expectation_mapping() if mapping["type"] == "expectation"
+                   else semideviation_mapping(kappa))
         costs = tuple(_typed(spec, dict, f"costs[{i}]") for i, spec in
                       enumerate(_typed(data.get("costs"), list, "costs")))
         for i, spec in enumerate(costs):
@@ -538,15 +540,16 @@ def cost_function(spec: dict):
     return cost
 
 
-def _mapping_from(config: dict):
-    if config["type"] == "expectation":
-        return expectation_mapping()
-    return semideviation_mapping(float(config.get("kappa", 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------
+
+def _log(message: str, *args):
+    """One progress line, message % args, on stderr unless KC_LOG is error
+    (read at every call)."""
+    if os.environ.get("KC_LOG", "info").lower() != "error":
+        print("INFO " + message % args, file=sys.stderr)
+
 
 def _sample_clouds(cfg: ExperimentConfig, seed: int):
     return sample_gaussian_mixture(
@@ -568,7 +571,7 @@ def run_generate(cfg: ExperimentConfig, start: float):
         _write_json(cfg.out / f"empirical_kernel_seed{seed}.json", kernel)
         if cfg.emit_plot_data:
             _write_samples(cfg.out / f"samples_seed{seed}.csv", clouds)
-        log.info(
+        _log(
             "generate seed=%d: %d clouds of %d points",
             seed,
             len(clouds),
@@ -647,7 +650,7 @@ def run_select(cfg: ExperimentConfig, start: float):
                       zip(range(len(columns)), columns.tolist(),
                           masses.tolist()))
         phases["write_s"] += time.perf_counter() - writing
-        log.info(
+        _log(
             "select seed=%d: distance=%.6f gap=%.3e (%s) sum_gamma=%d"
             " wall=%.2fs", seed, stage.delta, result.gap, result.stop_reason,
             int(result.gamma.sum()), stage.wall_s,
@@ -713,13 +716,13 @@ def run_pipeline(cfg: ExperimentConfig, start: float):
                 round(stage.wall_s, 6), round(solve, 6), float(stage.delta),
                 float(result.gap), result.stop_reason,
             ))
-            log.info(
+            _log(
                 "pipeline seed=%d stage=%d: delta=%.6f gap=%.3e (%s)"
                 " support=%d", seed, t, stage.delta, result.gap,
                 result.stop_reason, len(stage.marginal),
             )
         phases["write_s"] += time.perf_counter() - writing
-        log.info("pipeline seed=%d: wall=%.2fs", seed, wall)
+        _log("pipeline seed=%d: wall=%.2fs", seed, wall)
     writing = time.perf_counter()
     write_csv(
         cfg.out / "summary.csv",
@@ -756,23 +759,22 @@ def run_evaluate(cfg: ExperimentConfig, start: float):
                 raise ConfigError(f"costs[{i}] {term}.{key} needs {dim}"
                                   f" numbers, got {raw!r}", f"costs[{i}]")
     costs = [cost_function(spec) for spec in specs]
-    sigma = _mapping_from(cfg.mapping)
     evaluating = time.perf_counter()
-    values = evaluate_backward(system, costs, sigma)
+    values = evaluate_backward(system, costs, cfg.mapping)
     writing = time.perf_counter()
     write_values_csv(cfg.out / "values.csv", system.supports, values)
     root = system.supports[0][:1]
     payload = {
-        "mapping": sigma.name,
+        "mapping": cfg.mapping.name,
         "root_state": root[0].tolist(),
         "root_value": float(values[0][lookup(system.supports[0], root, 0)[0]]),
         "stages": horizon,
     }
     _write_json(cfg.out / "evaluate_result.json", payload)
-    log.info(
+    _log(
         "evaluate: stages=%d mapping=%s root_value=%.6f",
         horizon,
-        sigma.name,
+        cfg.mapping.name,
         payload["root_value"],
     )
     end = time.perf_counter()
@@ -828,20 +830,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging():
-    level = os.environ.get("KC_LOG", "info").lower()
-    chosen = {
-        "error": logging.ERROR,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }.get(level, logging.INFO)
-    logging.basicConfig(level=chosen, format="%(levelname)s %(message)s")
+def _split_mode(tokens):
+    """MODE as a list of at most one token, and the other tokens in order:
+    MODE is the first token that is neither a --key nor that key's value
+    (a --key=value is one token)."""
+    i = 0
+    while i < len(tokens) and tokens[i].startswith("--"):
+        i += 1 if "=" in tokens[i] else 2
+    return tokens[i:i + 1], tokens[:i] + tokens[i + 1:]
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a placeholder fills the MODE slot, so argparse reads only the named
+    # options and leaves every other token, MODE among them, in order
+    args, extra = parser.parse_known_args([_MODES[0], *argv])
+    mode, extra = _split_mode(extra)
+    # argparse itself checks MODE: unknown or missing, it exits 2
+    args.mode = parser.parse_args(mode).mode
     try:
         overrides = parse_overrides(extra)
         overrides["mode"] = args.mode

@@ -270,12 +270,6 @@ class CostMatrix:
         return self.entries.shape
 
 
-def validate_distribution(support, weights) -> DiscreteDistribution:
-    """Validate and build a DiscreteDistribution (constructors reject rather
-    than silently renormalize)."""
-    return DiscreteDistribution(support, weights)
-
-
 def dirac(point) -> DiscreteDistribution:
     """The unit mass at a single point."""
     return DiscreteDistribution(as_points([np.asarray(point, dtype=float).ravel()]), [1.0])
@@ -297,11 +291,21 @@ def compose_marginal(lam: DiscreteDistribution, kernel: DiscreteKernel) -> Discr
     return DiscreteDistribution(kernel.support, weights)
 
 
-_BLOCK = 1024  # rows per pass of pairwise_cost, bounding its temporary
-
-
-def _raise_to(sq: np.ndarray, order: float) -> np.ndarray:
-    """Squared lengths to lengths^order, in place."""
+def distance_power(a, b, order: float) -> np.ndarray:
+    """|a - b|^order over the last axis, a broadcast against b: the
+    Euclidean length of each difference raised to the p-th power. The
+    squares are added coordinate by coordinate through one reused
+    difference buffer, so no (..., dim) difference array is formed; this is
+    the package's one distance kernel."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    sq = np.zeros(shape)
+    diff = np.empty(shape)
+    for j in range(a.shape[-1]):
+        np.subtract(a[..., j], b[..., j], out=diff)
+        diff *= diff
+        sq += diff
     if order != 2:
         np.sqrt(sq, out=sq)
         if order != 1:
@@ -309,25 +313,10 @@ def _raise_to(sq: np.ndarray, order: float) -> np.ndarray:
     return sq
 
 
-def distance_power(diff: np.ndarray, order: float) -> np.ndarray:
-    """|diff|^order over the last axis: the Euclidean length of each
-    difference vector raised to the p-th power. The squares are added
-    coordinate by coordinate, as pairwise_cost adds them, so both give the
-    same bits for the same pair of points."""
-    diff = np.asarray(diff, dtype=np.float64)
-    sq = np.zeros(diff.shape[:-1])
-    for j in range(diff.shape[-1]):
-        sq += diff[..., j] * diff[..., j]
-    return _raise_to(sq, order)
-
-
 def pairwise_cost(a, b, order: float) -> CostMatrix:
-    """Euclidean distances raised to the p-th power, entry (i, k) = |a_i - b_k|^p.
-
-    Squares are accumulated one coordinate at a time from outer differences,
-    so no (n, m, dim) array is formed; rows are processed in blocks to bound
-    the temporaries for large inputs.
-    """
+    """Euclidean distances raised to the p-th power, entry (i, k) = |a_i - b_k|^p,
+    by distance_power over every pair, so a cost matrix entry has the bits
+    of distance_power on that one pair."""
     if order < 1:
         raise InvalidOrderError(f"order p must be >= 1, got {order}")
     pa = as_points(a)
@@ -336,17 +325,7 @@ def pairwise_cost(a, b, order: float) -> CostMatrix:
         raise DimensionMismatchError(
             f"point dimensions differ: {pa.shape[1]} vs {pb.shape[1]}"
         )
-    out = np.zeros((len(pa), len(pb)), dtype=np.float64)
-    buf = np.empty((min(len(pa), _BLOCK), len(pb)), dtype=np.float64)
-    for start in range(0, len(pa), _BLOCK):
-        stop = min(start + _BLOCK, len(pa))
-        sq, diff = out[start:stop], buf[: stop - start]
-        for j in range(pa.shape[1]):
-            np.subtract.outer(pa[start:stop, j], pb[:, j], out=diff)
-            diff *= diff
-            sq += diff
-        _raise_to(sq, order)
-    return CostMatrix(out, order)
+    return CostMatrix(distance_power(pa[:, None], pb[None], order), order)
 
 
 # ---------------------------------------------------------------------------

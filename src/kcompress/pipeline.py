@@ -160,20 +160,24 @@ def assignment_plan(stage: Stage):
     """
     instance, result = stage.instance, stage.result
     assigned = instance.candidates[np.concatenate(result.beta_assignment)]
-    costs = distance_power(np.concatenate(instance.clouds) - assigned,
+    costs = distance_power(np.concatenate(instance.clouds), assigned,
                            instance.order)
     masses = np.repeat(instance.weights, instance.group_sizes())
     return stage.columns, masses, costs
 
 
-def candidate_lattice(clouds, count: int, margin: float = 0.05) -> np.ndarray:
-    """Sobol candidates over the pooled bounding box, expanded by `margin`
-    per side; flat directions get a unit pad so the box stays proper."""
-    pool = np.vstack([as_points(c) for c in clouds])
-    lo, hi = pool.min(axis=0), pool.max(axis=0)
-    span = hi - lo
-    pad = np.where(span > 0, margin * span, 1.0)
-    return sobol_lattice(pool.shape[1], count, (lo - pad, hi + pad))
+def candidate_lattice(clouds, count: int, margin: float = 0.05,
+                      box=None) -> np.ndarray:
+    """Sobol candidates over box, a (low, high) pair, or when box is None
+    over the pooled bounding box expanded by `margin` per side; flat
+    directions get a unit pad so the box stays proper."""
+    if box is None:
+        pool = np.vstack([as_points(c) for c in clouds])
+        lo, hi = pool.min(axis=0), pool.max(axis=0)
+        span = hi - lo
+        pad = np.where(span > 0, margin * span, 1.0)
+        box = (lo - pad, hi + pad)
+    return sobol_lattice(as_points(clouds[0]).shape[1], count, box)
 
 
 def candidate_subsample(clouds, count: int, rng) -> np.ndarray:
@@ -197,9 +201,7 @@ def stage_candidates(clouds, count: int, mode: str, margin: float, box,
         return candidate_subsample(clouds, count, rng)
     if mode != "lattice":
         raise ValidationError(f"unknown candidate mode {mode!r}")
-    if box is not None:
-        return sobol_lattice(as_points(clouds[0]).shape[1], count, box)
-    return candidate_lattice(clouds, count, margin)
+    return candidate_lattice(clouds, count, margin, box)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
@@ -472,6 +473,26 @@ def test_options_may_precede_the_mode(tmp_path):
     assert not (out / "result_seed1.json").exists()
 
 
+@pytest.mark.parametrize("before", [["--budget", "3"], ["--budget=3"]])
+def test_dotted_overrides_may_precede_the_mode(tmp_path, before):
+    out = tmp_path / "sel"
+    cfg_path = write_config(
+        tmp_path / "c.json", select_config(out, seeds=(1,), k=24, m=6, n=15)
+    )
+    assert main([*before, "--candidates.count", "16", "select",
+                 "--config", cfg_path, "--solver.max_iter", "20"]) == 0
+    result = json.loads((out / "result_seed1.json").read_text())
+    assert result["budget"] == 3 and result["dim_gamma"] == 16
+
+
+@pytest.mark.parametrize("argv", [["--budget", "3"], ["--out", "o"], []])
+def test_missing_mode_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "required: mode" in capsys.readouterr().err
+
+
 def test_unknown_mode_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compress", "--out", str(tmp_path / "o")])
@@ -747,3 +768,45 @@ def test_pipeline_config_requires_stages(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(cfg_path, {})
     assert "stages" in str(err.value)
+
+
+def test_kc_log_is_read_at_every_call(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(
+        tmp_path / "c.json",
+        select_config(tmp_path / "sel", seeds=(1,), k=16, m=4, n=15),
+    )
+    for level, printed in (("info", True), ("error", False),
+                           ("debug", True), ("ERROR", False)):
+        monkeypatch.setenv("KC_LOG", level)
+        assert main(["select", "--config", cfg_path]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("INFO select seed=1: ") == printed, (level, err)
+        assert printed or err == ""
+
+
+def _desk_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "table1_desk.py"
+    spec = importlib.util.spec_from_file_location("table1_desk", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("max_iter", [5000, 1])
+def test_desk_script_prints_the_select_run(tmp_path, capsys, max_iter):
+    code = _desk_script().main([
+        "--seeds", "0", "1", "--samples", "15", "--candidates", "16",
+        "--budget", "4", "--max-iter", str(max_iter), "--out", str(tmp_path),
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    rows = read_csv(tmp_path / "summary.csv")[1:]
+    assert len(lines) == 2 + len(rows) == 4
+    for line, row in zip(lines[1:], rows):
+        seed, dim_beta, distance, gap, iters, stop, wall = line.split()
+        result = json.loads(
+            (tmp_path / f"result_seed{row[0]}.json").read_text())
+        assert [seed, dim_beta, stop] == [row[0], row[1], row[6]]
+        assert float(distance) == round(result["distance"], 4)
+        assert int(iters) == result["iterations"] <= max_iter
+    assert code == (0 if all(r[6] == "certified" for r in rows) else 1)
+    assert code == (0 if max_iter > 1 else 1)

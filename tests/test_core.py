@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from helpers import csv_module_bytes
 from kcompress.core import (
     CSV_BLOCK_ROWS,
+    CostMatrix,
     DiscreteDistribution,
     DiscreteKernel,
+    as_points,
     compose_marginal,
     distance_power,
     distribution_from_dict,
@@ -15,7 +17,6 @@ from kcompress.core import (
     kernel_from_dict,
     kernel_to_dict,
     pairwise_cost,
-    validate_distribution,
     write_csv,
 )
 from kcompress.errors import (
@@ -30,40 +31,40 @@ from kcompress.errors import (
 
 
 def test_single_atom_distribution():
-    dist = validate_distribution([(0.0, 0.0)], [1.0])
+    dist = DiscreteDistribution([(0.0, 0.0)], [1.0])
     assert len(dist) == 1
     assert dist.dim == 2
 
 
 def test_unnormalized_weights_rejected():
     with pytest.raises(WeightsNotNormalizedError):
-        validate_distribution([(0, 0), (1, 1)], [0.5, 0.6])
+        DiscreteDistribution([(0, 0), (1, 1)], [0.5, 0.6])
 
 
 def test_uniform_two_atom():
-    dist = validate_distribution([(0, 0), (1, 1)], [0.5, 0.5])
+    dist = DiscreteDistribution([(0, 0), (1, 1)], [0.5, 0.5])
     np.testing.assert_array_equal(dist.weights, [0.5, 0.5])
 
 
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeightError):
-        validate_distribution([(0, 0), (1, 1)], [1.5, -0.5])
+        DiscreteDistribution([(0, 0), (1, 1)], [1.5, -0.5])
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatchError):
-        validate_distribution([(0, 0)], [0.5, 0.5])
+        DiscreteDistribution([(0, 0)], [0.5, 0.5])
 
 
 def test_nonfinite_rejected():
     with pytest.raises(NonFiniteError):
-        validate_distribution([(np.nan, 0)], [1.0])
+        DiscreteDistribution([(np.nan, 0)], [1.0])
     with pytest.raises(NonFiniteError):
-        validate_distribution([(0, 0)], [np.inf])
+        DiscreteDistribution([(0, 0)], [np.inf])
 
 
 def test_arrays_are_frozen():
-    dist = validate_distribution([(0, 0), (1, 1)], [0.5, 0.5])
+    dist = DiscreteDistribution([(0, 0), (1, 1)], [0.5, 0.5])
     with pytest.raises(ValueError):
         dist.weights[0] = 0.9
     with pytest.raises(ValueError):
@@ -138,14 +139,14 @@ def test_compose_adds_rows_in_order():
 
 
 def test_compose_single_source():
-    lam = validate_distribution([(0.0,)], [1.0])
+    lam = DiscreteDistribution([(0.0,)], [1.0])
     q = _kernel([(0.0,)], [([(1.0,), (2.0,)], [0.3, 0.7])])
     out = compose_marginal(lam, q)
     np.testing.assert_allclose(out.weights, [0.3, 0.7])
 
 
 def test_compose_merges_identical_rows():
-    lam = validate_distribution([(0.0,), (1.0,)], [0.5, 0.5])
+    lam = DiscreteDistribution([(0.0,), (1.0,)], [0.5, 0.5])
     q = _kernel(
         [(0.0,), (1.0,)],
         [([(5.0,)], [1.0]), ([(5.0,)], [1.0])],
@@ -158,7 +159,7 @@ def test_compose_merges_identical_rows():
 def test_compose_weighted_sum():
     """Mixture weights are lam-weighted sums of row weights, atom by atom."""
     a, b, c = (0.0, 0.0), (1.0, 0.0), (2.0, 0.0)
-    lam = validate_distribution([(0, 1), (0, 2)], [0.5, 0.5])
+    lam = DiscreteDistribution([(0, 1), (0, 2)], [0.5, 0.5])
     q = _kernel(
         [(0, 1), (0, 2)],
         [([a, b], [0.2, 0.8]), ([b, c], [0.4, 0.6])],
@@ -181,7 +182,7 @@ def test_compose_weighted_sum():
 
 
 def test_compose_source_mismatch():
-    lam = validate_distribution([(9.0,)], [1.0])
+    lam = DiscreteDistribution([(9.0,)], [1.0])
     q = _kernel([(0.0,)], [([(1.0,)], [1.0])])
     with pytest.raises(SourceMismatchError):
         compose_marginal(lam, q)
@@ -321,28 +322,42 @@ def test_pairwise_cost_symmetric_zero_diagonal(seed, p):
     np.testing.assert_allclose(c, c.T, atol=1e-12)
 
 
-def test_pairwise_cost_blocked_matches_unblocked(monkeypatch):
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(17, 2))
-    b = rng.normal(size=(9, 2))
-    full = pairwise_cost(a, b, 1.7).entries
-    monkeypatch.setattr("kcompress.core._BLOCK", 4)
-    blocked = pairwise_cost(a, b, 1.7).entries
-    np.testing.assert_array_equal(full, blocked)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_pairwise_cost_agrees_with_distance_power(dim):
-    # plan costs come from distance_power on the assigned differences, so
-    # they must be the very entries of the cost matrix
+    # plan costs come from distance_power on gathered (particle, candidate)
+    # pairs, so they must be the very entries of the cost matrix
     rng = np.random.default_rng(dim)
     a = rng.normal(size=(23, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
     b = rng.normal(size=(11, dim))
+    pick = rng.integers(0, len(b), size=len(a))
     for p in (1.0, 1.5, 2.0, 3.0):
+        entries = pairwise_cost(a, b, p).entries
         np.testing.assert_array_equal(
-            pairwise_cost(a, b, p).entries,
-            distance_power(a[:, None, :] - b[None, :, :], p),
+            entries, distance_power(a[:, None, :], b[None, :, :], p)
         )
+        np.testing.assert_array_equal(
+            entries[np.arange(len(a)), pick], distance_power(a, b[pick], p)
+        )
+        # the instance's matrix is candidate-major: pairwise_cost(b, a)
+        np.testing.assert_array_equal(entries, pairwise_cost(b, a, p).entries.T)
+
+
+@pytest.mark.parametrize("entries, order, error", [
+    ([1.0, 2.0], 1.0, DimensionMismatchError),
+    ([[[1.0]]], 1.0, DimensionMismatchError),
+    ([[0.0, np.nan]], 1.0, NonFiniteError),
+    ([[0.0, np.inf]], 1.0, NonFiniteError),
+    ([[0.0, -1e-300]], 1.0, NegativeWeightError),
+    ([[0.0, 1.0]], 0.5, InvalidOrderError),
+])
+def test_cost_matrix_rejects(entries, order, error):
+    with pytest.raises(error):
+        CostMatrix(entries, order)
+
+
+def test_as_points_rejects_a_3d_array():
+    with pytest.raises(DimensionMismatchError):
+        as_points(np.zeros((2, 3, 2)))
 
 
 def _einsum_cost(a, b, p):
@@ -366,7 +381,7 @@ def test_pairwise_cost_matches_einsum_form_up_to_two_dims():
 
 
 def test_distribution_json_round_trip():
-    dist = validate_distribution([(0, 1), (2, 3)], [0.25, 0.75])
+    dist = DiscreteDistribution([(0, 1), (2, 3)], [0.25, 0.75])
     data = distribution_to_dict(dist)
     assert data == {"support": [[0.0, 1.0], [2.0, 3.0]], "weights": [0.25, 0.75]}
     back = distribution_from_dict(data)

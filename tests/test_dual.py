@@ -23,7 +23,11 @@ from kcompress.dual import (
     _repair_with_scores,
     _Screen,
 )
-from kcompress.errors import NegativeGapError, ValidationError
+from kcompress.errors import (
+    DimensionMismatchError,
+    NegativeGapError,
+    ValidationError,
+)
 from kcompress.generators import (
     demo_mixture,
     sample_gaussian_mixture,
@@ -84,6 +88,18 @@ def test_dual_value_large_theta0():
     state = DualState(theta0=1e6, theta=theta)
     expected = theta.sum() - inst.budget * 1e6
     assert dual_value(inst, state) == pytest.approx(expected, rel=1e-12)
+
+
+def test_state_rejects_a_negative_theta0():
+    with pytest.raises(ValidationError):
+        DualState(theta0=-1e-12, theta=np.zeros(3))
+
+
+def test_dual_value_rejects_theta_of_the_wrong_length():
+    inst = random_tiny_instance(np.random.default_rng(2))
+    for n in (inst.n_particles - 1, inst.n_particles + 1):
+        with pytest.raises(DimensionMismatchError):
+            dual_value(inst, DualState(theta0=0.0, theta=np.zeros(n)))
 
 
 def test_inner_attains_enumerated_minimum():

@@ -3,7 +3,14 @@ import pytest
 
 from helpers import enumerate_selection_optimum, random_tiny_instance
 from kcompress.core import pairwise_cost
-from kcompress.errors import EnumerationGuardError, InfeasibleBudgetError
+from kcompress.errors import (
+    EmptyInstanceError,
+    EnumerationGuardError,
+    InfeasibleBudgetError,
+    LengthMismatchError,
+    NegativeWeightError,
+    WeightsNotNormalizedError,
+)
 from kcompress.oracle import SelectionInstance, solve_exact
 from kcompress.transport import assignment_distance
 
@@ -201,3 +208,28 @@ def test_nearest_and_objective_match_brute_force():
     np.testing.assert_array_equal(
         np.concatenate(tied.nearest([0, 1, 0, 1])), [1, 1, 1, 1]
     )
+
+
+_CLOUDS = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0)])
+_CANDS = [(0.0, 0.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("weights, clouds, sources, error", [
+    ([], (), None, EmptyInstanceError),
+    ([0.5], _CLOUDS, None, LengthMismatchError),
+    ([[0.25, 0.5]], _CLOUDS, None, LengthMismatchError),
+    ([0.5, 0.0], _CLOUDS, None, NegativeWeightError),
+    ([0.25, -0.5], _CLOUDS, None, NegativeWeightError),
+    ([0.5, 1.0], ([(0.0, 0.0)], np.empty((0, 2))), None, EmptyInstanceError),
+    ([0.25, 0.25], _CLOUDS, None, WeightsNotNormalizedError),
+    ([0.25, 0.5], _CLOUDS, [(0.0, 0.0)], LengthMismatchError),
+])
+def test_instance_rejects_inconsistent_groups(weights, clouds, sources, error):
+    with pytest.raises(error):
+        SelectionInstance(weights, clouds, _CANDS, 1.0, 1, sources)
+
+
+def test_instance_accepts_the_same_groups_when_consistent():
+    inst = SelectionInstance([0.25, 0.5], _CLOUDS, _CANDS, 1.0, 1,
+                             [(0.0, 0.0), (5.0, 5.0)])
+    assert inst.n_particles == 3 and inst.sources.shape == (2, 2)

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from helpers import matching_expansion_value, rational_distribution
 from kcompress.core import (
     DiscreteDistribution,
     DiscreteKernel,
     compose_marginal,
-    validate_distribution,
 )
 from kcompress.errors import (
     EmptySelectionError,
     SizeCapExceededError,
     SourceMismatchError,
 )
+from kcompress import transport
 from kcompress.transport import (
     assignment_distance,
     integrated_distance,
@@ -23,7 +24,7 @@ from kcompress.transport import (
 
 
 def _dirac(point):
-    return validate_distribution([point], [1.0])
+    return DiscreteDistribution([point], [1.0])
 
 
 def _random_distribution(rng, max_atoms=8, dim=2):
@@ -53,8 +54,8 @@ def test_identical_measures_zero_distance():
 
 
 def test_half_mass_move():
-    mu = validate_distribution([(0, 0), (1, 0)], [0.5, 0.5])
-    nu = validate_distribution([(0, 0)], [1.0])
+    mu = DiscreteDistribution([(0, 0), (1, 0)], [0.5, 0.5])
+    nu = DiscreteDistribution([(0, 0)], [1.0])
     d, plan = wasserstein_exact(mu, nu, 1)
     assert d == pytest.approx(0.5)
     np.testing.assert_allclose(plan.plan, [[0.5], [0.5]])
@@ -116,7 +117,7 @@ def test_metric_axioms():
 
 
 def test_zero_weight_atoms_dropped():
-    mu = validate_distribution([(0, 0), (99, 99)], [1.0, 0.0])
+    mu = DiscreteDistribution([(0, 0), (99, 99)], [1.0, 0.0])
     nu = _dirac((3, 4))
     d, plan = wasserstein_exact(mu, nu, 1)
     assert d == pytest.approx(5.0)
@@ -256,6 +257,23 @@ def test_integrated_two_sources_hand_value():
     assert integrated_distance(lam, q, qt, 1) == pytest.approx(2.0)
 
 
+def test_integrated_skips_a_zero_weight_source(monkeypatch):
+    sources = np.array([[0.0], [10.0]])
+    lam = DiscreteDistribution(sources, [1.0, 0.0])
+    q = DiscreteKernel.from_rows(sources, (_dirac((0.0,)), _dirac((0.0,))))
+    qt = DiscreteKernel.from_rows(sources, (_dirac((1.0,)), _dirac((50.0,))))
+    solved = []
+
+    def recording(mu, nu, p, size_cap):
+        solved.append(nu)
+        return wasserstein_exact(mu, nu, p, size_cap=size_cap)
+
+    monkeypatch.setattr(transport, "wasserstein_exact", recording)
+    assert integrated_distance(lam, q, qt, 1) == 1.0
+    assert len(solved) == 1
+    np.testing.assert_array_equal(solved[0].weights, qt.matrix[0])
+
+
 def test_integrated_source_mismatch():
     rng = np.random.default_rng(6)
     lam, q, qt = _kernel_pair(rng)
@@ -275,3 +293,43 @@ def test_outer_composition_inequality():
             compose_marginal(lam, q), compose_marginal(lam, qt), p
         )
         assert itd >= d_mix - 1e-9
+
+
+def _linprog_value(cost, supply, demand):
+    m, n = cost.shape
+    rows = np.kron(np.eye(m), np.ones(n))
+    cols = np.kron(np.ones(m), np.eye(n))
+    res = linprog(cost.ravel(), A_eq=np.vstack([rows, cols]),
+                  b_eq=np.concatenate([supply, demand]), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_bland_fallback_reaches_the_optimum(monkeypatch):
+    # uniform weights make the northwest-corner start degenerate, so with
+    # no degenerate pivot tolerated the Bland rule takes over at once
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        cost = rng.uniform(0.0, 1.0, size=(12, 9))
+        supply, demand = np.full(12, 1 / 12), np.full(9, 1 / 9)
+        default = transport._solve_transportation(cost, supply, demand)
+        rules = []
+        real_argwhere = np.argwhere
+
+        def recording(a):
+            rules.append("bland")
+            return real_argwhere(a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(transport, "_DEGENERATE_RUN_LIMIT", 0)
+            patch.setattr(transport.np, "argwhere", recording)
+            bland = transport._solve_transportation(cost, supply, demand)
+        assert rules
+        np.testing.assert_allclose(bland.sum(axis=1), supply, atol=1e-15)
+        np.testing.assert_allclose(bland.sum(axis=0), demand, atol=1e-15)
+        assert np.all(bland >= 0)
+        value = float(np.sum(cost * bland))
+        assert value == pytest.approx(float(np.sum(cost * default)),
+                                      rel=1e-12)
+        assert value == pytest.approx(_linprog_value(cost, supply, demand),
+                                      rel=1e-12)
