@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 from kcompress.cli import main as kcompress
@@ -36,8 +37,10 @@ def main(argv=None):
                              " (default: a temporary one)")
     args = parser.parse_args(argv)
 
-    with tempfile.TemporaryDirectory() as scratch:
-        out = Path(args.out or scratch)
+    directory = (nullcontext(args.out) if args.out
+                 else tempfile.TemporaryDirectory())
+    with directory as out:
+        out = Path(out)
         code = kcompress([
             "select", "--out", str(out), "--threads", str(args.threads),
             "--seeds", json.dumps(args.seeds),
