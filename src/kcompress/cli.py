@@ -108,13 +108,19 @@ def _set_path(data: dict, dotted: str, value):
 
 
 def parse_overrides(tokens) -> dict:
-    """Turn leftover ``--dotted.path value`` (or =value) tokens into a map."""
+    """Turn leftover ``--dotted.path value`` (or =value) tokens into a map.
+    The first token that is neither a --key nor that key's value is MODE,
+    kept as the ``mode`` field; a second such token is an error."""
     overrides = {}
     i = 0
     while i < len(tokens):
         token = tokens[i]
         if not token.startswith("--"):
-            raise ConfigError(f"unexpected argument {token!r}")
+            if "mode" in overrides:
+                raise ConfigError(f"unexpected argument {token!r}")
+            overrides["mode"] = token
+            i += 1
+            continue
         body = token[2:]
         if "=" in body:
             key, raw = body.split("=", 1)
@@ -812,9 +818,10 @@ def run_experiment(config_path, overrides=None) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kcompress",
+        usage="%(prog)s [options] {" + ",".join(_MODES)
+        + "} [--dotted.key VALUE ...]",
         description="Compress empirical Markov kernels onto small supports.",
     )
-    parser.add_argument("mode", choices=_MODES)
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="single seed")
     parser.add_argument(
@@ -830,28 +837,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_mode(tokens):
-    """MODE as a list of at most one token, and the other tokens in order:
-    MODE is the first token that is neither a --key nor that key's value
-    (a --key=value is one token)."""
-    i = 0
-    while i < len(tokens) and tokens[i].startswith("--"):
-        i += 1 if "=" in tokens[i] else 2
-    return tokens[i:i + 1], tokens[:i] + tokens[i + 1:]
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a placeholder fills the MODE slot, so argparse reads only the named
-    # options and leaves every other token, MODE among them, in order
-    args, extra = parser.parse_known_args([_MODES[0], *argv])
-    mode, extra = _split_mode(extra)
-    # argparse itself checks MODE: unknown or missing, it exits 2
-    args.mode = parser.parse_args(mode).mode
+    args, extra = parser.parse_known_args(argv)
     try:
         overrides = parse_overrides(extra)
-        overrides["mode"] = args.mode
+        mode = overrides.get("mode")
+        if mode not in _MODES:
+            parser.error(
+                "the following arguments are required: mode" if mode is None
+                else f"argument mode: invalid choice: {mode!r} (choose from "
+                f"{', '.join(map(repr, _MODES))})"
+            )
         if args.seed is not None:
             overrides["seeds"] = [args.seed]
         if args.threads is not None:

@@ -316,7 +316,8 @@ def distance_power(a, b, order: float) -> np.ndarray:
 def pairwise_cost(a, b, order: float) -> CostMatrix:
     """Euclidean distances raised to the p-th power, entry (i, k) = |a_i - b_k|^p,
     by distance_power over every pair, so a cost matrix entry has the bits
-    of distance_power on that one pair."""
+    of distance_power on that one pair. Its two (n, m) arrays take no more
+    memory than the result and the frozen copy CostMatrix makes of it."""
     if order < 1:
         raise InvalidOrderError(f"order p must be >= 1, got {order}")
     pa = as_points(a)

@@ -62,6 +62,13 @@ def test_overrides_parse_values_and_strings():
     assert got == {"solver.max_iter": 200, "candidates.box": None, "note": "abc"}
 
 
+def test_overrides_take_the_first_bare_token_as_mode():
+    got = parse_overrides(["--budget", "3", "select", "--seed=2", "--x", "a"])
+    assert got == {"budget": 3, "mode": "select", "seed": 2, "x": "a"}
+    with pytest.raises(ConfigError, match="unexpected argument 'pipeline'"):
+        parse_overrides(["select", "--budget", "3", "pipeline"])
+
+
 def test_override_reaches_nested_field(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", select_config(tmp_path / "o"))
     cfg = load_config(cfg_path, {"solver.max_iter": 7, "budget": 4})
@@ -515,7 +522,7 @@ def test_dotted_overrides_after_the_mode(tmp_path, monkeypatch):
     )
     assert main(["select", "--config", cfg_path, "--solver.max_iter", "3",
                  "--budget=2", "--seed", "5", "--candidates.count", "12"]) == 0
-    assert seen == [["--solver.max_iter", "3", "--budget=2",
+    assert seen == [["select", "--solver.max_iter", "3", "--budget=2",
                      "--candidates.count", "12"]]
     result = json.loads((out / "result_seed5.json").read_text())
     assert result["budget"] == 2 and result["dim_gamma"] == 12
