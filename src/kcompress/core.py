@@ -19,15 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidOrderError,
-    LengthMismatchError,
-    NegativeWeightError,
-    NonFiniteError,
-    SourceMismatchError,
-    WeightsNotNormalizedError,
-)
+from .errors import ValidationError
 
 WEIGHT_TOL = 1e-12
 CSV_BLOCK_ROWS = 128
@@ -37,17 +29,17 @@ def as_points(points) -> np.ndarray:
     """Coerce a sequence of points into a read-only (n, dim) float64 array.
 
     The data is copied, so freezing never affects the caller's array.
-    Raises NonFiniteError if any coordinate is NaN or infinite.
+    Raises ValidationError if any coordinate is NaN or infinite.
     """
     arr = np.array(points, dtype=np.float64, order="C")
     if arr.ndim == 1:
         arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 1)
     if arr.ndim != 2:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"points must form a 2-D array, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("point coordinates must be finite")
+        raise ValidationError("point coordinates must be finite")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -63,13 +55,13 @@ def _check_weights(weights: np.ndarray):
     """Finite, nonnegative, and each vector along the last axis summing to 1
     within WEIGHT_TOL."""
     if not np.all(np.isfinite(weights)):
-        raise NonFiniteError("weights must be finite")
+        raise ValidationError("weights must be finite")
     if np.any(weights < 0):
-        raise NegativeWeightError("weights must be nonnegative")
+        raise ValidationError("weights must be nonnegative")
     totals = np.sum(weights, axis=-1).ravel()
     off = totals[np.abs(totals - 1.0) > WEIGHT_TOL]
     if len(off):
-        raise WeightsNotNormalizedError(
+        raise ValidationError(
             f"weights sum to {float(off[0])!r}, expected 1 within {WEIGHT_TOL}"
         )
 
@@ -100,9 +92,9 @@ class DiscreteDistribution:
         support = as_points(self.support)
         weights = np.asarray(self.weights, dtype=np.float64)
         if weights.ndim != 1:
-            raise LengthMismatchError("weights must be a 1-D array")
+            raise ValidationError("weights must be a 1-D array")
         if len(support) != len(weights):
-            raise LengthMismatchError(
+            raise ValidationError(
                 f"{len(support)} support points but {len(weights)} weights"
             )
         _check_weights(weights)
@@ -137,7 +129,7 @@ class DiscreteKernel:
         matrix = _freeze(self.matrix)
         shape = (len(sources), len(support))
         if matrix.shape != shape:
-            raise LengthMismatchError(f"matrix {matrix.shape}, needs {shape}")
+            raise ValidationError(f"matrix {matrix.shape}, needs {shape}")
         _check_weights(matrix)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "support", support)
@@ -157,12 +149,12 @@ class DiscreteKernel:
                     blocks.append((points, []))
             blocks[-1][1].append(row.weights)
         if not blocks:
-            raise LengthMismatchError("a kernel needs at least one row")
+            raise ValidationError("a kernel needs at least one row")
         support, columns = merge_atoms(np.concatenate([b[0] for b in blocks]))
         m, n, cells, masses = len(support), 0, [], []
         for points, ws in blocks:
             if any(np.shape(w) != (len(points),) for w in ws):
-                raise LengthMismatchError("a row needs one weight per point")
+                raise ValidationError("a row needs one weight per point")
             cols, columns = columns[: len(points)], columns[len(points) :]
             cells.append(np.arange(n, n + len(ws))[:, None] * m + cols)
             masses.append(ws)
@@ -206,32 +198,32 @@ class DiscreteSystem:
         marginals = tuple(self.marginals)
         deltas = tuple(float(d) for d in self.deltas)
         if len(supports) != len(kernels) + 1:
-            raise LengthMismatchError(
+            raise ValidationError(
                 f"{len(supports)} supports need {len(supports) - 1} kernels, "
                 f"got {len(kernels)}"
             )
         for t, kernel in enumerate(kernels):
             if len(kernel) != len(supports[t]):
-                raise LengthMismatchError(
+                raise ValidationError(
                     f"kernel {t} has {len(kernel)} rows for "
                     f"{len(supports[t])} points of support {t}"
                 )
             if not np.array_equal(kernel.sources, supports[t]):
-                raise SourceMismatchError(
+                raise ValidationError(
                     f"kernel {t} sources do not match support {t}"
                 )
         if marginals and len(marginals) != len(supports):
-            raise LengthMismatchError(
+            raise ValidationError(
                 f"{len(supports)} supports need {len(supports)} marginals, "
                 f"got {len(marginals)}"
             )
         for t, marginal in enumerate(marginals):
             if not np.array_equal(marginal.support, supports[t]):
-                raise SourceMismatchError(
+                raise ValidationError(
                     f"marginal {t} does not live on support {t}"
                 )
         if deltas and len(deltas) != len(kernels):
-            raise LengthMismatchError(
+            raise ValidationError(
                 f"{len(kernels)} kernels need {len(kernels)} deltas, "
                 f"got {len(deltas)}"
             )
@@ -255,13 +247,13 @@ class CostMatrix:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.ndim != 2:
-            raise DimensionMismatchError("cost entries must be 2-D")
+            raise ValidationError("cost entries must be 2-D")
         if not np.all(np.isfinite(entries)):
-            raise NonFiniteError("cost entries must be finite")
+            raise ValidationError("cost entries must be finite")
         if np.any(entries < 0):
-            raise NegativeWeightError("cost entries must be nonnegative")
+            raise ValidationError("cost entries must be nonnegative")
         if self.order < 1:
-            raise InvalidOrderError(f"order p must be >= 1, got {self.order}")
+            raise ValidationError(f"order p must be >= 1, got {self.order}")
         object.__setattr__(self, "entries", _freeze(entries))
         object.__setattr__(self, "order", float(self.order))
 
@@ -285,7 +277,7 @@ def compose_marginal(lam: DiscreteDistribution, kernel: DiscreteKernel) -> Discr
     if lam.support.shape != kernel.sources.shape or not np.array_equal(
         lam.support, kernel.sources
     ):
-        raise SourceMismatchError("marginal support does not match kernel sources")
+        raise ValidationError("marginal support does not match kernel sources")
     # a reduction over the first axis adds the rows one after another
     weights = (lam.weights[:, None] * kernel.matrix).sum(axis=0)
     return DiscreteDistribution(kernel.support, weights)
@@ -319,11 +311,11 @@ def pairwise_cost(a, b, order: float) -> CostMatrix:
     of distance_power on that one pair. Its two (n, m) arrays take no more
     memory than the result and the frozen copy CostMatrix makes of it."""
     if order < 1:
-        raise InvalidOrderError(f"order p must be >= 1, got {order}")
+        raise ValidationError(f"order p must be >= 1, got {order}")
     pa = as_points(a)
     pb = as_points(b)
     if pa.shape[1] != pb.shape[1]:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"point dimensions differ: {pa.shape[1]} vs {pb.shape[1]}"
         )
     return CostMatrix(distance_power(pa[:, None], pb[None], order), order)

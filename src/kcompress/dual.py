@@ -39,11 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NegativeGapError,
-    ValidationError,
-)
+from .errors import KCompressError, ValidationError
 from .oracle import SelectionInstance
 
 # The negative dual part sum_k min(0, theta0 - score_k) is summed in chunks
@@ -194,7 +190,7 @@ def _screen(instance: SelectionInstance) -> _Screen:
 
 def _check_state(instance: SelectionInstance, state: DualState):
     if len(state.theta) != instance.n_particles:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"theta has {len(state.theta)} entries for "
             f"{instance.n_particles} particles"
         )
@@ -290,13 +286,13 @@ def duality_gap(objective: float, best_dual: float) -> float:
     Weak duality makes the exact gap nonnegative; a difference inside float
     tolerance is floored at zero so rounding cannot produce a spurious
     negative. A larger negative breaks weak duality, so it raises
-    NegativeGapError.
+    KCompressError.
     """
     gap = objective - best_dual
     if gap < 0.0:
         tol = 1e-9 * max(1.0, abs(objective))
         if gap <= -tol:
-            raise NegativeGapError(
+            raise KCompressError(
                 f"objective {objective!r} lies below the dual bound "
                 f"{best_dual!r} by more than {tol!r}"
             )

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all kcompress modules."""
+"""Exception classes shared by all kcompress modules.
+
+A class is added only when a caller can tell it apart by more than its
+name: a base to catch everything, a ValueError for bad input, a config
+error that names its field, a KeyError for a missing value. Each raise
+site is told apart by its message.
+"""
 
 
 class KCompressError(Exception):
@@ -9,92 +15,8 @@ class ValidationError(KCompressError, ValueError):
     """Invalid input data or parameters."""
 
 
-class NegativeWeightError(ValidationError):
-    pass
-
-
-class WeightsNotNormalizedError(ValidationError):
-    pass
-
-
-class LengthMismatchError(ValidationError):
-    pass
-
-
-class NonFiniteError(ValidationError):
-    pass
-
-
-class SourceMismatchError(ValidationError):
-    pass
-
-
-class DimensionMismatchError(ValidationError):
-    pass
-
-
-class InvalidOrderError(ValidationError):
-    pass
-
-
-class SizeCapExceededError(KCompressError):
-    pass
-
-
-class EmptySelectionError(ValidationError):
-    pass
-
-
-class EnumerationGuardError(KCompressError):
-    pass
-
-
-class InfeasibleBudgetError(ValidationError):
-    pass
-
-
-class EmptyInstanceError(ValidationError):
-    pass
-
-
-class NegativeGapError(KCompressError):
-    """A duality gap negative beyond float tolerance: weak duality broke."""
-
-
-class UnselectedAssignmentError(ValidationError):
-    pass
-
-
-class EmptyCloudError(ValidationError):
-    pass
-
-
-class StageBudgetInfeasibleError(ValidationError):
-    pass
-
-
 class MissingValueError(KCompressError, KeyError):
-    pass
-
-
-class InvalidKappaError(ValidationError):
-    pass
-
-
-class IndexRangeError(ValidationError):
-    pass
-
-
-class NotPositiveDefiniteError(ValidationError):
-    pass
-
-
-class DimUnsupportedError(ValidationError):
-    pass
-
-
-class DegenerateBoxError(ValidationError):
-    pass
+    """A point that a value table lacks."""
 
 
 class ConfigError(KCompressError):

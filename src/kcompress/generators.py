@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBoxError,
-    DimUnsupportedError,
-    NotPositiveDefiniteError,
-    ValidationError,
-)
+from .errors import ValidationError
 
 # Primitive-polynomial degree s, coefficient a, and initial m values per
 # dimension (dimensions 2..10 of the Joe-Kuo table; dimension 1 needs none).
@@ -60,11 +55,11 @@ class GaussianComponent:
                 f"covariance shape {cov.shape} does not match mean length {len(mean)}"
             )
         if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise NotPositiveDefiniteError("covariance must be symmetric")
+            raise ValidationError("covariance must be symmetric")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
+            raise ValidationError(
                 "covariance must be positive definite"
             ) from exc
         for arr in (mean, cov, chol):
@@ -130,7 +125,7 @@ def _direction_integers(dim_index: int) -> np.ndarray:
 def sobol_unit(dim: int, count: int) -> np.ndarray:
     """First `count` Sobol points in [0,1)^dim, Gray-code order, zero first."""
     if not (1 <= dim <= MAX_SOBOL_DIM):
-        raise DimUnsupportedError(
+        raise ValidationError(
             f"dim {dim} outside supported range 1..{MAX_SOBOL_DIM}"
         )
     if count < 1:
@@ -152,8 +147,8 @@ def sobol_lattice(dim: int, count: int, box) -> np.ndarray:
     low = np.asarray(box[0], dtype=np.float64).ravel()
     high = np.asarray(box[1], dtype=np.float64).ravel()
     if len(low) != dim or len(high) != dim:
-        raise DegenerateBoxError("box corners must match dim")
+        raise ValidationError("box corners must match dim")
     if np.any(low >= high):
-        raise DegenerateBoxError("box must satisfy low < high per coordinate")
+        raise ValidationError("box must satisfy low < high per coordinate")
     unit = sobol_unit(dim, count)
     return low + unit * (high - low)

@@ -17,14 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import as_points, pairwise_cost
-from .errors import (
-    EmptyInstanceError,
-    EnumerationGuardError,
-    InfeasibleBudgetError,
-    LengthMismatchError,
-    NegativeWeightError,
-    WeightsNotNormalizedError,
-)
+from .errors import KCompressError, ValidationError
 
 ENUMERATION_MAX_K = 20
 ENUMERATION_MAX_M = 6
@@ -56,28 +49,28 @@ class SelectionInstance:
         clouds = tuple(as_points(c) for c in self.clouds)
         candidates = as_points(self.candidates)
         if len(clouds) == 0:
-            raise EmptyInstanceError("no particle groups")
+            raise ValidationError("no particle groups")
         if weights.ndim != 1 or len(weights) != len(clouds):
-            raise LengthMismatchError("one weight per group required")
+            raise ValidationError("one weight per group required")
         if np.any(weights <= 0):
-            raise NegativeWeightError("group weights must be positive")
+            raise ValidationError("group weights must be positive")
         sizes = np.array([len(c) for c in clouds])
         if np.any(sizes == 0):
-            raise EmptyInstanceError("empty particle group")
+            raise ValidationError("empty particle group")
         total = float(np.sum(weights * sizes))
         if abs(total - 1.0) > 1e-12:
-            raise WeightsNotNormalizedError(
+            raise ValidationError(
                 f"sum of w_s * n_s is {total!r}, expected 1"
             )
         k = len(candidates)
         if not (1 <= self.budget <= k):
-            raise InfeasibleBudgetError(
+            raise ValidationError(
                 f"budget {self.budget} outside [1, {k}]"
             )
         if self.sources is not None:
             sources = as_points(self.sources)
             if len(sources) != len(clouds):
-                raise LengthMismatchError("one source point per group required")
+                raise ValidationError("one source point per group required")
             object.__setattr__(self, "sources", sources)
         order = float(self.order)
         wdt = np.empty((k, int(sizes.sum())))
@@ -157,7 +150,7 @@ def solve_exact(instance: SelectionInstance):
     k = instance.n_candidates
     m = instance.budget
     if k > ENUMERATION_MAX_K or m > ENUMERATION_MAX_M:
-        raise EnumerationGuardError(
+        raise KCompressError(
             f"K={k}, M={m} beyond the enumeration guard "
             f"(K<={ENUMERATION_MAX_K}, M<={ENUMERATION_MAX_M})"
         )

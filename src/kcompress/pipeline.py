@@ -31,14 +31,7 @@ from .core import (
     merge_atoms,
 )
 from .dual import SelectionResult, SolverConfig, run_subgradient
-from .errors import (
-    EmptyCloudError,
-    InfeasibleBudgetError,
-    SourceMismatchError,
-    StageBudgetInfeasibleError,
-    UnselectedAssignmentError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .generators import sobol_lattice
 from .oracle import SelectionInstance
 
@@ -59,7 +52,7 @@ class StageSpec:
         if min(self.samples_per_source, self.candidate_count, self.budget) < 1:
             raise ValidationError("stage sizes must be positive")
         if self.budget > self.candidate_count:
-            raise StageBudgetInfeasibleError(
+            raise ValidationError(
                 f"budget {self.budget} exceeds candidate count "
                 f"{self.candidate_count} at stage {self.t}"
             )
@@ -92,22 +85,19 @@ def build_stage_instance(
     """Selection instance with group weights w_s = marginal_s / cloud size."""
     clouds = [as_points(c) for c in clouds]
     if len(clouds) != len(marginal):
-        raise SourceMismatchError(
+        raise ValidationError(
             f"{len(clouds)} clouds for {len(marginal)} marginal atoms"
         )
     for cloud in clouds:
         if len(cloud) == 0:
-            raise EmptyCloudError("every source needs at least one particle")
+            raise ValidationError("every source needs at least one particle")
     groups = [
         (float(w) / len(cloud), cloud)
         for w, cloud in zip(marginal.weights, clouds)
     ]
-    try:
-        return SelectionInstance.build(
-            groups, candidates, p, budget, sources=marginal.support
-        )
-    except InfeasibleBudgetError as exc:
-        raise StageBudgetInfeasibleError(str(exc)) from exc
+    return SelectionInstance.build(
+        groups, candidates, p, budget, sources=marginal.support
+    )
 
 
 def _assigned_support(instance: SelectionInstance, assignment):
@@ -131,10 +121,10 @@ def implied_kernel(
     """
     sources = instance.sources
     if sources is None:
-        raise SourceMismatchError("instance carries no source coordinates")
+        raise ValidationError("instance carries no source coordinates")
     used, support, columns = assigned or _assigned_support(instance, assignment)
     if not np.all(np.asarray(gamma)[used]):
-        raise UnselectedAssignmentError(
+        raise ValidationError(
             "assignment references unselected candidates"
         )
     sizes = np.fromiter(map(len, assignment), dtype=np.intp)

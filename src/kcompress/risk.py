@@ -17,13 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DiscreteDistribution, DiscreteSystem, write_csv
-from .errors import (
-    IndexRangeError,
-    InvalidKappaError,
-    LengthMismatchError,
-    MissingValueError,
-    ValidationError,
-)
+from .errors import MissingValueError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ def semideviation_mapping(kappa: float) -> RiskMapping:
     """Mean plus kappa times the upper semideviation:
     sigma(x, mu, v) = E[v] + kappa * E[max(0, v - E[v])]."""
     if not 0.0 <= kappa <= 1.0:
-        raise InvalidKappaError(f"kappa must lie in [0, 1], got {kappa}")
+        raise ValidationError(f"kappa must lie in [0, 1], got {kappa}")
 
     def aggregate(matrix, values):
         mean = _row_sums(matrix * values)
@@ -101,7 +95,7 @@ def evaluate_backward(
     supports = system.supports
     horizon = system.horizon
     if len(costs) != horizon + 1:
-        raise LengthMismatchError(
+        raise ValidationError(
             f"need {horizon + 1} cost functions, got {len(costs)}"
         )
 
@@ -142,12 +136,12 @@ def error_bound(lipschitz, kernel_consts, deltas, t: int) -> float:
     D = np.asarray(deltas, dtype=np.float64)
     horizon = len(L)
     if len(D) != horizon or len(Kc) != max(horizon - 1, 0):
-        raise IndexRangeError(
+        raise ValidationError(
             f"need {horizon} deltas and {max(horizon - 1, 0)} kernel "
             f"constants for {horizon} Lipschitz constants"
         )
     if not 0 <= t <= horizon - 1:
-        raise IndexRangeError(f"stage {t} outside [0, {horizon - 1}]")
+        raise ValidationError(f"stage {t} outside [0, {horizon - 1}]")
     if min(L.min(), D.min(), Kc.min() if len(Kc) else 0.0) < 0:
         raise ValidationError("bound constants must be nonnegative")
     total = 0.0

@@ -26,13 +26,7 @@ from .core import (
     as_points,
     pairwise_cost,
 )
-from .errors import (
-    EmptySelectionError,
-    NegativeWeightError,
-    NonFiniteError,
-    SizeCapExceededError,
-    SourceMismatchError,
-)
+from .errors import KCompressError, ValidationError
 
 DEFAULT_SIZE_CAP = 2000 * 2000
 
@@ -51,9 +45,9 @@ class TransportPlan:
     def __post_init__(self):
         plan = np.asarray(self.plan, dtype=np.float64)
         if not np.all(np.isfinite(plan)):
-            raise NonFiniteError("transport plan must be finite")
+            raise ValidationError("transport plan must be finite")
         if np.any(plan < -1e-12):
-            raise NegativeWeightError("transport plan must be nonnegative")
+            raise ValidationError("transport plan must be nonnegative")
         plan = np.maximum(plan, 0.0)
         plan.flags.writeable = False
         object.__setattr__(self, "plan", plan)
@@ -235,7 +229,7 @@ def wasserstein_exact(
     keep_mu = np.flatnonzero(mu.weights > 0)
     keep_nu = np.flatnonzero(nu.weights > 0)
     if len(keep_mu) * len(keep_nu) > size_cap:
-        raise SizeCapExceededError(
+        raise KCompressError(
             f"{len(keep_mu)}x{len(keep_nu)} exceeds cap {size_cap}"
         )
     cost = pairwise_cost(mu.support[keep_mu], nu.support[keep_nu], p).entries
@@ -255,7 +249,7 @@ def assignment_distance(particles, weights, selected, p: float):
     """
     sel = as_points(selected)
     if len(sel) == 0:
-        raise EmptySelectionError("selected set must be nonempty")
+        raise ValidationError("selected set must be nonempty")
     pts = as_points(particles)
     w = np.asarray(weights, dtype=np.float64)
     cost = pairwise_cost(pts, sel, p).entries
@@ -279,7 +273,7 @@ def integrated_distance(
         if lam.support.shape != sources.shape or not np.array_equal(
             lam.support, sources
         ):
-            raise SourceMismatchError("marginal support does not match kernel sources")
+            raise ValidationError("marginal support does not match kernel sources")
     total = 0.0
     for lam_w, row, row_t in zip(lam.weights, Q.rows, Qtilde.rows):
         if lam_w == 0.0:

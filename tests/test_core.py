@@ -19,15 +19,7 @@ from kcompress.core import (
     pairwise_cost,
     write_csv,
 )
-from kcompress.errors import (
-    DimensionMismatchError,
-    InvalidOrderError,
-    LengthMismatchError,
-    NegativeWeightError,
-    NonFiniteError,
-    SourceMismatchError,
-    WeightsNotNormalizedError,
-)
+from kcompress.errors import ValidationError
 
 
 def test_single_atom_distribution():
@@ -37,7 +29,7 @@ def test_single_atom_distribution():
 
 
 def test_unnormalized_weights_rejected():
-    with pytest.raises(WeightsNotNormalizedError):
+    with pytest.raises(ValidationError, match="weights sum to 1.1"):
         DiscreteDistribution([(0, 0), (1, 1)], [0.5, 0.6])
 
 
@@ -47,19 +39,19 @@ def test_uniform_two_atom():
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(NegativeWeightError):
+    with pytest.raises(ValidationError, match="weights must be nonnegative"):
         DiscreteDistribution([(0, 0), (1, 1)], [1.5, -0.5])
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValidationError, match="1 support points but 2 weights"):
         DiscreteDistribution([(0, 0)], [0.5, 0.5])
 
 
 def test_nonfinite_rejected():
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(ValidationError, match="point coordinates must be finite"):
         DiscreteDistribution([(np.nan, 0)], [1.0])
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(ValidationError, match="weights must be finite"):
         DiscreteDistribution([(0, 0)], [np.inf])
 
 
@@ -103,19 +95,21 @@ def test_from_rows_puts_rows_on_their_union():
         np.testing.assert_array_equal(row.weights, weights)
 
 
-@pytest.mark.parametrize("matrix, error", [
-    ([[0.5, 0.5]], LengthMismatchError),
-    ([[0.5, 0.25, 0.5]], WeightsNotNormalizedError),
-    ([[1.25, -0.25, 0.0]], NegativeWeightError),
-    ([[np.nan, 0.5, 0.5]], NonFiniteError),
-])
-def test_kernel_matrix_checked(matrix, error):
-    with pytest.raises(error):
+# each case id names the kind of fault the case checks
+@pytest.mark.parametrize("matrix, match", [
+    ([[0.5, 0.5]], r"matrix \(1, 2\), needs \(1, 3\)"),
+    ([[0.5, 0.25, 0.5]], "weights sum to 1.25"),
+    ([[1.25, -0.25, 0.0]], "weights must be nonnegative"),
+    ([[np.nan, 0.5, 0.5]], "weights must be finite"),
+], ids=["matrix0-LengthMismatchError", "matrix1-WeightsNotNormalizedError",
+        "matrix2-NegativeWeightError", "matrix3-NonFiniteError"])
+def test_kernel_matrix_checked(matrix, match):
+    with pytest.raises(ValidationError, match=match):
         DiscreteKernel([[0.0]], [[1.0], [2.0], [3.0]], matrix)
 
 
 def test_from_rows_needs_one_weight_per_point():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValidationError, match="a row needs one weight per point"):
         kernel_from_dict({"sources": [[0.0]], "rows": [
             {"support": [[1.0], [2.0]], "weights": [1.0]},
         ]})
@@ -184,7 +178,8 @@ def test_compose_weighted_sum():
 def test_compose_source_mismatch():
     lam = DiscreteDistribution([(9.0,)], [1.0])
     q = _kernel([(0.0,)], [([(1.0,)], [1.0])])
-    with pytest.raises(SourceMismatchError):
+    with pytest.raises(ValidationError,
+                       match="marginal support does not match kernel sources"):
         compose_marginal(lam, q)
 
 
@@ -300,12 +295,12 @@ def test_pairwise_cost_column():
 
 
 def test_pairwise_cost_bad_order():
-    with pytest.raises(InvalidOrderError):
+    with pytest.raises(ValidationError, match="order p must be >= 1, got 0.5"):
         pairwise_cost([(0, 0)], [(1, 1)], 0.5)
 
 
 def test_pairwise_cost_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="point dimensions differ: 2 vs 3"):
         pairwise_cost([(0, 0)], [(1, 1, 1)], 1)
 
 
@@ -342,21 +337,25 @@ def test_pairwise_cost_agrees_with_distance_power(dim):
         np.testing.assert_array_equal(entries, pairwise_cost(b, a, p).entries.T)
 
 
-@pytest.mark.parametrize("entries, order, error", [
-    ([1.0, 2.0], 1.0, DimensionMismatchError),
-    ([[[1.0]]], 1.0, DimensionMismatchError),
-    ([[0.0, np.nan]], 1.0, NonFiniteError),
-    ([[0.0, np.inf]], 1.0, NonFiniteError),
-    ([[0.0, -1e-300]], 1.0, NegativeWeightError),
-    ([[0.0, 1.0]], 0.5, InvalidOrderError),
-])
-def test_cost_matrix_rejects(entries, order, error):
-    with pytest.raises(error):
+# each case id names the kind of fault the case checks
+@pytest.mark.parametrize("entries, order, match", [
+    ([1.0, 2.0], 1.0, "cost entries must be 2-D"),
+    ([[[1.0]]], 1.0, "cost entries must be 2-D"),
+    ([[0.0, np.nan]], 1.0, "cost entries must be finite"),
+    ([[0.0, np.inf]], 1.0, "cost entries must be finite"),
+    ([[0.0, -1e-300]], 1.0, "cost entries must be nonnegative"),
+    ([[0.0, 1.0]], 0.5, "order p must be >= 1, got 0.5"),
+], ids=["entries0-1.0-DimensionMismatchError",
+        "entries1-1.0-DimensionMismatchError", "entries2-1.0-NonFiniteError",
+        "entries3-1.0-NonFiniteError", "entries4-1.0-NegativeWeightError",
+        "entries5-0.5-InvalidOrderError"])
+def test_cost_matrix_rejects(entries, order, match):
+    with pytest.raises(ValidationError, match=match):
         CostMatrix(entries, order)
 
 
 def test_as_points_rejects_a_3d_array():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match=r"got shape \(2, 3, 2\)"):
         as_points(np.zeros((2, 3, 2)))
 
 

@@ -23,11 +23,7 @@ from kcompress.dual import (
     _repair_with_scores,
     _Screen,
 )
-from kcompress.errors import (
-    DimensionMismatchError,
-    NegativeGapError,
-    ValidationError,
-)
+from kcompress.errors import KCompressError, ValidationError
 from kcompress.generators import (
     demo_mixture,
     sample_gaussian_mixture,
@@ -91,14 +87,16 @@ def test_dual_value_large_theta0():
 
 
 def test_state_rejects_a_negative_theta0():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="theta0 must be nonnegative"):
         DualState(theta0=-1e-12, theta=np.zeros(3))
 
 
 def test_dual_value_rejects_theta_of_the_wrong_length():
     inst = random_tiny_instance(np.random.default_rng(2))
     for n in (inst.n_particles - 1, inst.n_particles + 1):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError,
+                           match=f"theta has {n} entries for "
+                           f"{inst.n_particles} particles"):
             dual_value(inst, DualState(theta0=0.0, theta=np.zeros(n)))
 
 
@@ -419,9 +417,9 @@ def test_gap_negative_inside_tolerance_floors_to_zero():
 
 
 def test_gap_negative_beyond_tolerance_raises():
-    with pytest.raises(NegativeGapError):
+    with pytest.raises(KCompressError, match="lies below the dual bound"):
         duality_gap(1.0, 1.0 + 2e-9)
-    with pytest.raises(NegativeGapError):
+    with pytest.raises(KCompressError, match="lies below the dual bound"):
         duality_gap(1e3, 1e3 + 2e-6)
 
 

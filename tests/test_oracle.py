@@ -3,14 +3,7 @@ import pytest
 
 from helpers import enumerate_selection_optimum, random_tiny_instance
 from kcompress.core import pairwise_cost
-from kcompress.errors import (
-    EmptyInstanceError,
-    EnumerationGuardError,
-    InfeasibleBudgetError,
-    LengthMismatchError,
-    NegativeWeightError,
-    WeightsNotNormalizedError,
-)
+from kcompress.errors import KCompressError, ValidationError
 from kcompress.oracle import SelectionInstance, solve_exact
 from kcompress.transport import assignment_distance
 
@@ -65,19 +58,20 @@ def test_enumeration_guard():
     big = SelectionInstance.build(
         [(1.0 / 4, rng.normal(size=(4, 2)))], rng.normal(size=(21, 2)), 1.0, 2
     )
-    with pytest.raises(EnumerationGuardError):
+    with pytest.raises(KCompressError,
+                       match="K=21, M=2 beyond the enumeration guard"):
         solve_exact(big)
 
 
 def test_zero_budget_rejected_at_build():
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(ValidationError, match=r"budget 0 outside \[1, 2\]"):
         SelectionInstance.build(
             [(1.0, [(0.0, 0.0)])], [(1.0, 1.0), (2.0, 2.0)], 1.0, 0
         )
 
 
 def test_budget_above_k_rejected():
-    with pytest.raises(InfeasibleBudgetError):
+    with pytest.raises(ValidationError, match=r"budget 2 outside \[1, 1\]"):
         SelectionInstance.build([(1.0, [(0.0, 0.0)])], [(1.0, 1.0)], 1.0, 2)
 
 
@@ -214,18 +208,30 @@ _CLOUDS = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0)])
 _CANDS = [(0.0, 0.0), (1.0, 1.0)]
 
 
-@pytest.mark.parametrize("weights, clouds, sources, error", [
-    ([], (), None, EmptyInstanceError),
-    ([0.5], _CLOUDS, None, LengthMismatchError),
-    ([[0.25, 0.5]], _CLOUDS, None, LengthMismatchError),
-    ([0.5, 0.0], _CLOUDS, None, NegativeWeightError),
-    ([0.25, -0.5], _CLOUDS, None, NegativeWeightError),
-    ([0.5, 1.0], ([(0.0, 0.0)], np.empty((0, 2))), None, EmptyInstanceError),
-    ([0.25, 0.25], _CLOUDS, None, WeightsNotNormalizedError),
-    ([0.25, 0.5], _CLOUDS, [(0.0, 0.0)], LengthMismatchError),
+# each case id numbers the case's inputs and names the kind of fault
+@pytest.mark.parametrize("weights, clouds, sources, match", [
+    pytest.param([], (), None, "no particle groups",
+                 id="weights0-clouds0-None-EmptyInstanceError"),
+    pytest.param([0.5], _CLOUDS, None, "one weight per group required",
+                 id="weights1-clouds1-None-LengthMismatchError"),
+    pytest.param([[0.25, 0.5]], _CLOUDS, None, "one weight per group required",
+                 id="weights2-clouds2-None-LengthMismatchError"),
+    pytest.param([0.5, 0.0], _CLOUDS, None, "group weights must be positive",
+                 id="weights3-clouds3-None-NegativeWeightError"),
+    pytest.param([0.25, -0.5], _CLOUDS, None, "group weights must be positive",
+                 id="weights4-clouds4-None-NegativeWeightError"),
+    pytest.param([0.5, 1.0], ([(0.0, 0.0)], np.empty((0, 2))), None,
+                 "empty particle group",
+                 id="weights5-clouds5-None-EmptyInstanceError"),
+    pytest.param([0.25, 0.25], _CLOUDS, None,
+                 r"sum of w_s \* n_s is 0.75, expected 1",
+                 id="weights6-clouds6-None-WeightsNotNormalizedError"),
+    pytest.param([0.25, 0.5], _CLOUDS, [(0.0, 0.0)],
+                 "one source point per group required",
+                 id="weights7-clouds7-sources7-LengthMismatchError"),
 ])
-def test_instance_rejects_inconsistent_groups(weights, clouds, sources, error):
-    with pytest.raises(error):
+def test_instance_rejects_inconsistent_groups(weights, clouds, sources, match):
+    with pytest.raises(ValidationError, match=match):
         SelectionInstance(weights, clouds, _CANDS, 1.0, 1, sources)
 
 

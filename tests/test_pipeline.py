@@ -8,16 +8,7 @@ from hypothesis import strategies as st
 from helpers import random_discrete_system, ragged_system_dict
 from kcompress.core import DiscreteDistribution, compose_marginal, dirac
 from kcompress.dual import SolverConfig, run_subgradient
-from kcompress.errors import (
-    LengthMismatchError,
-    NegativeWeightError,
-    NonFiniteError,
-    SourceMismatchError,
-    StageBudgetInfeasibleError,
-    UnselectedAssignmentError,
-    ValidationError,
-    WeightsNotNormalizedError,
-)
+from kcompress.errors import ValidationError
 from kcompress.pipeline import (
     GenerativeSystem,
     StageSpec,
@@ -72,7 +63,8 @@ def test_stage_spec_rejects_bad_sizes():
         StageSpec(-1, 5, 8, 2, 1.0)
     with pytest.raises(ValidationError):
         StageSpec(0, 5, 8, 2, 0.5)
-    with pytest.raises(StageBudgetInfeasibleError):
+    with pytest.raises(ValidationError,
+                       match="budget 9 exceeds candidate count 8 at stage 0"):
         StageSpec(0, 5, 8, 9, 1.0)
 
 
@@ -88,21 +80,20 @@ def test_build_stage_instance_weights():
 
 def test_build_stage_instance_cloud_count_mismatch():
     marginal = DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5])
-    with pytest.raises(SourceMismatchError):
+    with pytest.raises(ValidationError, match="1 clouds for 2 marginal atoms"):
         build_stage_instance(marginal, [np.zeros((4, 1))], [[0.0]], 1.0, 1)
 
 
 def test_build_stage_instance_empty_cloud():
-    from kcompress.errors import EmptyCloudError
-
     marginal = DiscreteDistribution([[0.0]], [1.0])
-    with pytest.raises(EmptyCloudError):
+    with pytest.raises(ValidationError,
+                       match="every source needs at least one particle"):
         build_stage_instance(marginal, [np.zeros((0, 1))], [[0.0]], 1.0, 1)
 
 
 def test_build_stage_instance_budget_over_candidates():
     marginal = DiscreteDistribution([[0.0]], [1.0])
-    with pytest.raises(StageBudgetInfeasibleError):
+    with pytest.raises(ValidationError, match=r"budget 3 outside \[1, 2\]"):
         build_stage_instance(marginal, [np.zeros((4, 1))], [[0.0], [1.0]], 1.0, 3)
 
 
@@ -171,7 +162,8 @@ def test_implied_kernel_rejects_unselected():
         marginal, [np.array([[0.0], [1.0]])], [[0.0], [1.0]], 1.0, 2
     )
     gamma = np.array([1, 0], dtype=np.int8)
-    with pytest.raises(UnselectedAssignmentError):
+    with pytest.raises(ValidationError,
+                       match="assignment references unselected candidates"):
         implied_kernel(inst, gamma, (np.array([0, 1]),))
 
 
@@ -181,7 +173,8 @@ def test_implied_kernel_needs_sources():
     inst = SelectionInstance.build(
         [(0.5, np.zeros((2, 1)))], [[0.0], [1.0]], 1.0, 1
     )
-    with pytest.raises(SourceMismatchError):
+    with pytest.raises(ValidationError,
+                       match="instance carries no source coordinates"):
         implied_kernel(inst, np.array([1, 0], dtype=np.int8), (np.array([0, 0]),))
 
 
@@ -629,32 +622,55 @@ def _list_root(data):
     return json.dumps([data])
 
 
-@pytest.mark.parametrize("corrupt, error", [
-    (_nan_weight, NonFiniteError),
-    (_negative_weight, NegativeWeightError),
-    (_unnormalized_row, WeightsNotNormalizedError),
-    (_length_mismatch, LengthMismatchError),
-    (_sources_differ, SourceMismatchError),
-    (_nan_support_point, NonFiniteError),
-    (_marginal_off_support, SourceMismatchError),
-    (_marginal_count, LengthMismatchError),
-    (_delta_count, LengthMismatchError),
-    (_truncated, ValueError),
-    (_trailing_garbage, ValueError),
-    (_non_string_key, ValueError),
-    (_missing_comma, ValueError),
-    (_missing_colon, ValueError),
-    (_list_root, ValidationError),
+# each case id names the corruption and the kind of fault it makes
+@pytest.mark.parametrize("corrupt, error, match", [
+    pytest.param(_nan_weight, ValidationError, "weights must be finite",
+                 id="_nan_weight-NonFiniteError"),
+    pytest.param(_negative_weight, ValidationError,
+                 "weights must be nonnegative",
+                 id="_negative_weight-NegativeWeightError"),
+    pytest.param(_unnormalized_row, ValidationError, "weights sum to 1.25",
+                 id="_unnormalized_row-WeightsNotNormalizedError"),
+    pytest.param(_length_mismatch, ValidationError,
+                 "a row needs one weight per point",
+                 id="_length_mismatch-LengthMismatchError"),
+    pytest.param(_sources_differ, ValidationError,
+                 "kernel 1 sources do not match support 1",
+                 id="_sources_differ-SourceMismatchError"),
+    pytest.param(_nan_support_point, ValidationError,
+                 "point coordinates must be finite",
+                 id="_nan_support_point-NonFiniteError"),
+    pytest.param(_marginal_off_support, ValidationError,
+                 "marginal 2 does not live on support 2",
+                 id="_marginal_off_support-SourceMismatchError"),
+    pytest.param(_marginal_count, ValidationError,
+                 "3 supports need 3 marginals, got 2",
+                 id="_marginal_count-LengthMismatchError"),
+    pytest.param(_delta_count, ValidationError,
+                 "2 kernels need 2 deltas, got 3",
+                 id="_delta_count-LengthMismatchError"),
+    pytest.param(_truncated, ValueError, None,
+                 id="_truncated-ValueError"),
+    pytest.param(_trailing_garbage, ValueError, None,
+                 id="_trailing_garbage-ValueError"),
+    pytest.param(_non_string_key, ValueError, None,
+                 id="_non_string_key-ValueError"),
+    pytest.param(_missing_comma, ValueError, None,
+                 id="_missing_comma-ValueError"),
+    pytest.param(_missing_colon, ValueError, None,
+                 id="_missing_colon-ValueError"),
+    pytest.param(_list_root, ValidationError, "a system must be a JSON object",
+                 id="_list_root-ValidationError"),
 ])
-def test_load_system_rejects_like_json_load(tmp_path, corrupt, error):
+def test_load_system_rejects_like_json_load(tmp_path, corrupt, error, match):
     data = small_system_dict()
     # corrupt edits data in place, or returns the file's text
     text = corrupt(data)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(data) if text is None else text)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         system_from_dict(json.loads(path.read_text()))
-    with pytest.raises(error) as exc:
+    with pytest.raises(error, match=match) as exc:
         load_system(path)
     assert isinstance(exc.value, ValidationError)
     if error is ValueError:  # not JSON: the error names the file

@@ -15,15 +15,7 @@ from kcompress.core import (
     compose_marginal,
     dirac,
 )
-from kcompress.errors import (
-    IndexRangeError,
-    InvalidKappaError,
-    LengthMismatchError,
-    MissingValueError,
-    NonFiniteError,
-    SourceMismatchError,
-    ValidationError,
-)
+from kcompress.errors import MissingValueError, ValidationError
 from kcompress.risk import (
     error_bound,
     evaluate_backward,
@@ -97,9 +89,9 @@ def test_semideviation_two_point():
 
 
 def test_semideviation_rejects_bad_kappa():
-    with pytest.raises(InvalidKappaError):
+    with pytest.raises(ValidationError, match="kappa must lie in .*-0.1"):
         semideviation_mapping(-0.1)
-    with pytest.raises(InvalidKappaError):
+    with pytest.raises(ValidationError, match="kappa must lie in .*1.01"):
         semideviation_mapping(1.01)
 
 
@@ -311,21 +303,23 @@ def test_row_count_checked():
     # one row for two support points: the system is refused when built, so
     # evaluate_backward never sees it
     kernel = DiscreteKernel.from_rows([[0.0]], (dirac([1.0]),))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValidationError,
+                       match="kernel 0 has 1 rows for 2 points of support 0"):
         DiscreteSystem(([[0.0], [0.5]], [[1.0]]), (kernel,))
 
 
 def test_cost_count_checked():
     system = random_discrete_system(np.random.default_rng(3), horizon=2)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValidationError, match="need 3 cost functions, got 2"):
         evaluate_backward(system, [lambda x: 0.0] * 2, expectation_mapping())
 
 
 def test_discrete_system_validates_sources():
     kernel = DiscreteKernel.from_rows([[0.0]], (dirac([1.0]),))
-    with pytest.raises(SourceMismatchError):
+    with pytest.raises(ValidationError,
+                       match="kernel 0 sources do not match support 0"):
         DiscreteSystem(([[9.0]], [[1.0]]), (kernel,))
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ValidationError, match="1 supports need 0 kernels, got 1"):
         DiscreteSystem(([[0.0]],), (kernel,))
 
 
@@ -377,16 +371,18 @@ def _delta_count(parts):
     parts[3] = (0.1, 0.2, 0.3)
 
 
-@pytest.mark.parametrize("corrupt, error", [
-    (_nan_point, NonFiniteError),
-    (_marginal_off_support, SourceMismatchError),
-    (_marginal_count, LengthMismatchError),
-    (_delta_count, LengthMismatchError),
-])
-def test_discrete_system_rejects_inconsistent_parts(corrupt, error):
+# each case id names the corruption and the kind of fault it makes
+@pytest.mark.parametrize("corrupt, match", [
+    (_nan_point, "point coordinates must be finite"),
+    (_marginal_off_support, "marginal 1 does not live on support 1"),
+    (_marginal_count, "3 supports need 3 marginals, got 2"),
+    (_delta_count, "2 kernels need 2 deltas, got 3"),
+], ids=["_nan_point-NonFiniteError", "_marginal_off_support-SourceMismatchError",
+        "_marginal_count-LengthMismatchError", "_delta_count-LengthMismatchError"])
+def test_discrete_system_rejects_inconsistent_parts(corrupt, match):
     parts = list(chain_parts())
     corrupt(parts)
-    with pytest.raises(error):
+    with pytest.raises(ValidationError, match=match):
         DiscreteSystem(*parts)
 
 
@@ -410,15 +406,17 @@ def test_bound_final_stage_single_term():
 
 
 def test_bound_index_and_sign_errors():
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(ValidationError, match=r"stage 2 outside \[0, 1\]"):
         error_bound([1.0, 1.0], [1.0], [0.1, 0.2], 2)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(ValidationError, match=r"stage -1 outside \[0, 1\]"):
         error_bound([1.0, 1.0], [1.0], [0.1, 0.2], -1)
-    with pytest.raises(IndexRangeError):
+    counts = "need 2 deltas and 1 kernel constants for 2 Lipschitz constants"
+    with pytest.raises(ValidationError, match=counts):
         error_bound([1.0, 1.0], [], [0.1, 0.2], 0)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(ValidationError, match=counts):
         error_bound([1.0, 1.0], [1.0], [0.1], 0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="bound constants must be nonnegative"):
         error_bound([1.0, -1.0], [1.0], [0.1, 0.2], 0)
 
 

@@ -10,11 +10,7 @@ from kcompress.core import (
     DiscreteKernel,
     compose_marginal,
 )
-from kcompress.errors import (
-    EmptySelectionError,
-    SizeCapExceededError,
-    SourceMismatchError,
-)
+from kcompress.errors import KCompressError, ValidationError
 from kcompress import transport
 from kcompress.transport import (
     assignment_distance,
@@ -129,7 +125,7 @@ def test_size_cap():
     rng = np.random.default_rng(1)
     mu = _random_distribution(rng, max_atoms=8)
     nu = _random_distribution(rng, max_atoms=8)
-    with pytest.raises(SizeCapExceededError):
+    with pytest.raises(KCompressError, match="exceeds cap 3"):
         wasserstein_exact(mu, nu, 1, size_cap=3)
 
 
@@ -174,7 +170,7 @@ def test_assignment_tie_lowest_index():
 
 
 def test_assignment_empty_selection():
-    with pytest.raises(EmptySelectionError):
+    with pytest.raises(ValidationError, match="selected set must be nonempty"):
         assignment_distance([(0, 0)], [1.0], np.zeros((0, 2)), 1)
 
 
@@ -278,7 +274,8 @@ def test_integrated_source_mismatch():
     rng = np.random.default_rng(6)
     lam, q, qt = _kernel_pair(rng)
     other = DiscreteDistribution(lam.support + 1.0, lam.weights)
-    with pytest.raises(SourceMismatchError):
+    with pytest.raises(ValidationError,
+                       match="marginal support does not match kernel sources"):
         integrated_distance(other, q, qt, 1)
 
 
