@@ -162,12 +162,13 @@ def _as(kind, value, field: str):
 
 
 def _typed(raw, kind, field: str):
-    """raw when it is a kind (dict: a JSON object, list: a JSON list), an
-    empty one when it is absent."""
+    """raw when it is a kind (dict: a JSON object, list: a JSON list, str,
+    bool), an empty one (False for bool) when it is absent."""
     if raw is None:
         return kind()
     if not isinstance(raw, kind):
-        name = "an object" if kind is dict else "a list"
+        name = {dict: "an object", list: "a list", str: "a string",
+                bool: "true or false"}[kind]
         raise ConfigError(f"{field} must be {name}, got {raw!r}", field)
     return raw
 
@@ -256,7 +257,12 @@ class ExperimentConfig:
                 f"mode must be one of {', '.join(_MODES)}, got {mode!r}",
                 field="mode",
             )
-        out = _require(data, "out", mode)
+        out = _typed(_require(data, "out", mode), str, "out")
+        emit_plot_data = _typed(data.get("emit_plot_data"), bool,
+                                "emit_plot_data")
+        system_path = data.get("system_path")
+        if system_path is not None:
+            _typed(system_path, str, "system_path")
         seeds = data.get("seeds", [0])
         if not isinstance(seeds, (list, tuple)) or not seeds:
             raise ConfigError("seeds must be a nonempty list", field="seeds")
@@ -333,6 +339,7 @@ class ExperimentConfig:
                 raise ConfigError(f"bad stage {i}: {exc}", at) from exc
 
         system = data.get("system")
+        dim = components[0].dim
         if mode == "pipeline":
             system = _typed(_require(data, "system", mode), dict, "system")
             if system.get("type") != "gaussian_walk":
@@ -346,7 +353,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     "gaussian_walk needs x0 and sigma > 0", field="system"
                 )
-            if _floats(system["x0"], "system.x0").size == 0:
+            dim = _floats(system["x0"], "system.x0").size
+            if dim == 0:
                 raise ConfigError("system.x0 needs a coordinate", "system.x0")
             if not stages:
                 raise ConfigError(
@@ -378,6 +386,12 @@ class ExperimentConfig:
                 if given:
                     raise ConfigError(f"{field} applies to lattice candidates"
                                       " only, not subsample", field)
+        if (mode in ("select", "pipeline") and box is not None
+                and len(box[0]) != dim):
+            raise ConfigError(
+                f"candidates.box corners need {dim} coordinates, got"
+                f" {len(box[0])}", "candidates.box"
+            )
 
         mapping = (_typed(data.get("mapping"), dict, "mapping")
                    or {"type": "expectation"})
@@ -412,7 +426,7 @@ class ExperimentConfig:
             mode=mode,
             out=Path(out),
             seeds=seeds,
-            emit_plot_data=bool(data.get("emit_plot_data", False)),
+            emit_plot_data=emit_plot_data,
             components=components,
             mixture_weights=weights,
             samples_per_component=samples,
@@ -425,7 +439,7 @@ class ExperimentConfig:
             system=system,
             stages=tuple(stages),
             candidate_mode=candidate_mode,
-            system_path=data.get("system_path"),
+            system_path=system_path,
             costs=costs,
             mapping=mapping,
         )

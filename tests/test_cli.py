@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,13 @@ def _pipeline_config(out):
       '--costs=[{"norm": {"power": Infinity}}]'], "costs[0].norm.power"),
     (["evaluate", "--system_path", "s.json",
       '--costs=[{"norm": {"power": -1}}]'], "costs[0].norm.power"),
+    (["evaluate", "--system_path", "5"], "system_path"),
+    (["evaluate", "--system_path", "0"], "system_path"),
+    (["select", "--emit_plot_data", '"no"'], "emit_plot_data"),
+    (["select", "--candidates.box", "[[0, 0, 0], [1, 1, 1]]"],
+     "candidates.box"),
+    (["pipeline", "--system.x0", "[0, 0, 0]",
+      "--candidates.box", "[[0, 0], [1, 1]]"], "candidates.box"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
     mode = argv[0]
@@ -187,9 +195,83 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
     assert main([mode, "--config", cfg_path, *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and field in err
+    assert not (tmp_path / "o").exists()
     with pytest.raises(ConfigError) as exc:
         load_config(cfg_path, parse_overrides(argv[1:]))
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("argv, field, message", [
+    (["select", "--budget.x", "1"], "budget.x",
+     "override path 'budget.x' crosses a non-object field"),
+    (["select", "--budget"], "budget", "flag --budget is missing a value"),
+    (["select", "--mixture.components", '[{"mean": [0, 0]}]'],
+     "mixture.components[0]", "bad mixture component 0: 'cov'"),
+    (["select", "--candidates.box", "[[0, 0]]"], "candidates.box",
+     "bad box [[0, 0]]"),
+    (["select", "--seeds", "[]"], "seeds", "seeds must be a nonempty list"),
+    (["select", "--mixture.samples_per_component", "0"],
+     "mixture.samples_per_component", "samples_per_component must be positive"),
+    (["select", "--margin", "-0.1"], "margin", "margin must be >= 0"),
+    (["select", "--order", "0.5"], "order", "order must be >= 1"),
+    (["select", "--candidate_mode", "grid"], "candidate_mode",
+     "candidate_mode must be lattice or subsample, got 'grid'"),
+    (["select", "--candidates.count", "null"], "candidates.count",
+     "missing required field 'candidates.count' for mode select"),
+    (["pipeline", "--stages", '[{"samples_per_source": 10, "budget": 2}]'],
+     "stages[0]", "bad stage 0: 'candidate_count'"),
+    (["pipeline", "--system.type", "ou"], "system.type",
+     "unknown system type 'ou' (supported: gaussian_walk)"),
+    (["pipeline", "--system.sigma", "0"], "system",
+     "gaussian_walk needs x0 and sigma > 0"),
+    (["pipeline", "--system.x0", "[]"], "system.x0",
+     "system.x0 needs a coordinate"),
+    (["evaluate", "--system_path", "s.json", '--costs=[{"quad": {}}]'],
+     "costs[0]", "unknown cost term 'quad'"),
+])
+def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
+                                               message):
+    # the message alone tells these checks apart, so it is pinned whole
+    mode = argv[0]
+    data = {
+        "select": select_config(tmp_path / "o"),
+        "pipeline": _pipeline_config(tmp_path / "o"),
+        "evaluate": {"mode": "evaluate", "out": str(tmp_path / "o")},
+    }[mode]
+    cfg_path = write_config(tmp_path / "c.json", data)
+    assert main([mode, "--config", cfg_path, *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    with pytest.raises(ConfigError, match=re.escape(message)) as exc:
+        load_config(cfg_path, parse_overrides(argv[1:]))
+    assert exc.value.field == field
+
+
+def test_load_config_rejects_an_unknown_mode():
+    with pytest.raises(ConfigError, match="mode must be one of generate, "
+                       "select, pipeline, evaluate, got 'fit'") as exc:
+        load_config(None, {"mode": "fit", "out": "o"})
+    assert exc.value.field == "mode"
+
+
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text("[1]")
+    assert main(["select", "--config", str(cfg_path)]) == 2
+    assert (capsys.readouterr().err
+            == "config error: config root must be a JSON object\n")
+
+
+def test_out_must_be_a_string(tmp_path, capsys, monkeypatch):
+    # argparse reads --out as a string, so only a config file can give
+    # another type
+    monkeypatch.chdir(tmp_path)
+    data = select_config(tmp_path / "o")
+    data["out"] = 123
+    cfg_path = write_config(tmp_path / "c.json", data)
+    assert main(["select", "--config", cfg_path]) == 2
+    assert (capsys.readouterr().err
+            == "config error: out must be a string, got 123\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -726,6 +808,15 @@ def test_evaluate_cost_of_wrong_dimension_exits_2(tmp_path, capsys, term):
     assert main(["evaluate", "--config", eval_cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "costs[1]" in err
+
+
+def test_evaluate_cost_count_must_fit_the_horizon(tmp_path, capsys):
+    data = ragged_system_dict(np.random.default_rng(3), [3, 2])
+    eval_cfg = _evaluate_config(tmp_path, data, costs=[{}, {}])
+    assert main(["evaluate", "--config", eval_cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: need 1 or 3 cost entries for a 2-stage system, got 2\n"
+    )
 
 
 @pytest.mark.parametrize("mangle, named", [

@@ -48,6 +48,11 @@ def test_length_mismatch_rejected():
         DiscreteDistribution([(0, 0)], [0.5, 0.5])
 
 
+def test_weights_must_be_one_dimensional():
+    with pytest.raises(ValidationError, match="weights must be a 1-D array"):
+        DiscreteDistribution([(0, 0)], [[1.0]])
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValidationError, match="point coordinates must be finite"):
         DiscreteDistribution([(np.nan, 0)], [1.0])
@@ -106,6 +111,11 @@ def test_from_rows_puts_rows_on_their_union():
 def test_kernel_matrix_checked(matrix, match):
     with pytest.raises(ValidationError, match=match):
         DiscreteKernel([[0.0]], [[1.0], [2.0], [3.0]], matrix)
+
+
+def test_from_rows_needs_a_row():
+    with pytest.raises(ValidationError, match="a kernel needs at least one row"):
+        DiscreteKernel.from_rows(np.zeros((0, 1)), ())
 
 
 def test_from_rows_needs_one_weight_per_point():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -54,6 +56,12 @@ def test_component_stream_isolated_from_count():
     only_two = sample_gaussian_mixture(comps[:2], 20, seed=3)
     np.testing.assert_array_equal(full[0], only_two[0])
     np.testing.assert_array_equal(full[1], only_two[1])
+
+
+def test_covariance_shape_must_match_the_mean():
+    with pytest.raises(ValidationError, match=re.escape(
+            "covariance shape (3, 3) does not match mean length 2")):
+        GaussianComponent([0.0, 0.0], np.eye(3))
 
 
 def test_not_positive_definite_rejected():
@@ -131,6 +139,20 @@ def test_dim_unsupported():
         sobol_unit(11, 4)
     with pytest.raises(ValidationError, match="dim 0 outside supported range"):
         sobol_unit(0, 4)
+
+
+def test_sobol_count_range():
+    with pytest.raises(ValidationError, match="count must be >= 1"):
+        sobol_unit(2, 0)
+    # refused before any array of that length is made
+    with pytest.raises(ValidationError,
+                       match="count exceeds the 32-bit sequence length"):
+        sobol_unit(1, 2**32 + 1)
+
+
+def test_box_corners_must_match_dim():
+    with pytest.raises(ValidationError, match="box corners must match dim"):
+        sobol_lattice(2, 4, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
 
 
 def test_degenerate_box():

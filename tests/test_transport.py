@@ -13,6 +13,7 @@ from kcompress.core import (
 from kcompress.errors import KCompressError, ValidationError
 from kcompress import transport
 from kcompress.transport import (
+    TransportPlan,
     assignment_distance,
     integrated_distance,
     wasserstein_exact,
@@ -119,6 +120,14 @@ def test_zero_weight_atoms_dropped():
     assert d == pytest.approx(5.0)
     # the zero-weight atom carries no mass in the expanded plan
     np.testing.assert_allclose(plan.plan, [[1.0], [0.0]])
+
+
+def test_transport_plan_must_be_finite_and_nonnegative():
+    with pytest.raises(ValidationError, match="transport plan must be finite"):
+        TransportPlan([[np.nan, 0.5]], 0.0)
+    with pytest.raises(ValidationError,
+                       match="transport plan must be nonnegative"):
+        TransportPlan([[1.0, -1e-9]], 0.0)
 
 
 def test_size_cap():
