@@ -112,6 +112,16 @@ def _pipeline_config(out):
     }
 
 
+def _mode_config(tmp_path, mode):
+    """A valid config for mode, written to c.json, with output dir o."""
+    data = {
+        "select": select_config(tmp_path / "o"),
+        "pipeline": _pipeline_config(tmp_path / "o"),
+        "evaluate": {"mode": "evaluate", "out": str(tmp_path / "o")},
+    }[mode]
+    return write_config(tmp_path / "c.json", data)
+
+
 @pytest.mark.parametrize("argv, field", [
     (["select", "--margin", "abc"], "margin"),
     (["select", "--seeds", '["x"]'], "seeds"),
@@ -186,12 +196,7 @@ def _pipeline_config(out):
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
     mode = argv[0]
-    data = {
-        "select": select_config(tmp_path / "o"),
-        "pipeline": _pipeline_config(tmp_path / "o"),
-        "evaluate": {"mode": "evaluate", "out": str(tmp_path / "o")},
-    }[mode]
-    cfg_path = write_config(tmp_path / "c.json", data)
+    cfg_path = _mode_config(tmp_path, mode)
     assert main([mode, "--config", cfg_path, *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and field in err
@@ -233,12 +238,7 @@ def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
                                                message):
     # the message alone tells these checks apart, so it is pinned whole
     mode = argv[0]
-    data = {
-        "select": select_config(tmp_path / "o"),
-        "pipeline": _pipeline_config(tmp_path / "o"),
-        "evaluate": {"mode": "evaluate", "out": str(tmp_path / "o")},
-    }[mode]
-    cfg_path = write_config(tmp_path / "c.json", data)
+    cfg_path = _mode_config(tmp_path, mode)
     assert main([mode, "--config", cfg_path, *argv[1:]]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     with pytest.raises(ConfigError, match=re.escape(message)) as exc:
