@@ -216,7 +216,8 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
      "bad box [[0, 0]]"),
     (["select", "--seeds", "[]"], "seeds", "seeds must be a nonempty list"),
     (["select", "--mixture.samples_per_component", "0"],
-     "mixture.samples_per_component", "samples_per_component must be positive"),
+     "mixture.samples_per_component",
+     "samples_per_component must be positive"),
     (["select", "--margin", "-0.1"], "margin", "margin must be >= 0"),
     (["select", "--order", "0.5"], "order", "order must be >= 1"),
     (["select", "--candidate_mode", "grid"], "candidate_mode",

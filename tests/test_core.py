@@ -44,7 +44,8 @@ def test_negative_weight_rejected():
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(ValidationError, match="1 support points but 2 weights"):
+    with pytest.raises(ValidationError,
+                       match="1 support points but 2 weights"):
         DiscreteDistribution([(0, 0)], [0.5, 0.5])
 
 
@@ -54,7 +55,8 @@ def test_weights_must_be_one_dimensional():
 
 
 def test_nonfinite_rejected():
-    with pytest.raises(ValidationError, match="point coordinates must be finite"):
+    with pytest.raises(ValidationError,
+                       match="point coordinates must be finite"):
         DiscreteDistribution([(np.nan, 0)], [1.0])
     with pytest.raises(ValidationError, match="weights must be finite"):
         DiscreteDistribution([(0, 0)], [np.inf])
@@ -102,19 +104,23 @@ def test_from_rows_puts_rows_on_their_union():
 
 # each case id names the kind of fault the case checks
 @pytest.mark.parametrize("matrix, match", [
-    ([[0.5, 0.5]], r"matrix \(1, 2\), needs \(1, 3\)"),
-    ([[0.5, 0.25, 0.5]], "weights sum to 1.25"),
-    ([[1.25, -0.25, 0.0]], "weights must be nonnegative"),
-    ([[np.nan, 0.5, 0.5]], "weights must be finite"),
-], ids=["matrix0-LengthMismatchError", "matrix1-WeightsNotNormalizedError",
-        "matrix2-NegativeWeightError", "matrix3-NonFiniteError"])
+    pytest.param([[0.5, 0.5]], r"matrix \(1, 2\), needs \(1, 3\)",
+                 id="matrix0-LengthMismatchError"),
+    pytest.param([[0.5, 0.25, 0.5]], "weights sum to 1.25",
+                 id="matrix1-WeightsNotNormalizedError"),
+    pytest.param([[1.25, -0.25, 0.0]], "weights must be nonnegative",
+                 id="matrix2-NegativeWeightError"),
+    pytest.param([[np.nan, 0.5, 0.5]], "weights must be finite",
+                 id="matrix3-NonFiniteError"),
+])
 def test_kernel_matrix_checked(matrix, match):
     with pytest.raises(ValidationError, match=match):
         DiscreteKernel([[0.0]], [[1.0], [2.0], [3.0]], matrix)
 
 
 def test_from_rows_needs_a_row():
-    with pytest.raises(ValidationError, match="a kernel needs at least one row"):
+    with pytest.raises(ValidationError,
+                       match="a kernel needs at least one row"):
         DiscreteKernel.from_rows(np.zeros((0, 1)), ())
 
 
@@ -349,16 +355,19 @@ def test_pairwise_cost_agrees_with_distance_power(dim):
 
 # each case id names the kind of fault the case checks
 @pytest.mark.parametrize("entries, order, match", [
-    ([1.0, 2.0], 1.0, "cost entries must be 2-D"),
-    ([[[1.0]]], 1.0, "cost entries must be 2-D"),
-    ([[0.0, np.nan]], 1.0, "cost entries must be finite"),
-    ([[0.0, np.inf]], 1.0, "cost entries must be finite"),
-    ([[0.0, -1e-300]], 1.0, "cost entries must be nonnegative"),
-    ([[0.0, 1.0]], 0.5, "order p must be >= 1, got 0.5"),
-], ids=["entries0-1.0-DimensionMismatchError",
-        "entries1-1.0-DimensionMismatchError", "entries2-1.0-NonFiniteError",
-        "entries3-1.0-NonFiniteError", "entries4-1.0-NegativeWeightError",
-        "entries5-0.5-InvalidOrderError"])
+    pytest.param([1.0, 2.0], 1.0, "cost entries must be 2-D",
+                 id="entries0-1.0-DimensionMismatchError"),
+    pytest.param([[[1.0]]], 1.0, "cost entries must be 2-D",
+                 id="entries1-1.0-DimensionMismatchError"),
+    pytest.param([[0.0, np.nan]], 1.0, "cost entries must be finite",
+                 id="entries2-1.0-NonFiniteError"),
+    pytest.param([[0.0, np.inf]], 1.0, "cost entries must be finite",
+                 id="entries3-1.0-NonFiniteError"),
+    pytest.param([[0.0, -1e-300]], 1.0, "cost entries must be nonnegative",
+                 id="entries4-1.0-NegativeWeightError"),
+    pytest.param([[0.0, 1.0]], 0.5, "order p must be >= 1, got 0.5",
+                 id="entries5-0.5-InvalidOrderError"),
+])
 def test_cost_matrix_rejects(entries, order, match):
     with pytest.raises(ValidationError, match=match):
         CostMatrix(entries, order)

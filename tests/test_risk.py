@@ -373,12 +373,15 @@ def _delta_count(parts):
 
 # each case id names the corruption and the kind of fault it makes
 @pytest.mark.parametrize("corrupt, match", [
-    (_nan_point, "point coordinates must be finite"),
-    (_marginal_off_support, "marginal 1 does not live on support 1"),
-    (_marginal_count, "3 supports need 3 marginals, got 2"),
-    (_delta_count, "2 kernels need 2 deltas, got 3"),
-], ids=["_nan_point-NonFiniteError", "_marginal_off_support-SourceMismatchError",
-        "_marginal_count-LengthMismatchError", "_delta_count-LengthMismatchError"])
+    pytest.param(_nan_point, "point coordinates must be finite",
+                 id="_nan_point-NonFiniteError"),
+    pytest.param(_marginal_off_support, "marginal 1 does not live on support 1",
+                 id="_marginal_off_support-SourceMismatchError"),
+    pytest.param(_marginal_count, "3 supports need 3 marginals, got 2",
+                 id="_marginal_count-LengthMismatchError"),
+    pytest.param(_delta_count, "2 kernels need 2 deltas, got 3",
+                 id="_delta_count-LengthMismatchError"),
+])
 def test_discrete_system_rejects_inconsistent_parts(corrupt, match):
     parts = list(chain_parts())
     corrupt(parts)
