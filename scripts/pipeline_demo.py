@@ -34,9 +34,8 @@ def main(argv=None):
 
     system = GenerativeSystem(np.zeros(2), sampler)
     stages = [
-        StageSpec(t, args.samples, args.candidates, args.budget, 1.0)
-        for t in range(args.stages)
-    ]
+        StageSpec(args.samples, args.candidates, args.budget, 1.0)
+    ] * args.stages
     solver = SolverConfig(seed=args.seed)
     approx = approximate_system(system, stages, solver)
 

@@ -258,6 +258,9 @@ class ExperimentConfig:
                 field="mode",
             )
         out = _typed(_require(data, "out", mode), str, "out")
+        if not out:
+            raise ConfigError(f"out must be a nonempty string, got {out!r}",
+                              "out")
         emit_plot_data = _typed(data.get("emit_plot_data"), bool,
                                 "emit_plot_data")
         system_path = data.get("system_path")
@@ -267,6 +270,9 @@ class ExperimentConfig:
         if not isinstance(seeds, (list, tuple)) or not seeds:
             raise ConfigError("seeds must be a nonempty list", field="seeds")
         seeds = tuple(_as(int, s, "seeds") for s in seeds)
+        if min(seeds) < 0:
+            raise ConfigError(f"seeds must be integers >= 0, got"
+                              f" {data['seeds']!r}", "seeds")
 
         mixture = _typed(data.get("mixture"), dict, "mixture")
         components = _components_from(mixture)
@@ -332,7 +338,7 @@ class ExperimentConfig:
             try:
                 sizes = {k: _as(int, raw[k], f"{at}.{k}") for k in (
                     "samples_per_source", "candidate_count", "budget")}
-                stages.append(StageSpec(t=i, **sizes, order=_as(
+                stages.append(StageSpec(**sizes, order=_as(
                     float, raw.get("order", order), f"{at}.order")))
             except (AttributeError, KeyError, TypeError,
                     ValidationError) as exc:
@@ -571,15 +577,10 @@ def _log(message: str, *args):
         print("INFO " + message % args, file=sys.stderr)
 
 
-def _sample_clouds(cfg: ExperimentConfig, seed: int):
-    return sample_gaussian_mixture(
-        cfg.components, cfg.samples_per_component, seed
-    )
-
-
 def run_generate(cfg: ExperimentConfig, start: float):
     for seed in cfg.seeds:
-        clouds = _sample_clouds(cfg, seed)
+        clouds = sample_gaussian_mixture(cfg.components,
+                                         cfg.samples_per_component, seed)
         for s, cloud in enumerate(clouds):
             _write_points(cfg.out / f"cloud_{s:02d}_seed{seed}.csv", cloud)
         # the empirical kernel: each component mean to its own cloud
@@ -616,7 +617,8 @@ def run_select(cfg: ExperimentConfig, start: float):
     )
     for seed in cfg.seeds:
         started = time.perf_counter()
-        clouds = _sample_clouds(cfg, seed)
+        clouds = sample_gaussian_mixture(cfg.components,
+                                         cfg.samples_per_component, seed)
         # a subsample draws from the stream of the pipeline's stage 0
         rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(0, len(clouds)))
@@ -815,9 +817,13 @@ def run_evaluate(cfg: ExperimentConfig, start: float):
 # ---------------------------------------------------------------------------
 
 def run_experiment(config_path, overrides=None) -> int:
-    """Load, validate, and execute one experiment config; returns 0."""
+    """Load, validate, and execute one experiment config; returns 0.
+
+    A run that fails before its first artifact removes the directories it
+    made for it; a directory that was there before stays."""
     start = time.perf_counter()
     cfg = load_config(config_path, overrides)
+    made = [path for path in (cfg.out, *cfg.out.parents) if not path.exists()]
     cfg.out.mkdir(parents=True, exist_ok=True)
     runner = {
         "generate": run_generate,
@@ -825,7 +831,14 @@ def run_experiment(config_path, overrides=None) -> int:
         "pipeline": run_pipeline,
         "evaluate": run_evaluate,
     }[cfg.mode]
-    runner(cfg, start)
+    try:
+        runner(cfg, start)
+    except BaseException:
+        for path in made:  # innermost first
+            if any(path.iterdir()):
+                break
+            path.rmdir()
+        raise
     return 0
 
 

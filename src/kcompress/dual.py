@@ -42,12 +42,6 @@ import numpy as np
 from .errors import KCompressError, ValidationError
 from .oracle import SelectionInstance
 
-# The negative dual part sum_k min(0, theta0 - score_k) is summed in chunks
-# of this many candidates, in candidate order: the order the block-wise
-# dense sweep summed it in, so dual values and every history built on them
-# stay bit-identical to it at any K (one numpy sum over all K candidates
-# differs in the last bits above K = 1024).
-SUM_CHUNK = 512
 # A run is certified once UB - best dual <= CERT_TOL * UB.
 CERT_TOL = 1e-4
 # The Polyak step scale lambda halves after this many iterations without a
@@ -177,10 +171,7 @@ class _Screen:
         active = slack > 0.0
         active &= gamma[self.cand]
         cover = np.bincount(self.part[active], minlength=n)
-        neg = np.minimum(0.0, theta0 - scores)
-        dual_neg = 0.0
-        for start in range(0, k, SUM_CHUNK):
-            dual_neg += float(neg[start:start + SUM_CHUNK].sum())
+        dual_neg = float(np.minimum(0.0, theta0 - scores).sum())
         return _Sweep(gamma, cover, scores, dual_neg, active)
 
 

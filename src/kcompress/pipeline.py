@@ -40,21 +40,18 @@ from .oracle import SelectionInstance
 class StageSpec:
     """Per-stage sizes: samples per source, candidate count, budget, order."""
 
-    t: int
     samples_per_source: int
     candidate_count: int
     budget: int
     order: float
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError("stage index must be >= 0")
         if min(self.samples_per_source, self.candidate_count, self.budget) < 1:
             raise ValidationError("stage sizes must be positive")
         if self.budget > self.candidate_count:
             raise ValidationError(
                 f"budget {self.budget} exceeds candidate count "
-                f"{self.candidate_count} at stage {self.t}"
+                f"{self.candidate_count}"
             )
         if self.order < 1:
             raise ValidationError("order must be >= 1")
@@ -110,19 +107,18 @@ def _assigned_support(instance: SelectionInstance, assignment):
 
 
 def implied_kernel(
-    instance: SelectionInstance, gamma, assignment, assigned=None
+    instance: SelectionInstance, gamma, assignment
 ) -> DiscreteKernel:
     """Kernel whose row weights are per-source assignment fractions.
 
     The support is the candidates that received an assignment, in index
     order, coinciding points merged. Requires the instance to carry source
-    coordinates (build_stage_instance attaches them). assigned is
-    _assigned_support(instance, assignment) when the caller has it.
+    coordinates (build_stage_instance attaches them).
     """
     sources = instance.sources
     if sources is None:
         raise ValidationError("instance carries no source coordinates")
-    used, support, columns = assigned or _assigned_support(instance, assignment)
+    used, support, columns = _assigned_support(instance, assignment)
     if not np.all(np.asarray(gamma)[used]):
         raise ValidationError(
             "assignment references unselected candidates"
@@ -148,12 +144,13 @@ def assignment_plan(stage: Stage):
     sum_i w_i min_k d^p of any coupling onto the selection, so the coupling
     is optimal and its cost is the selection objective.
     """
-    instance, result = stage.instance, stage.result
-    assigned = instance.candidates[np.concatenate(result.beta_assignment)]
+    instance, assignment = stage.instance, stage.result.beta_assignment
+    columns = _assigned_support(instance, assignment)[2]
+    assigned = instance.candidates[np.concatenate(assignment)]
     costs = distance_power(np.concatenate(instance.clouds), assigned,
                            instance.order)
     masses = np.repeat(instance.weights, instance.group_sizes())
-    return stage.columns, masses, costs
+    return columns, masses, costs
 
 
 def candidate_lattice(clouds, count: int, margin: float = 0.05,
@@ -198,9 +195,8 @@ def stage_candidates(clouds, count: int, mode: str, margin: float, box,
 class Stage:
     """One compressed stage: the selection instance and its solve, the
     implied kernel, the marginal composed through it, the achieved error
-    delta (objective ** (1/order)), the stage's wall time in seconds, from
-    the start of its sampling to the end of the composition, and each
-    particle's column in the kernel's support, in flat group order."""
+    delta (objective ** (1/order)) and the stage's wall time in seconds, from
+    the start of its sampling to the end of the composition."""
 
     instance: SelectionInstance
     result: SelectionResult
@@ -208,27 +204,22 @@ class Stage:
     marginal: DiscreteDistribution
     delta: float
     wall_s: float
-    columns: np.ndarray
 
 
 def compress_stage(marginal: DiscreteDistribution, clouds, candidates,
                    order: float, budget: int, solver: SolverConfig,
-                   started: float | None = None) -> Stage:
+                   started: float) -> Stage:
     """Select at most budget candidates for the clouds drawn from each
     marginal atom, form the implied kernel and push the marginal through
     it. started is the time.perf_counter() reading at which the stage's
-    sampling began (default: now)."""
-    if started is None:
-        started = time.perf_counter()
+    sampling began."""
     instance = build_stage_instance(marginal, clouds, candidates, order, budget)
     result = run_subgradient(instance, solver)
-    assigned = _assigned_support(instance, result.beta_assignment)
-    kernel = implied_kernel(instance, result.gamma, result.beta_assignment,
-                            assigned)
+    kernel = implied_kernel(instance, result.gamma, result.beta_assignment)
     composed = compose_marginal(marginal, kernel)
     return Stage(instance, result, kernel, composed,
                  result.objective ** (1.0 / order),
-                 time.perf_counter() - started, assigned[2])
+                 time.perf_counter() - started)
 
 
 def _stream(seed: int, *key):
@@ -246,6 +237,7 @@ def approximate_system(
 ) -> DiscreteSystem:
     """Run the per-stage sample/select/compose loop over the whole horizon.
 
+    Stage t runs stages[t], a StageSpec, and calls the sampler with t.
     Sampling is reproducible: the cloud for source s at stage t comes from
     a generator seeded by (solver.seed, t, s), independent of every other
     cloud, and a subsample of candidates from one seeded by (solver.seed,
@@ -256,17 +248,17 @@ def approximate_system(
     marginals = [DiscreteDistribution([system.x0], [1.0])]
     kernels = []
     deltas = []
-    for spec in stages:
+    for t, spec in enumerate(stages):
         started = time.perf_counter()
         marginal = marginals[-1]
         clouds = [
-            as_points(system.sampler(spec.t, source, spec.samples_per_source,
-                                     _stream(solver.seed, spec.t, s)))
+            as_points(system.sampler(t, source, spec.samples_per_source,
+                                     _stream(solver.seed, t, s)))
             for s, source in enumerate(marginal.support)
         ]
         candidates = stage_candidates(
             clouds, spec.candidate_count, candidate_mode, margin, box,
-            _stream(solver.seed, spec.t, len(marginal)),
+            _stream(solver.seed, t, len(marginal)),
         )
         stage = compress_stage(marginal, clouds, candidates, spec.order,
                                spec.budget, solver, started)

@@ -193,8 +193,13 @@ def _mode_config(tmp_path, mode):
      "candidates.box"),
     (["pipeline", "--system.x0", "[0, 0, 0]",
       "--candidates.box", "[[0, 0], [1, 1]]"], "candidates.box"),
+    (["select", "--seeds", "[-1]"], "seeds"),
+    (["pipeline", "--seeds", "[3, -2]"], "seeds"),
+    (["select", "--out", ""], "out"),
 ])
-def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
+def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                   field):
+    monkeypatch.chdir(tmp_path)  # an empty out would name the working dir
     mode = argv[0]
     cfg_path = _mode_config(tmp_path, mode)
     assert main([mode, "--config", cfg_path, *argv[1:]]) == 2
@@ -234,6 +239,9 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, argv, field):
      "system.x0 needs a coordinate"),
     (["evaluate", "--system_path", "s.json", '--costs=[{"quad": {}}]'],
      "costs[0]", "unknown cost term 'quad'"),
+    (["pipeline", "--stages",
+      '[{"samples_per_source": 10, "candidate_count": 8, "budget": 9}]'],
+     "stages[0]", "bad stage 0: budget 9 exceeds candidate count 8"),
 ])
 def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
                                                message):
@@ -787,6 +795,20 @@ def test_evaluate_missing_system_file_exits_1(tmp_path, capsys):
     )
     assert main(["evaluate", "--config", eval_cfg]) == 1
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_run_removes_only_the_directories_it_made(tmp_path, capsys):
+    absent = str(tmp_path / "absent.json")
+    nested = tmp_path / "a" / "b" / "o"
+    assert main(["evaluate", "--out", str(nested),
+                 "--system_path", absent]) == 1
+    assert not (tmp_path / "a").exists()
+    (tmp_path / "a").mkdir()
+    assert main(["evaluate", "--out", str(nested),
+                 "--system_path", absent]) == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "a"]
+    assert list((tmp_path / "a").iterdir()) == []
 
 
 def _evaluate_config(tmp_path, system, **extra):
@@ -809,6 +831,7 @@ def test_evaluate_cost_of_wrong_dimension_exits_2(tmp_path, capsys, term):
     assert main(["evaluate", "--config", eval_cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "costs[1]" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_cost_count_must_fit_the_horizon(tmp_path, capsys):
@@ -818,6 +841,7 @@ def test_evaluate_cost_count_must_fit_the_horizon(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: need 1 or 3 cost entries for a 2-stage system, got 2\n"
     )
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("mangle, named", [
@@ -834,6 +858,7 @@ def test_evaluate_malformed_system_file_exits_1(tmp_path, capsys, mangle,
     assert main(["evaluate", "--config", eval_cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -855,6 +880,7 @@ def test_evaluate_unreadable_system_file_exits_1(tmp_path, capsys, text):
     assert main(["evaluate", "--config", eval_cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_pipeline_config_requires_stages(tmp_path):

@@ -8,7 +8,6 @@ from kcompress.core import DiscreteDistribution, pairwise_cost
 from kcompress.dual import (
     CERT_TOL,
     STALL_ITERS,
-    SUM_CHUNK,
     DualState,
     SelectionResult,
     SolverConfig,
@@ -201,17 +200,14 @@ def _dense_sweep(wd, theta, theta0):
     """The dense formula over an (N, K) matrix: every slack
     max(0, theta_si - w_s d_sik), scores summed particle by particle in
     index order, cover counted over the selected candidates, and the
-    negative dual part summed in SUM_CHUNK-candidate chunks in order."""
+    negative dual part summed once."""
     slack = np.maximum(theta[:, None] - wd, 0.0)
     scores = np.zeros(wd.shape[1])
     for row in slack:
         scores += row
     gamma = scores > theta0
     cover = ((slack > 0.0) & gamma[None, :]).sum(axis=1)
-    neg = np.minimum(0.0, theta0 - scores)
-    dual_neg = 0.0
-    for start in range(0, len(neg), SUM_CHUNK):
-        dual_neg += float(neg[start:start + SUM_CHUNK].sum())
+    dual_neg = float(np.minimum(0.0, theta0 - scores).sum())
     return gamma, cover, scores, dual_neg
 
 
@@ -620,8 +616,7 @@ def _assert_same_run(a, b):
 
 
 def test_multiblock_run_is_deterministic_across_threads():
-    # three chunks of the dual sum
-    inst = _mixture_instance(10, 2 * SUM_CHUNK + 100, 11)
+    inst = _mixture_instance(10, 1124, 11)
     _assert_same_run(*(
         run_subgradient(inst, SolverConfig(max_iter=200, threads=t))
         for t in (1, 4)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -36,18 +37,18 @@ def walk_system(sigma=0.7, dim=2):
 
 
 def walk_stages(horizon, n=40, k=24, m=5, p=1.0):
-    return [StageSpec(t, n, k, m, p) for t in range(horizon)]
+    return [StageSpec(n, k, m, p)] * horizon
 
 
-def stage_clouds(system, marginal, stage, seed):
-    """Re-draw the clouds approximate_system used at one stage."""
+def stage_clouds(system, marginal, t, stage, seed):
+    """Re-draw the clouds approximate_system used at stage t."""
     clouds = []
     for s, source in enumerate(marginal.support):
         rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(stage.t, s))
+            np.random.SeedSequence(seed, spawn_key=(t, s))
         )
         clouds.append(
-            system.sampler(stage.t, source, stage.samples_per_source, rng)
+            system.sampler(t, source, stage.samples_per_source, rng)
         )
     return clouds
 
@@ -58,14 +59,12 @@ def stage_clouds(system, marginal, stage, seed):
 
 def test_stage_spec_rejects_bad_sizes():
     with pytest.raises(ValidationError):
-        StageSpec(0, 0, 8, 2, 1.0)
+        StageSpec(0, 8, 2, 1.0)
     with pytest.raises(ValidationError):
-        StageSpec(-1, 5, 8, 2, 1.0)
-    with pytest.raises(ValidationError):
-        StageSpec(0, 5, 8, 2, 0.5)
+        StageSpec(5, 8, 2, 0.5)
     with pytest.raises(ValidationError,
-                       match="budget 9 exceeds candidate count 8 at stage 0"):
-        StageSpec(0, 5, 8, 9, 1.0)
+                       match="budget 9 exceeds candidate count 8"):
+        StageSpec(5, 8, 9, 1.0)
 
 
 def test_build_stage_instance_weights():
@@ -251,7 +250,7 @@ def test_deltas_match_integrated_distance():
     approx = approximate_system(system, stages, solver)
     for t, stage in enumerate(stages):
         marginal = approx.marginals[t]
-        clouds = stage_clouds(system, marginal, stage, solver.seed)
+        clouds = stage_clouds(system, marginal, t, stage, solver.seed)
         empirical = tuple(
             DiscreteDistribution(c, np.full(len(c), 1.0 / len(c)))
             for c in clouds
@@ -267,12 +266,12 @@ def test_deltas_match_integrated_distance():
 
 def test_single_stage_matches_direct_solve():
     system = walk_system()
-    stage = StageSpec(0, 35, 16, 3, 2.0)
+    stage = StageSpec(35, 16, 3, 2.0)
     solver = SolverConfig(max_iter=250, seed=21)
     approx = approximate_system(system, [stage], solver)
 
     marginal = dirac(system.x0)
-    clouds = stage_clouds(system, marginal, stage, solver.seed)
+    clouds = stage_clouds(system, marginal, 0, stage, solver.seed)
     candidates = candidate_lattice(clouds, stage.candidate_count)
     inst = build_stage_instance(
         marginal, clouds, candidates, stage.order, stage.budget
@@ -286,7 +285,8 @@ def test_single_stage_matches_direct_solve():
     assert np.allclose(kernel.rows[0].weights, approx.kernels[0].rows[0].weights)
 
     stage_step = compress_stage(
-        marginal, clouds, candidates, stage.order, stage.budget, solver
+        marginal, clouds, candidates, stage.order, stage.budget, solver,
+        time.perf_counter(),
     )
     assert np.array_equal(stage_step.result.gamma, result.gamma)
     assert np.array_equal(stage_step.kernel.support, kernel.support)
@@ -340,7 +340,7 @@ def test_deterministic_kernel_compresses_exactly():
         return np.tile(source + 1.0, (n, 1))
 
     system = GenerativeSystem(np.zeros(2), sampler)
-    stages = [StageSpec(t, 10, 5, 1, 1.0) for t in range(2)]
+    stages = [StageSpec(10, 5, 1, 1.0)] * 2
     solver = SolverConfig(max_iter=100, seed=2)
     approx = approximate_system(
         system, stages, solver, candidate_mode="subsample"
@@ -384,9 +384,9 @@ def test_unknown_candidate_mode():
 def test_support_growth_is_budgeted():
     system = walk_system(sigma=1.5)
     stages = [
-        StageSpec(0, 60, 32, 6, 1.0),
-        StageSpec(1, 20, 32, 5, 1.0),
-        StageSpec(2, 15, 32, 3, 1.0),
+        StageSpec(60, 32, 6, 1.0),
+        StageSpec(20, 32, 5, 1.0),
+        StageSpec(15, 32, 3, 1.0),
     ]
     solver = SolverConfig(max_iter=300, seed=13)
     approx = approximate_system(system, stages, solver)
