@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,3 +341,20 @@ def test_bland_fallback_reaches_the_optimum(monkeypatch):
                                       rel=1e-12)
         assert value == pytest.approx(_linprog_value(cost, supply, demand),
                                       rel=1e-12)
+
+
+def test_tied_instances_return_the_pinned_optimum(monkeypatch):
+    # integer costs from {0, 1, 2, 3} under uniform weights leave many
+    # optimal plans; the digest pins which one the pivoting returns
+    digest = hashlib.sha256()
+    for limit in (transport._DEGENERATE_RUN_LIMIT, 0):
+        monkeypatch.setattr(transport, "_DEGENERATE_RUN_LIMIT", limit)
+        for m, n in ((7, 5), (1, 6), (6, 1), (9, 9)):
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                cost = rng.integers(0, 4, size=(m, n)).astype(np.float64)
+                flow = transport._solve_transportation(
+                    cost, np.full(m, 1 / m), np.full(n, 1 / n))
+                digest.update(flow.tobytes())
+    assert digest.hexdigest() == (
+        "6c8185d76976127c7bb9156ee81d2f57bdd91173d332dd5134fe06c3a9eeffe2")
