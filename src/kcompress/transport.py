@@ -2,10 +2,10 @@
 
 wasserstein_exact solves the discrete transportation problem by primal
 network-simplex pivoting on the bipartite flow formulation: northwest-corner
-start, potentials from the spanning-tree basis, most-negative entering rule,
-and a Bland fallback that kicks in after a run of degenerate pivots so the
-method cannot cycle. No LP library is involved; this is meant as a trusted
-oracle at moderate sizes, not a large-scale engine.
+start, one basis-tree pass per pivot for the potentials and the pivot cycle,
+most-negative entering rule, and a Bland fallback after a run of degenerate
+pivots so the method cannot cycle. No LP library is involved; this is meant
+as a trusted oracle at moderate sizes, not a large-scale engine.
 
 assignment_distance covers the fixed-support case (each particle moves to its
 nearest selected point), and integrated_distance aggregates row-wise
@@ -15,7 +15,6 @@ Wasserstein distances of two kernels under a marginal.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .core import (
 )
 from .errors import KCompressError, ValidationError
 
-DEFAULT_SIZE_CAP = 2000 * 2000
+SIZE_CAP = 2000 * 2000
 
 # Consecutive zero-gain pivots tolerated before switching the entering rule
 # to Bland's (smallest-index) rule, which cannot cycle.
@@ -55,17 +54,20 @@ class TransportPlan:
 
 
 def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
-    """Initial basic feasible solution with exactly m+n-1 basic cells."""
+    """Initial basic feasible solution with exactly m+n-1 basic cells: the
+    (m, n) flow and the basis tree's adjacency, one set per node (rows are
+    nodes 0..m-1, columns m..m+n-1)."""
     m, n = len(supply), len(demand)
     s = supply.copy()
     d = demand.copy()
-    basis = []
-    flow = {}
+    flow = np.zeros((m, n))
+    adj = [set() for _ in range(m + n)]
     i = j = 0
     while True:
         q = min(s[i], d[j])
-        basis.append((i, j))
-        flow[(i, j)] = max(q, 0.0)
+        flow[i, j] = max(q, 0.0)
+        adj[i].add(m + j)
+        adj[m + j].add(i)
         s[i] -= q
         d[j] -= q
         if i == m - 1 and j == n - 1:
@@ -74,65 +76,45 @@ def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
             i += 1
         else:
             j += 1
-    return basis, flow
+    return flow, adj
 
 
-def _potentials(m, n, cost, row_adj, col_adj):
-    """Dual potentials (u, v) from the basis tree: c_ij = u_i + v_j on basics."""
-    u = np.zeros(m)
-    v = np.zeros(n)
-    seen_u = np.zeros(m, dtype=bool)
-    seen_v = np.zeros(n, dtype=bool)
-    seen_u[0] = True
-    queue = deque([("r", 0)])
-    while queue:
-        kind, idx = queue.popleft()
-        if kind == "r":
-            for j in row_adj[idx]:
-                if not seen_v[j]:
-                    v[j] = cost[idx, j] - u[idx]
-                    seen_v[j] = True
-                    queue.append(("c", j))
-        else:
-            for i in col_adj[idx]:
-                if not seen_u[i]:
-                    u[i] = cost[i, idx] - v[idx]
-                    seen_u[i] = True
-                    queue.append(("r", i))
-    return u, v
+def _tree(cost: list, adj):
+    """One pass over the basis tree from row 0; cost is nested lists.
+
+    Returns the potentials (u, v), with c_ij = u_i + v_j on basic cells, and
+    each node's parent and depth. Each potential follows from its parent's,
+    so the order of the pass does not change a bit.
+    """
+    m, n = len(cost), len(cost[0])
+    u = [0.0] * m
+    v = [0.0] * n
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if b == parent[a]:
+                continue
+            parent[b] = a
+            depth[b] = depth[a] + 1
+            if b < m:
+                u[b] = cost[b][a - m] - v[a - m]
+            else:
+                v[b - m] = cost[a][b - m] - u[a]
+            stack.append(b)
+    return np.array(u), np.array(v), parent, depth
 
 
-def _tree_path(i0, j0, row_adj, col_adj):
-    """Path of basic cells from row node i0 to column node j0 in the basis tree."""
-    # parents: node -> (parent node, connecting cell); rows keyed ('r', i).
-    parent = {("r", i0): None}
-    queue = deque([("r", i0)])
-    target = ("c", j0)
-    while queue:
-        node = queue.popleft()
-        if node == target:
-            break
-        kind, idx = node
-        if kind == "r":
-            for j in row_adj[idx]:
-                nxt = ("c", j)
-                if nxt not in parent:
-                    parent[nxt] = (node, (idx, j))
-                    queue.append(nxt)
-        else:
-            for i in col_adj[idx]:
-                nxt = ("r", i)
-                if nxt not in parent:
-                    parent[nxt] = (node, (i, idx))
-                    queue.append(nxt)
-    path = []
-    node = target
-    while parent[node] is not None:
-        prev, cell = parent[node]
-        path.append(cell)
-        node = prev
-    path.reverse()
-    return path
+def _tree_path(ie, je, parent, depth, m):
+    """Basic cells on the tree path from row ie to column je, in order."""
+    ends = ([ie], [m + je])
+    while ends[0][-1] != ends[1][-1]:
+        side = ends[depth[ends[0][-1]] < depth[ends[1][-1]]]
+        side.append(parent[side[-1]])
+    nodes = ends[0] + ends[1][-2::-1]
+    return [(min(a, b), max(a, b) - m) for a, b in zip(nodes, nodes[1:])]
 
 
 def _solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
@@ -140,19 +122,15 @@ def _solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarr
     m, n = cost.shape
     if m == 0 or n == 0:
         return np.zeros((m, n))
-    basis, flow = _northwest_corner(supply, demand)
-    row_adj = [set() for _ in range(m)]
-    col_adj = [set() for _ in range(n)]
-    for (i, j) in basis:
-        row_adj[i].add(j)
-        col_adj[j].add(i)
+    flow, adj = _northwest_corner(supply, demand)
 
     tol = 1e-10 * max(1.0, float(np.max(cost)))
     bland = False
     degenerate_run = 0
     max_pivots = 1000 + 8 * (m + n) * max(m, n)
+    cost_rows = cost.tolist()
     for _ in range(max_pivots):
-        u, v = _potentials(m, n, cost, row_adj, col_adj)
+        u, v, parent, depth = _tree(cost_rows, adj)
         reduced = cost - u[:, None] - v[None, :]
         if bland:
             neg = np.argwhere(reduced < -tol)
@@ -166,24 +144,20 @@ def _solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarr
                 break
         # The entering cell closes one cycle with the basis tree. Cells at
         # even positions along the tree path lose flow, odd positions gain.
-        path = _tree_path(ie, je, row_adj, col_adj)
+        path = _tree_path(ie, je, parent, depth, m)
         minus = path[0::2]
-        plus = path[1::2]
         theta = min(flow[c] for c in minus)
-        leave = min(
-            (c for c in minus if flow[c] <= theta),
-            key=lambda c: (c[0], c[1]) if bland else minus.index(c),
-        )
+        tied = [c for c in minus if flow[c] <= theta]
+        li, lj = min(tied) if bland else tied[0]
         for c in minus:
             flow[c] -= theta
-        for c in plus:
+        for c in path[1::2]:
             flow[c] += theta
-        flow[(ie, je)] = theta
-        del flow[leave]
-        row_adj[ie].add(je)
-        col_adj[je].add(ie)
-        row_adj[leave[0]].discard(leave[1])
-        col_adj[leave[1]].discard(leave[0])
+        flow[ie, je] = theta
+        adj[ie].add(m + je)
+        adj[m + je].add(ie)
+        adj[li].discard(m + lj)
+        adj[m + lj].discard(li)
         if theta <= tol:
             degenerate_run += 1
             if degenerate_run > _DEGENERATE_RUN_LIMIT:
@@ -192,11 +166,7 @@ def _solve_transportation(cost: np.ndarray, supply: np.ndarray, demand: np.ndarr
             degenerate_run = 0
     else:
         raise RuntimeError("transportation pivoting did not terminate")
-
-    out = np.zeros((m, n))
-    for (i, j), q in flow.items():
-        out[i, j] = q
-    return out
+    return flow
 
 
 def _orientation_key(dist: DiscreteDistribution) -> bytes:
@@ -211,7 +181,6 @@ def wasserstein_exact(
     mu: DiscreteDistribution,
     nu: DiscreteDistribution,
     p: float,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ):
     """Order-p Wasserstein distance and an optimal plan between mu and nu.
 
@@ -224,13 +193,13 @@ def wasserstein_exact(
     hence rounding, would otherwise depend on the orientation).
     """
     if _orientation_key(nu) < _orientation_key(mu):
-        distance, plan = wasserstein_exact(nu, mu, p, size_cap=size_cap)
+        distance, plan = wasserstein_exact(nu, mu, p)
         return distance, TransportPlan(plan.plan.T, plan.value)
     keep_mu = np.flatnonzero(mu.weights > 0)
     keep_nu = np.flatnonzero(nu.weights > 0)
-    if len(keep_mu) * len(keep_nu) > size_cap:
+    if len(keep_mu) * len(keep_nu) > SIZE_CAP:
         raise KCompressError(
-            f"{len(keep_mu)}x{len(keep_nu)} exceeds cap {size_cap}"
+            f"{len(keep_mu)}x{len(keep_nu)} exceeds cap {SIZE_CAP}"
         )
     cost = pairwise_cost(mu.support[keep_mu], nu.support[keep_nu], p).entries
     flow = _solve_transportation(cost, mu.weights[keep_mu], nu.weights[keep_nu])
@@ -263,7 +232,6 @@ def integrated_distance(
     Q: DiscreteKernel,
     Qtilde: DiscreteKernel,
     p: float,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> float:
     """Integrated transportation distance of order p between two kernels
     sharing sources, weighted by the marginal lam:
@@ -278,6 +246,6 @@ def integrated_distance(
     for lam_w, row, row_t in zip(lam.weights, Q.rows, Qtilde.rows):
         if lam_w == 0.0:
             continue
-        dist, _ = wasserstein_exact(row, row_t, p, size_cap=size_cap)
+        dist, _ = wasserstein_exact(row, row_t, p)
         total += float(lam_w) * dist**p
     return total ** (1.0 / p) if total > 0 else 0.0

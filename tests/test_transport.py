@@ -132,12 +132,13 @@ def test_transport_plan_must_be_finite_and_nonnegative():
         TransportPlan([[1.0, -1e-9]], 0.0)
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     rng = np.random.default_rng(1)
     mu = _random_distribution(rng, max_atoms=8)
     nu = _random_distribution(rng, max_atoms=8)
+    monkeypatch.setattr(transport, "SIZE_CAP", 3)
     with pytest.raises(KCompressError, match="exceeds cap 3"):
-        wasserstein_exact(mu, nu, 1, size_cap=3)
+        wasserstein_exact(mu, nu, 1)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -271,9 +272,9 @@ def test_integrated_skips_a_zero_weight_source(monkeypatch):
     qt = DiscreteKernel.from_rows(sources, (_dirac((1.0,)), _dirac((50.0,))))
     solved = []
 
-    def recording(mu, nu, p, size_cap):
+    def recording(mu, nu, p):
         solved.append(nu)
-        return wasserstein_exact(mu, nu, p, size_cap=size_cap)
+        return wasserstein_exact(mu, nu, p)
 
     monkeypatch.setattr(transport, "wasserstein_exact", recording)
     assert integrated_distance(lam, q, qt, 1) == 1.0
