@@ -31,7 +31,6 @@ def main(argv=None):
     parser.add_argument("--box", type=float, nargs=4, default=[-12, -12, 12, 12],
                         help="x_low y_low x_high y_high")
     parser.add_argument("--max-iter", type=int, default=5000)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=None,
                         help="directory to keep select's artifacts in"
                              " (default: a temporary one)")
@@ -42,7 +41,7 @@ def main(argv=None):
     with directory as out:
         out = Path(out)
         code = kcompress([
-            "select", "--out", str(out), "--threads", str(args.threads),
+            "select", "--out", str(out),
             "--seeds", json.dumps(args.seeds),
             "--mixture.samples_per_component", str(args.samples),
             "--candidates.count", str(args.candidates),

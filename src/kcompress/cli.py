@@ -53,6 +53,7 @@ from .pipeline import (
     compress_stage,
     load_system,
     stage_candidates,
+    stage_stream,
     system_to_dict,
 )
 from .risk import (
@@ -367,6 +368,15 @@ class ExperimentConfig:
                     "missing required field 'stages' for mode pipeline",
                     field="stages",
                 )
+            # stage 0 has one source, x0, so its pool is its sample count;
+            # later pools hang on the support each stage keeps
+            first = stages[0]
+            if (candidate_mode == "subsample"
+                    and first.candidate_count > first.samples_per_source):
+                raise ConfigError(
+                    f"stages[0].candidate_count {first.candidate_count}"
+                    f" exceeds the {first.samples_per_source} particles to"
+                    " subsample", "stages[0].candidate_count")
 
         if mode == "select":
             _require(data, "budget", mode)
@@ -620,12 +630,9 @@ def run_select(cfg: ExperimentConfig, start: float):
         clouds = sample_gaussian_mixture(cfg.components,
                                          cfg.samples_per_component, seed)
         # a subsample draws from the stream of the pipeline's stage 0
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(0, len(clouds)))
-        )
         candidates = stage_candidates(
             clouds, cfg.candidate_count, cfg.candidate_mode, cfg.margin,
-            cfg.candidate_box, rng,
+            cfg.candidate_box, stage_stream(seed, 0, len(clouds)),
         )
         stage = compress_stage(marginal, clouds, candidates, cfg.order,
                                cfg.budget, cfg.solver_config(seed), started)

@@ -222,8 +222,12 @@ def compress_stage(marginal: DiscreteDistribution, clouds, candidates,
                  time.perf_counter() - started)
 
 
-def _stream(seed: int, *key):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+def stage_stream(seed: int, t: int, index: int):
+    """Stage t's random stream under seed: index s below the number of
+    sources samples source s's cloud, and index equal to the number of
+    sources draws the candidate subsample."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(t, index)))
 
 
 def approximate_system(
@@ -253,12 +257,12 @@ def approximate_system(
         marginal = marginals[-1]
         clouds = [
             as_points(system.sampler(t, source, spec.samples_per_source,
-                                     _stream(solver.seed, t, s)))
+                                     stage_stream(solver.seed, t, s)))
             for s, source in enumerate(marginal.support)
         ]
         candidates = stage_candidates(
             clouds, spec.candidate_count, candidate_mode, margin, box,
-            _stream(solver.seed, t, len(marginal)),
+            stage_stream(solver.seed, t, len(marginal)),
         )
         stage = compress_stage(marginal, clouds, candidates, spec.order,
                                spec.budget, solver, started)

@@ -196,6 +196,9 @@ def _mode_config(tmp_path, mode):
     (["select", "--seeds", "[-1]"], "seeds"),
     (["pipeline", "--seeds", "[3, -2]"], "seeds"),
     (["select", "--out", ""], "out"),
+    (["pipeline", "--candidate_mode", "subsample", "--stages",
+      '[{"samples_per_source": 10, "candidate_count": 20, "budget": 2}]'],
+     "stages[0].candidate_count"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
                                    field):
@@ -242,6 +245,10 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
     (["pipeline", "--stages",
       '[{"samples_per_source": 10, "candidate_count": 8, "budget": 9}]'],
      "stages[0]", "bad stage 0: budget 9 exceeds candidate count 8"),
+    (["pipeline", "--candidate_mode", "subsample", "--stages",
+      '[{"samples_per_source": 10, "candidate_count": 20, "budget": 2}]'],
+     "stages[0].candidate_count",
+     "stages[0].candidate_count 20 exceeds the 10 particles to subsample"),
 ])
 def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
                                                message):
