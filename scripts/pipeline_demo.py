@@ -36,8 +36,7 @@ def main(argv=None):
     stages = [
         StageSpec(args.samples, args.candidates, args.budget, 1.0)
     ] * args.stages
-    solver = SolverConfig(seed=args.seed)
-    approx = approximate_system(system, stages, solver)
+    approx = approximate_system(system, stages, SolverConfig(), seed=args.seed)
 
     print(f"{'stage':>5} {'support':>8} {'delta':>8}")
     for t in range(approx.horizon):

@@ -2,7 +2,8 @@
 
 A single JSON config document drives each mode; any scalar field can be
 overridden on the command line with its dotted path (for example
-``--solver.max_iter 200`` or ``--candidates.count=64``). Runs write their
+``--solver.max_iter 200`` or ``--candidates.count=64``). Each mode has its
+own config type and accepts only the keys it reads. Runs write their
 artifacts into the output directory:
 
 * result JSON per seed (byte-identical for identical config and seed;
@@ -65,32 +66,6 @@ from .risk import (
     write_values_csv,
 )
 
-_MODES = ("generate", "select", "pipeline", "evaluate")
-
-_TOP_KEYS = {
-    "mode",
-    "out",
-    "seeds",
-    "emit_plot_data",
-    "mixture",
-    "candidates",
-    "margin",
-    "budget",
-    "order",
-    "solver",
-    "system",
-    "stages",
-    "candidate_mode",
-    "system_path",
-    "costs",
-    "mapping",
-}
-
-_SOLVER_KEYS = {
-    f.name for f in dataclass_fields(SolverConfig) if f.name != "seed"
-}
-
-
 # ---------------------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------------------
@@ -139,10 +114,10 @@ def parse_overrides(tokens) -> dict:
     return overrides
 
 
-def _require(data: dict, key: str, mode: str):
+def _require(data: dict, key: str, mode: str, at: str = ""):
     if data.get(key) is None:
         raise ConfigError(
-            f"missing required field {key!r} for mode {mode}", field=key
+            f"missing required field {at + key!r} for mode {mode}", at + key
         )
     return data[key]
 
@@ -172,6 +147,19 @@ def _typed(raw, kind, field: str):
                 bool: "true or false"}[kind]
         raise ConfigError(f"{field} must be {name}, got {raw!r}", field)
     return raw
+
+
+def _object(raw, field: str, keys: str, mode: str) -> dict:
+    """raw, the object at field ("" for the root), as a dict (empty when
+    absent) that sets no key but keys (space-separated), those mode reads;
+    another key is a ConfigError naming its dotted path."""
+    data = _typed(raw, dict, field)
+    unknown = sorted(set(data) - set(keys.split()))
+    if unknown:
+        path = f"{field}.{unknown[0]}" if field else unknown[0]
+        raise ConfigError(f"unknown config field {path!r} for mode {mode}",
+                          path)
+    return data
 
 
 def _floats(raw, field: str) -> np.ndarray:
@@ -220,251 +208,271 @@ def _box_from(raw, field: str):
     return low, high
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated experiment description; built before any computation runs."""
+def _out(data: dict, mode: str) -> Path:
+    out = _typed(_require(data, "out", mode), str, "out")
+    if not out:
+        raise ConfigError(f"out must be a nonempty string, got {out!r}", "out")
+    return Path(out)
 
-    mode: str
+
+def _run(data: dict, mode: str, keys: str) -> dict:
+    """out, seeds and emit_plot_data, which every mode that samples reads,
+    once data sets no top-level key but those, mode and keys."""
+    _object(data, "", "mode out seeds emit_plot_data " + keys, mode)
+    out = _out(data, mode)
+    emit_plot_data = _typed(data.get("emit_plot_data"), bool,
+                            "emit_plot_data")
+    seeds = data.get("seeds", [0])
+    if not isinstance(seeds, (list, tuple)) or not seeds:
+        raise ConfigError("seeds must be a nonempty list", field="seeds")
+    seeds = tuple(_as(int, s, "seeds") for s in seeds)
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be integers >= 0, got"
+                          f" {data['seeds']!r}", "seeds")
+    return {"out": out, "seeds": seeds, "emit_plot_data": emit_plot_data}
+
+
+def _mixture(data: dict, mode: str, keys: str):
+    """The mixture object, its components (the built-in five when it names
+    none) and its samples_per_component."""
+    mixture = _object(data.get("mixture"), "mixture", keys, mode)
+    samples = _as(int, mixture.get("samples_per_component", 100),
+                  "mixture.samples_per_component")
+    if samples < 1:
+        raise ConfigError("samples_per_component must be positive",
+                          "mixture.samples_per_component")
+    return mixture, _components_from(mixture), samples
+
+
+def _stage_fields(data: dict, candidates: dict) -> dict:
+    """What select and pipeline read alike to compress a stage:
+    candidates.box, margin, order, solver and candidate_mode."""
+    margin = _as(float, data.get("margin", 0.05), "margin")
+    if margin < 0:
+        raise ConfigError("margin must be >= 0", field="margin")
+    order = _as(float, data.get("order", 1.0), "order")
+    if order < 1:
+        raise ConfigError("order must be >= 1", field="order")
+    solver = _typed(data.get("solver"), dict, "solver")
+    bad = sorted(set(solver) - {f.name for f in dataclass_fields(SolverConfig)
+                                if f.name != "seed"})
+    if bad:
+        raise ConfigError(f"unknown solver field {bad[0]!r}",
+                          f"solver.{bad[0]}")
+    for name, value in solver.items():
+        try:
+            SolverConfig(**{name: value})
+        except ValidationError as exc:
+            raise ConfigError(f"bad solver.{name}: {exc}",
+                              f"solver.{name}") from None
+    candidate_mode = data.get("candidate_mode", "lattice")
+    if candidate_mode not in ("lattice", "subsample"):
+        raise ConfigError("candidate_mode must be lattice or subsample, got"
+                          f" {candidate_mode!r}", "candidate_mode")
+    return {"candidate_box": _box_from(candidates.get("box"), "candidates.box"),
+            "margin": margin, "order": order,
+            "solver": SolverConfig(**solver), "candidate_mode": candidate_mode}
+
+
+def _check_candidates(data: dict, stage: dict, dim: int, field: str,
+                      count: int, pool: int):
+    """Refuse, for a subsample, more candidates (count, named by field)
+    than the pool of particles, and box or margin, which it never reads;
+    and a box whose corners do not have dim coordinates."""
+    box = stage["candidate_box"]
+    if stage["candidate_mode"] == "subsample":
+        if count > pool:
+            raise ConfigError(f"{field} {count} exceeds the {pool} particles"
+                              " to subsample", field)
+        for key, given in (("candidates.box", box is not None),
+                           ("margin", "margin" in data)):
+            if given:
+                raise ConfigError(f"{key} applies to lattice candidates"
+                                  " only, not subsample", key)
+    if box is not None and len(box[0]) != dim:
+        raise ConfigError(f"candidates.box corners need {dim} coordinates,"
+                          f" got {len(box[0])}", "candidates.box")
+
+
+@dataclass(frozen=True)
+class GenerateConfig:
+    """A checked generate config: the mixture to sample and its seeds."""
+
+    mode = "generate"
+    out: Path
+    seeds: tuple
+    emit_plot_data: bool
+    components: tuple
+    samples_per_component: int
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "GenerateConfig":
+        run = _run(data, cls.mode, "mixture")
+        _, components, samples = _mixture(
+            data, cls.mode, "components samples_per_component")
+        return cls(**run, components=components,
+                   samples_per_component=samples)
+
+
+@dataclass(frozen=True)
+class SelectConfig:
+    """A checked select config: the mixture, its candidates and budget."""
+
+    mode = "select"
     out: Path
     seeds: tuple
     emit_plot_data: bool
     components: tuple
     mixture_weights: np.ndarray
     samples_per_component: int
-    candidate_count: int | None
+    candidate_count: int
+    budget: int
     candidate_box: tuple | None
     margin: float
-    budget: int | None
     order: float
-    solver: dict
-    system: dict | None
-    stages: tuple
+    solver: SolverConfig
     candidate_mode: str
-    system_path: str | None
-    costs: tuple
-    mapping: RiskMapping
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(
-                f"unknown config field {sorted(unknown)[0]!r}",
-                field=sorted(unknown)[0],
-            )
-        mode = data.get("mode")
-        if mode not in _MODES:
-            raise ConfigError(
-                f"mode must be one of {', '.join(_MODES)}, got {mode!r}",
-                field="mode",
-            )
-        out = _typed(_require(data, "out", mode), str, "out")
-        if not out:
-            raise ConfigError(f"out must be a nonempty string, got {out!r}",
-                              "out")
-        emit_plot_data = _typed(data.get("emit_plot_data"), bool,
-                                "emit_plot_data")
-        system_path = data.get("system_path")
-        if system_path is not None:
-            _typed(system_path, str, "system_path")
-        seeds = data.get("seeds", [0])
-        if not isinstance(seeds, (list, tuple)) or not seeds:
-            raise ConfigError("seeds must be a nonempty list", field="seeds")
-        seeds = tuple(_as(int, s, "seeds") for s in seeds)
-        if min(seeds) < 0:
-            raise ConfigError(f"seeds must be integers >= 0, got"
-                              f" {data['seeds']!r}", "seeds")
+    def from_dict(cls, data: dict) -> "SelectConfig":
+        run = _run(data, cls.mode, "mixture candidates margin budget order"
+                   " solver candidate_mode")
+        mixture, components, samples = _mixture(
+            data, cls.mode, "components weights samples_per_component")
+        raw = mixture.get("weights")
+        n = len(components)
+        weights = (np.full(n, 1.0 / n) if raw is None
+                   else _floats(raw, "mixture.weights"))
+        if (len(weights) != n or np.any(weights <= 0)
+                or abs(weights.sum() - 1.0) > WEIGHT_TOL):
+            raise ConfigError("mixture.weights needs one positive weight per"
+                              f" component, summing to 1; got {raw!r}",
+                              "mixture.weights")
+        candidates = _object(data.get("candidates"), "candidates",
+                             "count box", cls.mode)
+        stage = _stage_fields(data, candidates)
+        count = _as(int, _require(candidates, "count", cls.mode,
+                                  "candidates."), "candidates.count")
+        budget = _as(int, _require(data, "budget", cls.mode), "budget")
+        if not 1 <= budget <= count:
+            raise ConfigError(f"budget {budget} outside [1, {count}]",
+                              "budget")
+        _check_candidates(data, stage, components[0].dim, "candidates.count",
+                          count, len(components) * samples)
+        return cls(**run, **stage, components=components,
+                   mixture_weights=weights, samples_per_component=samples,
+                   candidate_count=count, budget=budget)
 
-        mixture = _typed(data.get("mixture"), dict, "mixture")
-        components = _components_from(mixture)
-        weights = mixture.get("weights")
-        if weights is None:
-            weights = np.full(len(components), 1.0 / len(components))
-        else:
-            weights = _floats(weights, "mixture.weights")
-            if (len(weights) != len(components) or np.any(weights <= 0)
-                    or abs(weights.sum() - 1.0) > WEIGHT_TOL):
-                raise ConfigError(
-                    "mixture.weights needs one positive weight per component,"
-                    f" summing to 1; got {mixture['weights']!r}",
-                    field="mixture.weights",
-                )
-        samples = mixture.get("samples_per_component", 100)
-        samples = _as(int, samples, "mixture.samples_per_component")
-        if samples < 1:
-            raise ConfigError(
-                "samples_per_component must be positive",
-                field="mixture.samples_per_component",
-            )
 
-        cand = _typed(data.get("candidates"), dict, "candidates")
-        count = cand.get("count")
-        count = None if count is None else _as(int, count, "candidates.count")
-        box = _box_from(cand.get("box"), "candidates.box")
-        margin = _as(float, data.get("margin", 0.05), "margin")
-        if margin < 0:
-            raise ConfigError("margin must be >= 0", field="margin")
+@dataclass(frozen=True)
+class PipelineConfig:
+    """A checked pipeline config: the sampled system and its stages."""
 
-        budget = data.get("budget")
-        budget = None if budget is None else _as(int, budget, "budget")
-        order = _as(float, data.get("order", 1.0), "order")
-        if order < 1:
-            raise ConfigError("order must be >= 1", field="order")
+    mode = "pipeline"
+    out: Path
+    seeds: tuple
+    emit_plot_data: bool
+    system: GenerativeSystem
+    stages: tuple
+    candidate_box: tuple | None
+    margin: float
+    order: float
+    solver: SolverConfig
+    candidate_mode: str
 
-        solver = dict(_typed(data.get("solver"), dict, "solver"))
-        bad = set(solver) - _SOLVER_KEYS
-        if bad:
-            raise ConfigError(
-                f"unknown solver field {sorted(bad)[0]!r}",
-                field=f"solver.{sorted(bad)[0]}",
-            )
-        for name, value in solver.items():
-            try:
-                SolverConfig(**{name: value})
-            except ValidationError as exc:
-                raise ConfigError(f"bad solver.{name}: {exc}",
-                                  f"solver.{name}") from None
-
-        candidate_mode = data.get("candidate_mode", "lattice")
-        if candidate_mode not in ("lattice", "subsample"):
-            raise ConfigError(
-                f"candidate_mode must be lattice or subsample, got"
-                f" {candidate_mode!r}",
-                field="candidate_mode",
-            )
-
+    @classmethod
+    def from_dict(cls, data: dict) -> "PipelineConfig":
+        run = _run(data, cls.mode, "system stages solver candidate_mode"
+                   " candidates margin order")
+        stage = _stage_fields(data, _object(data.get("candidates"),
+                                            "candidates", "box", cls.mode))
         stages = []
         for i, raw in enumerate(_typed(data.get("stages"), list, "stages")):
             at = f"stages[{i}]"
+            raw = _object(raw, at, "samples_per_source candidate_count budget"
+                          " order", cls.mode)
             try:
                 sizes = {k: _as(int, raw[k], f"{at}.{k}") for k in (
                     "samples_per_source", "candidate_count", "budget")}
                 stages.append(StageSpec(**sizes, order=_as(
-                    float, raw.get("order", order), f"{at}.order")))
-            except (AttributeError, KeyError, TypeError,
-                    ValidationError) as exc:
+                    float, raw.get("order", stage["order"]), f"{at}.order")))
+            except (KeyError, ValidationError) as exc:
                 raise ConfigError(f"bad stage {i}: {exc}", at) from exc
-
-        system = data.get("system")
-        dim = components[0].dim
-        if mode == "pipeline":
-            system = _typed(_require(data, "system", mode), dict, "system")
-            if system.get("type") != "gaussian_walk":
-                raise ConfigError(
-                    f"unknown system type {system.get('type')!r}"
-                    " (supported: gaussian_walk)",
-                    field="system.type",
-                )
-            sigma = _as(float, system.get("sigma", 0), "system.sigma")
-            if "x0" not in system or sigma <= 0:
-                raise ConfigError(
-                    "gaussian_walk needs x0 and sigma > 0", field="system"
-                )
-            dim = _floats(system["x0"], "system.x0").size
-            if dim == 0:
-                raise ConfigError("system.x0 needs a coordinate", "system.x0")
-            if not stages:
-                raise ConfigError(
-                    "missing required field 'stages' for mode pipeline",
-                    field="stages",
-                )
-            # stage 0 has one source, x0, so its pool is its sample count;
-            # later pools hang on the support each stage keeps
-            first = stages[0]
-            if (candidate_mode == "subsample"
-                    and first.candidate_count > first.samples_per_source):
-                raise ConfigError(
-                    f"stages[0].candidate_count {first.candidate_count}"
-                    f" exceeds the {first.samples_per_source} particles to"
-                    " subsample", "stages[0].candidate_count")
-
-        if mode == "select":
-            _require(data, "budget", mode)
-            if count is None:
-                raise ConfigError(
-                    "missing required field 'candidates.count' for mode"
-                    " select",
-                    field="candidates.count",
-                )
-            if not 1 <= budget <= count:
-                raise ConfigError(
-                    f"budget {budget} outside [1, {count}]", field="budget"
-                )
-            pool = len(components) * samples
-            if candidate_mode == "subsample" and count > pool:
-                raise ConfigError(f"candidates.count {count} exceeds the"
-                                  f" {pool} particles to subsample",
-                                  "candidates.count")
-        if candidate_mode == "subsample":
-            # box and margin shape the lattice; a subsample never reads them
-            for field, given in (("candidates.box", box is not None),
-                                 ("margin", "margin" in data)):
-                if given:
-                    raise ConfigError(f"{field} applies to lattice candidates"
-                                      " only, not subsample", field)
-        if (mode in ("select", "pipeline") and box is not None
-                and len(box[0]) != dim):
+        system = _object(_require(data, "system", cls.mode), "system",
+                         "type x0 sigma", cls.mode)
+        if system.get("type") != "gaussian_walk":
+            raise ConfigError(f"unknown system type {system.get('type')!r}"
+                              " (supported: gaussian_walk)", "system.type")
+        sigma = _as(float, system.get("sigma", 0), "system.sigma")
+        if "x0" not in system or sigma <= 0:
+            raise ConfigError("gaussian_walk needs x0 and sigma > 0", "system")
+        x0 = _floats(system["x0"], "system.x0")
+        if x0.size == 0:
+            raise ConfigError("system.x0 needs a coordinate", "system.x0")
+        if not stages:
             raise ConfigError(
-                f"candidates.box corners need {dim} coordinates, got"
-                f" {len(box[0])}", "candidates.box"
-            )
+                "missing required field 'stages' for mode pipeline", "stages")
+        # stage 0 has one source, x0, so its pool is its sample count;
+        # later pools hang on the support each stage keeps
+        _check_candidates(data, stage, x0.size, "stages[0].candidate_count",
+                          stages[0].candidate_count,
+                          stages[0].samples_per_source)
 
-        mapping = (_typed(data.get("mapping"), dict, "mapping")
-                   or {"type": "expectation"})
+        def walk(t, source, n, rng):
+            return source + sigma * rng.standard_normal((n, x0.size))
+
+        return cls(**run, **stage, system=GenerativeSystem(x0, walk),
+                   stages=tuple(stages))
+
+
+@dataclass(frozen=True)
+class EvaluateConfig:
+    """A checked evaluate config: the system file, its costs, the mapping."""
+
+    mode = "evaluate"
+    out: Path
+    system_path: str
+    costs: tuple
+    mapping: RiskMapping
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EvaluateConfig":
+        _object(data, "", "mode out system_path costs mapping", cls.mode)
+        out = _out(data, cls.mode)
+        system_path = _typed(_require(data, "system_path", cls.mode), str,
+                             "system_path")
+        mapping = (_object(data.get("mapping"), "mapping", "type kappa",
+                           cls.mode) or {"type": "expectation"})
         if mapping.get("type") not in ("expectation", "semideviation"):
-            raise ConfigError(
-                f"unknown mapping type {mapping.get('type')!r}", field="mapping"
-            )
+            raise ConfigError(f"unknown mapping type {mapping.get('type')!r}",
+                              "mapping")
         kappa = _as(float, mapping.get("kappa", 0.0), "mapping.kappa")
         if not 0.0 <= kappa <= 1.0:
             raise ConfigError(f"mapping.kappa must lie in [0, 1], got {kappa}",
                               "mapping.kappa")
-        mapping = (expectation_mapping() if mapping["type"] == "expectation"
-                   else semideviation_mapping(kappa))
         costs = tuple(_typed(spec, dict, f"costs[{i}]") for i, spec in
                       enumerate(_typed(data.get("costs"), list, "costs")))
         for i, spec in enumerate(costs):
-            bad = set(spec) - {"affine", "norm"}
+            bad = sorted(set(spec) - {"affine", "norm"})
             if bad:
-                raise ConfigError(
-                    f"unknown cost term {sorted(bad)[0]!r}",
-                    field=f"costs[{i}]",
-                )
+                raise ConfigError(f"unknown cost term {bad[0]!r}",
+                                  f"costs[{i}]")
+            for term, keys in (("affine", "coeff offset"),
+                               ("norm", "center weight power")):
+                _object(spec.get(term), f"costs[{i}].{term}", keys, cls.mode)
             try:
                 cost_function(spec)
             except ConfigError as exc:
                 raise ConfigError(f"costs[{i}].{exc}",
                                   f"costs[{i}].{exc.field}") from None
-        if mode == "evaluate":
-            _require(data, "system_path", mode)
-
-        return cls(
-            mode=mode,
-            out=Path(out),
-            seeds=seeds,
-            emit_plot_data=emit_plot_data,
-            components=components,
-            mixture_weights=weights,
-            samples_per_component=samples,
-            candidate_count=count,
-            candidate_box=box,
-            margin=margin,
-            budget=budget,
-            order=order,
-            solver=solver,
-            system=system,
-            stages=tuple(stages),
-            candidate_mode=candidate_mode,
-            system_path=system_path,
-            costs=costs,
-            mapping=mapping,
-        )
-
-    def solver_config(self, seed: int) -> SolverConfig:
-        return SolverConfig(**self.solver, seed=seed)
+        return cls(out, system_path, costs,
+                   expectation_mapping() if mapping["type"] == "expectation"
+                   else semideviation_mapping(kappa))
 
 
-def load_config(path, overrides) -> ExperimentConfig:
+def load_config(path, overrides):
+    """The checked config of the mode that the mode field names, from the
+    JSON file at path (an empty one when path is None) with overrides."""
     if path is None:
         data = {}
     else:
@@ -477,7 +485,12 @@ def load_config(path, overrides) -> ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
     for dotted, value in (overrides or {}).items():
         _set_path(data, dotted, value)
-    return ExperimentConfig.from_dict(data)
+    mode = data.get("mode")
+    if mode not in _MODES:
+        raise ConfigError(f"mode must be one of {', '.join(_MODES)}, got"
+                          f" {mode!r}", "mode")
+    config, _ = _MODES[mode]
+    return config.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +516,7 @@ def _write_samples(path: Path, clouds):
               zip(groups.tolist(), *np.concatenate(clouds).T.tolist()))
 
 
-def _write_stage(cfg: ExperimentConfig, tag: str, stage):
+def _write_stage(cfg: SelectConfig | PipelineConfig, tag: str, stage):
     """diagnostics_{tag}.csv for one compressed stage and, with
     emit_plot_data, its samples_/candidates_/selected_{tag}.csv."""
     result = stage.result
@@ -533,16 +546,10 @@ def _write_stage(cfg: ExperimentConfig, tag: str, stage):
                   candidates[np.flatnonzero(result.gamma)])
 
 
-def _write_metadata(cfg: ExperimentConfig, wall: float, extra=None):
-    payload = {
-        "mode": cfg.mode,
-        "seeds": list(cfg.seeds),
-        "version": __version__,
-        "wall_time_s": wall,
-        "written_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    payload.update(extra or {})
-    _write_json(cfg.out / "metadata.json", payload)
+def _write_metadata(cfg, wall: float, extra: dict):
+    _write_json(cfg.out / "metadata.json", {
+        "mode": cfg.mode, "version": __version__, "wall_time_s": wall,
+        "written_utc": datetime.now(timezone.utc).isoformat(), **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +594,7 @@ def _log(message: str, *args):
         print("INFO " + message % args, file=sys.stderr)
 
 
-def run_generate(cfg: ExperimentConfig, start: float):
+def run_generate(cfg: GenerateConfig, start: float):
     for seed in cfg.seeds:
         clouds = sample_gaussian_mixture(cfg.components,
                                          cfg.samples_per_component, seed)
@@ -608,7 +615,8 @@ def run_generate(cfg: ExperimentConfig, start: float):
             len(clouds),
             cfg.samples_per_component,
         )
-    _write_metadata(cfg, time.perf_counter() - start)
+    _write_metadata(cfg, time.perf_counter() - start,
+                    {"seeds": list(cfg.seeds)})
 
 
 def _phases(start: float) -> dict:
@@ -619,7 +627,7 @@ def _phases(start: float) -> dict:
             "write_s": 0.0}
 
 
-def run_select(cfg: ExperimentConfig, start: float):
+def run_select(cfg: SelectConfig, start: float):
     phases = _phases(start)
     summary = []
     marginal = DiscreteDistribution(
@@ -635,7 +643,7 @@ def run_select(cfg: ExperimentConfig, start: float):
             cfg.candidate_box, stage_stream(seed, 0, len(clouds)),
         )
         stage = compress_stage(marginal, clouds, candidates, cfg.order,
-                               cfg.budget, cfg.solver_config(seed), started)
+                               cfg.budget, cfg.solver, started)
         phases["stage_s"] += stage.wall_s
         writing = time.perf_counter()
         instance, result = stage.instance, stage.result
@@ -693,29 +701,18 @@ def run_select(cfg: ExperimentConfig, start: float):
     )
     end = time.perf_counter()
     phases["write_s"] += end - writing
-    _write_metadata(cfg, end - start, {"phases": phases})
+    _write_metadata(cfg, end - start,
+                    {"seeds": list(cfg.seeds), "phases": phases})
 
 
-def _walk_system(spec: dict) -> GenerativeSystem:
-    x0 = np.asarray(spec["x0"], dtype=np.float64).ravel()
-    sigma = float(spec["sigma"])
-
-    def sampler(t, source, n, rng):
-        return source + sigma * rng.standard_normal((n, len(x0)))
-
-    return GenerativeSystem(x0, sampler)
-
-
-def run_pipeline(cfg: ExperimentConfig, start: float):
+def run_pipeline(cfg: PipelineConfig, start: float):
     phases = _phases(start)
     summary = []
     for seed in cfg.seeds:
         stages = []
         t0 = time.perf_counter()
         approx = approximate_system(
-            _walk_system(cfg.system),
-            cfg.stages,
-            cfg.solver_config(seed),
+            cfg.system, cfg.stages, cfg.solver, seed=seed,
             candidate_mode=cfg.candidate_mode,
             margin=cfg.margin,
             box=cfg.candidate_box,
@@ -761,19 +758,18 @@ def run_pipeline(cfg: ExperimentConfig, start: float):
     )
     end = time.perf_counter()
     phases["write_s"] += end - writing
-    _write_metadata(cfg, end - start, {"phases": phases})
+    _write_metadata(cfg, end - start,
+                    {"seeds": list(cfg.seeds), "phases": phases})
 
 
-def run_evaluate(cfg: ExperimentConfig, start: float):
+def run_evaluate(cfg: EvaluateConfig, start: float):
     loading = time.perf_counter()
     system = load_system(cfg.system_path)
     decoded = time.perf_counter()
     horizon = system.horizon
-    specs = cfg.costs
-    if len(specs) == 0:
-        specs = ({},) * (horizon + 1)
-    elif len(specs) == 1:
-        specs = tuple(specs) * (horizon + 1)
+    specs = cfg.costs or ({},)  # no cost is the zero cost at every stage
+    if len(specs) == 1:
+        specs = specs * (horizon + 1)
     elif len(specs) != horizon + 1:
         raise ConfigError(
             f"need 1 or {horizon + 1} cost entries for a {horizon}-stage"
@@ -823,6 +819,12 @@ def run_evaluate(cfg: ExperimentConfig, start: float):
 # entry point
 # ---------------------------------------------------------------------------
 
+# each mode's config type and the function that runs it
+_MODES = {config.mode: (config, run) for config, run in (
+    (GenerateConfig, run_generate), (SelectConfig, run_select),
+    (PipelineConfig, run_pipeline), (EvaluateConfig, run_evaluate))}
+
+
 def run_experiment(config_path, overrides=None) -> int:
     """Load, validate, and execute one experiment config; returns 0.
 
@@ -832,12 +834,7 @@ def run_experiment(config_path, overrides=None) -> int:
     cfg = load_config(config_path, overrides)
     made = [path for path in (cfg.out, *cfg.out.parents) if not path.exists()]
     cfg.out.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "generate": run_generate,
-        "select": run_select,
-        "pipeline": run_pipeline,
-        "evaluate": run_evaluate,
-    }[cfg.mode]
+    _, runner = _MODES[cfg.mode]
     try:
         runner(cfg, start)
     except BaseException:
@@ -860,7 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="single seed")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="solver.threads (checked, not used by the solver)"
+        help="solver.threads (select, pipeline; checked, not used by the"
+        " solver)"
     )
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(

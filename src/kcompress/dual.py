@@ -75,8 +75,8 @@ class SolverConfig:
     """Settings of the dual ascent: the iteration cap. The step rule and the
     stopping test have no settings; see run_subgradient. threads is checked
     but read by no step of the solver (the screened sweep runs on one
-    thread), and neither is seed; both stay because existing configs and
-    callers pass them."""
+    thread); seed is read by nothing (approximate_system takes the sampling
+    seed). Both stay because the benchmark's workloads pass them."""
 
     max_iter: int = 5000
     seed: int = 0

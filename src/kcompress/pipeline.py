@@ -234,6 +234,8 @@ def approximate_system(
     system: GenerativeSystem,
     stages,
     solver: SolverConfig,
+    *,
+    seed: int,
     candidate_mode: str = "lattice",
     margin: float = 0.05,
     box=None,
@@ -243,11 +245,11 @@ def approximate_system(
 
     Stage t runs stages[t], a StageSpec, and calls the sampler with t.
     Sampling is reproducible: the cloud for source s at stage t comes from
-    a generator seeded by (solver.seed, t, s), independent of every other
-    cloud, and a subsample of candidates from one seeded by (solver.seed,
-    t, number of sources). With box set, the stage candidate lattice uses
-    that fixed box instead of the pooled bounding box. on_stage(stage) is
-    called with each compress_stage result, for diagnostics collection.
+    a generator seeded by (seed, t, s), independent of every other cloud,
+    and a subsample of candidates from one seeded by (seed, t, number of
+    sources). With box set, the stage candidate lattice uses that fixed
+    box instead of the pooled bounding box. on_stage(stage) is called with
+    each compress_stage result, for diagnostics collection.
     """
     marginals = [DiscreteDistribution([system.x0], [1.0])]
     kernels = []
@@ -257,12 +259,12 @@ def approximate_system(
         marginal = marginals[-1]
         clouds = [
             as_points(system.sampler(t, source, spec.samples_per_source,
-                                     stage_stream(solver.seed, t, s)))
+                                     stage_stream(seed, t, s)))
             for s, source in enumerate(marginal.support)
         ]
         candidates = stage_candidates(
             clouds, spec.candidate_count, candidate_mode, margin, box,
-            stage_stream(solver.seed, t, len(marginal)),
+            stage_stream(seed, t, len(marginal)),
         )
         stage = compress_stage(marginal, clouds, candidates, spec.order,
                                spec.budget, solver, started)

@@ -10,7 +10,6 @@ import pytest
 from helpers import csv_module_bytes, ragged_system_dict
 from kcompress import cli, risk
 from kcompress.cli import (
-    ExperimentConfig,
     cost_function,
     load_config,
     main,
@@ -73,7 +72,7 @@ def test_overrides_take_the_first_bare_token_as_mode():
 def test_override_reaches_nested_field(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", select_config(tmp_path / "o"))
     cfg = load_config(cfg_path, {"solver.max_iter": 7, "budget": 4})
-    assert cfg.solver["max_iter"] == 7
+    assert cfg.solver.max_iter == 7
     assert cfg.budget == 4
 
 
@@ -115,6 +114,7 @@ def _pipeline_config(out):
 def _mode_config(tmp_path, mode):
     """A valid config for mode, written to c.json, with output dir o."""
     data = {
+        "generate": {"mode": "generate", "out": str(tmp_path / "o")},
         "select": select_config(tmp_path / "o"),
         "pipeline": _pipeline_config(tmp_path / "o"),
         "evaluate": {"mode": "evaluate", "out": str(tmp_path / "o")},
@@ -199,6 +199,9 @@ def _mode_config(tmp_path, mode):
     (["pipeline", "--candidate_mode", "subsample", "--stages",
       '[{"samples_per_source": 10, "candidate_count": 20, "budget": 2}]'],
      "stages[0].candidate_count"),
+    (["generate", "--mixture", "5"], "mixture"),
+    (["generate", "--seeds", "[-1]"], "seeds"),
+    (["generate", "--emit_plot_data", '"no"'], "emit_plot_data"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
                                    field):
@@ -249,6 +252,13 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
       '[{"samples_per_source": 10, "candidate_count": 20, "budget": 2}]'],
      "stages[0].candidate_count",
      "stages[0].candidate_count 20 exceeds the 10 particles to subsample"),
+    (["pipeline", "--stages", "[5]"], "stages[0]",
+     "stages[0] must be an object, got 5"),
+    (["evaluate", "--system_path", "s.json", '--costs=[{"norm": 5}]'],
+     "costs[0].norm", "costs[0].norm must be an object, got 5"),
+    (["generate", "--mixture.samples_per_component", "0"],
+     "mixture.samples_per_component",
+     "samples_per_component must be positive"),
 ])
 def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
                                                message):
@@ -260,6 +270,79 @@ def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
     with pytest.raises(ConfigError, match=re.escape(message)) as exc:
         load_config(cfg_path, parse_overrides(argv[1:]))
     assert exc.value.field == field
+
+
+# The top-level keys each mode reads besides mode, as the README's config
+# table gives them, and a value of the right kind for each key but out,
+# which every mode reads.
+MODE_READS = {
+    "generate": {"out", "seeds", "emit_plot_data", "mixture"},
+    "select": {"out", "seeds", "emit_plot_data", "mixture", "candidates",
+               "margin", "budget", "order", "solver", "candidate_mode"},
+    "pipeline": {"out", "seeds", "emit_plot_data", "system", "stages",
+                 "solver", "candidate_mode", "candidates", "margin", "order"},
+    "evaluate": {"out", "system_path", "costs", "mapping"},
+}
+KEY_VALUES = {
+    "seeds": [1], "emit_plot_data": True,
+    "mixture": {"samples_per_component": 10},
+    "candidates": {"count": 8}, "margin": 0.1, "budget": 3, "order": 2,
+    "solver": {"max_iter": 9}, "candidate_mode": "lattice",
+    "system": {"type": "gaussian_walk", "x0": [0.0, 0.0], "sigma": 0.8},
+    "stages": [{"samples_per_source": 10, "candidate_count": 8, "budget": 2}],
+    "system_path": "s.json", "costs": [{"norm": {"power": 2}}],
+    "mapping": {"type": "expectation"},
+}
+
+
+@pytest.mark.parametrize("mode, overrides, field", [
+    *(pytest.param(mode, {key: KEY_VALUES[key]}, key, id=f"{mode}-{key}")
+      for mode, reads in MODE_READS.items()
+      for key in sorted(set(KEY_VALUES) - reads)),
+    pytest.param("generate", {"mixture.weights": [1.0]}, "mixture.weights",
+                 id="generate-mixture.weights"),
+    pytest.param("select", {"candidates.cnt": 9}, "candidates.cnt",
+                 id="select-candidates.cnt"),
+    pytest.param("pipeline", {"candidates.count": 8}, "candidates.count",
+                 id="pipeline-candidates.count"),
+    pytest.param("pipeline", {"stages": [{
+        "samples_per_source": 10, "candidate_count": 8, "budgett": 2}]},
+        "stages[0].budgett", id="pipeline-stages[0].budgett"),
+    pytest.param("pipeline", {"system.drift": 1}, "system.drift",
+                 id="pipeline-system.drift"),
+    pytest.param("evaluate", {"system_path": "s.json", "mapping.kapa": 0.5},
+                 "mapping.kapa", id="evaluate-mapping.kapa"),
+    pytest.param("evaluate", {"system_path": "s.json",
+                              "costs": [{"norm": {"powr": 2}}]},
+                 "costs[0].norm.powr", id="evaluate-costs[0].norm.powr"),
+])
+def test_a_key_the_mode_never_reads_exits_2(tmp_path, capsys, mode,
+                                            overrides, field):
+    cfg_path = _mode_config(tmp_path, mode)
+    argv = [f"--{key}={json.dumps(value)}" for key, value in overrides.items()]
+    assert main([mode, "--config", cfg_path, *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown config field {field!r} for mode {mode}\n")
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg_path, overrides)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["evaluate", "--seed", "1"], "seeds"),
+    (["evaluate", "--emit-plot-data"], "emit_plot_data"),
+    (["evaluate", "--threads", "1"], "solver"),
+    (["generate", "--threads", "1"], "solver"),
+])
+def test_an_option_the_mode_never_reads_exits_2(tmp_path, capsys, argv,
+                                               field):
+    mode = argv[0]
+    cfg_path = _mode_config(tmp_path, mode)
+    assert main([*argv, "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown config field {field!r} for mode {mode}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_config_rejects_an_unknown_mode():
@@ -659,8 +742,10 @@ def test_csv_artifacts_are_csv_module_bytes(tmp_path, monkeypatch):
     sel = write_config(tmp_path / "s.json", select_config(
         tmp_path / "sel", seeds=(1, 2), k=16, m=4, n=15))
     assert main(["select", "--config", sel, "--emit-plot-data"]) == 0
-    assert main(["generate", "--config", sel, "--out", str(tmp_path / "gen"),
-                 "--emit-plot-data"]) == 0
+    gen = write_config(tmp_path / "g.json", {
+        "mode": "generate", "out": str(tmp_path / "gen"), "seeds": [1, 2],
+        "mixture": {"samples_per_component": 15}})
+    assert main(["generate", "--config", gen, "--emit-plot-data"]) == 0
     assert main(["pipeline", "--out", str(tmp_path / "pipe"),
                  "--emit-plot-data", "--system",
                  '{"type": "gaussian_walk", "x0": [0.0, 0.0], "sigma": 0.8}',
@@ -785,6 +870,9 @@ def test_evaluate_values_csv_and_phases(tmp_path):
         assert float(row[3]) == pytest.approx(value, rel=1e-12)
 
     meta = json.loads((tmp_path / "eval" / "metadata.json").read_text())
+    # evaluate draws nothing at random, so it reports no seeds
+    assert set(meta) == {"mode", "version", "wall_time_s", "written_utc",
+                         "phases", "system_bytes", "kernel_rows"}
     assert_phases(meta, "decode_s", "evaluate_s", "write_s")
     # what the decode read: the file's size and the rows of all kernels
     assert meta["system_bytes"] == (tmp_path / "system.json").stat().st_size

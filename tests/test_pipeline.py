@@ -219,8 +219,8 @@ def test_candidate_subsample_draws_from_pool():
 def test_system_shapes_and_invariants():
     system = walk_system()
     stages = walk_stages(3)
-    solver = SolverConfig(max_iter=250, seed=5)
-    approx = approximate_system(system, stages, solver)
+    solver = SolverConfig(max_iter=250)
+    approx = approximate_system(system, stages, solver, seed=5)
     assert approx.horizon == 3
     assert len(approx.supports) == 4
     assert len(approx.marginals) == 4
@@ -246,11 +246,11 @@ def test_system_shapes_and_invariants():
 def test_deltas_match_integrated_distance():
     system = walk_system()
     stages = walk_stages(2, n=30, k=20, m=4)
-    solver = SolverConfig(max_iter=250, seed=9)
-    approx = approximate_system(system, stages, solver)
+    solver = SolverConfig(max_iter=250)
+    approx = approximate_system(system, stages, solver, seed=9)
     for t, stage in enumerate(stages):
         marginal = approx.marginals[t]
-        clouds = stage_clouds(system, marginal, t, stage, solver.seed)
+        clouds = stage_clouds(system, marginal, t, stage, 9)
         empirical = tuple(
             DiscreteDistribution(c, np.full(len(c), 1.0 / len(c)))
             for c in clouds
@@ -267,11 +267,11 @@ def test_deltas_match_integrated_distance():
 def test_single_stage_matches_direct_solve():
     system = walk_system()
     stage = StageSpec(35, 16, 3, 2.0)
-    solver = SolverConfig(max_iter=250, seed=21)
-    approx = approximate_system(system, [stage], solver)
+    solver = SolverConfig(max_iter=250)
+    approx = approximate_system(system, [stage], solver, seed=21)
 
     marginal = dirac(system.x0)
-    clouds = stage_clouds(system, marginal, 0, stage, solver.seed)
+    clouds = stage_clouds(system, marginal, 0, stage, 21)
     candidates = candidate_lattice(clouds, stage.candidate_count)
     inst = build_stage_instance(
         marginal, clouds, candidates, stage.order, stage.budget
@@ -303,7 +303,7 @@ def test_on_stage_gets_each_stage_of_the_system():
     stages = walk_stages(3, n=20, k=16, m=4)
     seen = []
     approx = approximate_system(
-        system, stages, SolverConfig(max_iter=200, seed=8),
+        system, stages, SolverConfig(max_iter=200), seed=8,
         on_stage=seen.append,
     )
     assert len(seen) == 3
@@ -341,9 +341,9 @@ def test_deterministic_kernel_compresses_exactly():
 
     system = GenerativeSystem(np.zeros(2), sampler)
     stages = [StageSpec(10, 5, 1, 1.0)] * 2
-    solver = SolverConfig(max_iter=100, seed=2)
+    solver = SolverConfig(max_iter=100)
     approx = approximate_system(
-        system, stages, solver, candidate_mode="subsample"
+        system, stages, solver, seed=2, candidate_mode="subsample"
     )
     assert np.allclose(approx.deltas, 0.0)
     assert len(approx.supports[1]) == 1
@@ -354,9 +354,9 @@ def test_deterministic_kernel_compresses_exactly():
 def test_same_seed_reproduces_system():
     system = walk_system()
     stages = walk_stages(2, n=25, k=16, m=4)
-    solver = SolverConfig(max_iter=200, seed=77)
-    a = approximate_system(system, stages, solver)
-    b = approximate_system(system, stages, solver)
+    solver = SolverConfig(max_iter=200)
+    a = approximate_system(system, stages, solver, seed=77)
+    b = approximate_system(system, stages, solver, seed=77)
     for t in range(2):
         assert np.array_equal(a.supports[t + 1], b.supports[t + 1])
         assert np.array_equal(a.marginals[t + 1].weights, b.marginals[t + 1].weights)
@@ -366,9 +366,9 @@ def test_same_seed_reproduces_system():
 def test_fixed_box_candidates():
     system = walk_system()
     stages = walk_stages(1, n=25, k=16, m=4)
-    solver = SolverConfig(max_iter=200, seed=4)
+    solver = SolverConfig(max_iter=200)
     box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-    approx = approximate_system(system, stages, solver, box=box)
+    approx = approximate_system(system, stages, solver, seed=4, box=box)
     for point in approx.supports[1]:
         assert np.all(point >= -3.0) and np.all(point <= 3.0)
 
@@ -377,7 +377,8 @@ def test_unknown_candidate_mode():
     system = walk_system()
     with pytest.raises(ValidationError):
         approximate_system(
-            system, walk_stages(1), SolverConfig(), candidate_mode="grid"
+            system, walk_stages(1), SolverConfig(), seed=0,
+            candidate_mode="grid"
         )
 
 
@@ -388,8 +389,8 @@ def test_support_growth_is_budgeted():
         StageSpec(20, 32, 5, 1.0),
         StageSpec(15, 32, 3, 1.0),
     ]
-    solver = SolverConfig(max_iter=300, seed=13)
-    approx = approximate_system(system, stages, solver)
+    solver = SolverConfig(max_iter=300)
+    approx = approximate_system(system, stages, solver, seed=13)
     assert len(approx.supports[1]) <= 6
     assert len(approx.supports[2]) <= 5
     assert len(approx.supports[3]) <= 3
@@ -446,7 +447,7 @@ def assert_same_system(a, b):
 def test_load_system_matches_json_load(tmp_path):
     approx = approximate_system(
         walk_system(), walk_stages(2, n=25, k=16, m=4),
-        SolverConfig(max_iter=200, seed=3),
+        SolverConfig(max_iter=200), seed=3,
     )
     for name, data in (("walk", system_to_dict(approx)),
                        ("small", small_system_dict())):
