@@ -10,9 +10,8 @@ artifacts into the output directory:
   wall-clock data goes to metadata.json instead),
 * per-iteration diagnostics CSV (j, dual, sum_gamma, alpha, theta0,
   elapsed_ms, primal, gap),
-* summary.csv with one row per solve (dim_beta, dim_gamma, the stage's wall
-  time from sampling through composition, achieved distance, duality gap,
-  stop_reason; pipeline rows add the solver loop's own time as solve_s),
+* summary.csv with one row per compressed stage, in one schema for select
+  and pipeline (_SUMMARY),
 * with --emit-plot-data: sample/candidate/selected point CSVs and the
   nearest-assignment transport plan (i, k, mass).
 
@@ -40,7 +39,6 @@ from .core import (
     WEIGHT_TOL,
     DiscreteDistribution,
     distribution_to_dict,
-    kernel_to_dict,
     write_csv,
 )
 from .dual import SolverConfig
@@ -156,10 +154,12 @@ def _object(raw, field: str, keys: str, mode: str) -> dict:
     data = _typed(raw, dict, field)
     unknown = sorted(set(data) - set(keys.split()))
     if unknown:
-        path = f"{field}.{unknown[0]}" if field else unknown[0]
-        raise ConfigError(f"unknown config field {path!r} for mode {mode}",
-                          path)
+        raise _unknown(f"{field}.{unknown[0]}" if field else unknown[0], mode)
     return data
+
+
+def _unknown(path: str, mode: str) -> ConfigError:
+    return ConfigError(f"unknown config field {path!r} for mode {mode}", path)
 
 
 def _floats(raw, field: str) -> np.ndarray:
@@ -516,9 +516,17 @@ def _write_samples(path: Path, clouds):
               zip(groups.tolist(), *np.concatenate(clouds).T.tolist()))
 
 
-def _write_stage(cfg: SelectConfig | PipelineConfig, tag: str, stage):
-    """diagnostics_{tag}.csv for one compressed stage and, with
-    emit_plot_data, its samples_/candidates_/selected_{tag}.csv."""
+# select's one stage is stage 0; wall_time_s runs from the stage's sampling
+# through its composition, solve_s is the solver loop alone
+_SUMMARY = ["seed", "stage", "dim_beta", "dim_gamma", "wall_time_s",
+            "solve_s", "distance", "gap", "stop_reason"]
+
+
+def _write_stage(cfg: SelectConfig | PipelineConfig, tag: str, seed: int,
+                 t: int, stage) -> tuple:
+    """diagnostics_{tag}.csv for stage t of seed's run and, with
+    emit_plot_data, its samples_/candidates_/selected_{tag}.csv; returns
+    the stage's summary.csv row."""
     result = stage.result
     # primal is the best feasible objective so far, gap its distance to the
     # best dual value so far; rows are streamed, never held
@@ -537,19 +545,33 @@ def _write_stage(cfg: SelectConfig | PipelineConfig, tag: str, stage):
          "gap"],
         rows,
     )
-    if not cfg.emit_plot_data:
-        return
-    _write_samples(cfg.out / f"samples_{tag}.csv", stage.instance.clouds)
-    candidates = stage.instance.candidates
-    _write_points(cfg.out / f"candidates_{tag}.csv", candidates)
-    _write_points(cfg.out / f"selected_{tag}.csv",
-                  candidates[np.flatnonzero(result.gamma)])
+    if cfg.emit_plot_data:
+        _write_samples(cfg.out / f"samples_{tag}.csv", stage.instance.clouds)
+        candidates = stage.instance.candidates
+        _write_points(cfg.out / f"candidates_{tag}.csv", candidates)
+        _write_points(cfg.out / f"selected_{tag}.csv",
+                      candidates[np.flatnonzero(result.gamma)])
+    solve = float(result.history_elapsed_ms[-1]) / 1000.0
+    return (seed, t, stage.instance.dim_beta, stage.instance.dim_gamma,
+            round(stage.wall_s, 6), round(solve, 6), float(stage.delta),
+            float(result.gap), result.stop_reason)
 
 
 def _write_metadata(cfg, wall: float, extra: dict):
     _write_json(cfg.out / "metadata.json", {
         "mode": cfg.mode, "version": __version__, "wall_time_s": wall,
         "written_utc": datetime.now(timezone.utc).isoformat(), **extra})
+
+
+def _write_summary(cfg: SelectConfig | PipelineConfig, start: float,
+                   phases: dict, summary: list):
+    """summary.csv, its time added to write_s, then metadata.json."""
+    writing = time.perf_counter()
+    write_csv(cfg.out / "summary.csv", _SUMMARY, summary)
+    end = time.perf_counter()
+    phases["write_s"] += end - writing
+    _write_metadata(cfg, end - start,
+                    {"seeds": list(cfg.seeds), "phases": phases})
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +583,12 @@ def cost_function(spec: dict):
     JSON cost grammar; an empty spec is the zero cost."""
     affine = _typed(spec.get("affine"), dict, "affine")
     norm = _typed(spec.get("norm"), dict, "norm")
+    # an empty norm object is the default term 1 * |x - 0|^1, not no term
+    has_norm = spec.get("norm") is not None
     coeff = _floats(affine.get("coeff", []), "affine.coeff")
     offset = _as(float, affine.get("offset", 0.0), "affine.offset")
     center = _floats(norm.get("center", []), "norm.center")
-    weight = _as(float, norm.get("weight", 1.0), "norm.weight") if norm else 0.0
+    weight = _as(float, norm.get("weight", 1.0), "norm.weight")
     power = _as(float, norm.get("power", 1.0), "norm.power")
     if power < 0:
         raise ConfigError(f"norm.power must be >= 0, got {power!r}",
@@ -575,7 +599,7 @@ def cost_function(spec: dict):
         value = offset
         if coeff.size:
             value += float(np.dot(coeff, x))
-        if norm:
+        if has_norm:
             shift = x - center if center.size else x
             value += weight * float(np.linalg.norm(shift)) ** power
         return value
@@ -676,12 +700,7 @@ def run_select(cfg: SelectConfig, start: float):
             "sum_gamma": int(result.gamma.sum()),
         }
         _write_json(cfg.out / f"result_seed{seed}.json", payload)
-        _write_stage(cfg, f"seed{seed}", stage)
-        summary.append((
-            seed, instance.dim_beta, instance.dim_gamma,
-            round(stage.wall_s, 6), float(stage.delta), float(result.gap),
-            result.stop_reason,
-        ))
+        summary.append(_write_stage(cfg, f"seed{seed}", seed, 0, stage))
         if cfg.emit_plot_data:
             write_csv(cfg.out / f"plan_seed{seed}.csv", ["i", "k", "mass"],
                       zip(range(len(columns)), columns.tolist(),
@@ -692,17 +711,7 @@ def run_select(cfg: SelectConfig, start: float):
             " wall=%.2fs", seed, stage.delta, result.gap, result.stop_reason,
             int(result.gamma.sum()), stage.wall_s,
         )
-    writing = time.perf_counter()
-    write_csv(
-        cfg.out / "summary.csv",
-        ["seed", "dim_beta", "dim_gamma", "wall_time_s", "distance", "gap",
-         "stop_reason"],
-        summary,
-    )
-    end = time.perf_counter()
-    phases["write_s"] += end - writing
-    _write_metadata(cfg, end - start,
-                    {"seeds": list(cfg.seeds), "phases": phases})
+    _write_summary(cfg, start, phases, summary)
 
 
 def run_pipeline(cfg: PipelineConfig, start: float):
@@ -725,41 +734,16 @@ def run_pipeline(cfg: PipelineConfig, start: float):
             cfg.out / f"system_seed{seed}.json", system_to_dict(approx)
         )
         for t, stage in enumerate(stages):
-            _write_json(
-                cfg.out / f"stage_{t}_seed{seed}.json",
-                {
-                    "delta": float(stage.delta),
-                    "kernel": kernel_to_dict(stage.kernel),
-                    "marginal": distribution_to_dict(stage.marginal),
-                    "support": stage.marginal.support.tolist(),
-                },
-            )
-            _write_stage(cfg, f"stage{t}_seed{seed}", stage)
-            result = stage.result
-            solve = float(result.history_elapsed_ms[-1]) / 1000.0
-            summary.append((
-                seed, t, stage.instance.dim_beta, stage.instance.dim_gamma,
-                round(stage.wall_s, 6), round(solve, 6), float(stage.delta),
-                float(result.gap), result.stop_reason,
-            ))
+            summary.append(
+                _write_stage(cfg, f"stage{t}_seed{seed}", seed, t, stage))
             _log(
                 "pipeline seed=%d stage=%d: delta=%.6f gap=%.3e (%s)"
-                " support=%d", seed, t, stage.delta, result.gap,
-                result.stop_reason, len(stage.marginal),
+                " support=%d", seed, t, stage.delta, stage.result.gap,
+                stage.result.stop_reason, len(stage.marginal),
             )
         phases["write_s"] += time.perf_counter() - writing
         _log("pipeline seed=%d: wall=%.2fs", seed, wall)
-    writing = time.perf_counter()
-    write_csv(
-        cfg.out / "summary.csv",
-        ["seed", "stage", "dim_beta", "dim_gamma", "wall_time_s", "solve_s",
-         "delta", "gap", "stop_reason"],
-        summary,
-    )
-    end = time.perf_counter()
-    phases["write_s"] += end - writing
-    _write_metadata(cfg, end - start,
-                    {"seeds": list(cfg.seeds), "phases": phases})
+    _write_summary(cfg, start, phases, summary)
 
 
 def run_evaluate(cfg: EvaluateConfig, start: float):
@@ -884,6 +868,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seeds"] = [args.seed]
         if args.threads is not None:
+            # named by the key it writes, as --seed is named by seeds
+            if "solver" not in _MODES[mode][0].__dataclass_fields__:
+                raise _unknown("solver.threads", mode)
             overrides["solver.threads"] = args.threads
         if args.out is not None:
             overrides["out"] = args.out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -62,10 +63,12 @@ class SelectionInstance:
             raise ValidationError(
                 f"sum of w_s * n_s is {total!r}, expected 1"
             )
-        k = len(candidates)
-        if not (1 <= self.budget <= k):
+        k, budget = len(candidates), self.budget
+        if isinstance(budget, bool) or not isinstance(budget, Integral):
+            raise ValidationError(f"budget must be an integer, got {budget!r}")
+        if not (1 <= budget <= k):
             raise ValidationError(
-                f"budget {self.budget} outside [1, {k}]"
+                f"budget {budget} outside [1, {k}]"
             )
         if self.sources is not None:
             sources = as_points(self.sources)

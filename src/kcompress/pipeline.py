@@ -17,6 +17,7 @@ import json
 import re
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -46,6 +47,11 @@ class StageSpec:
     order: float
 
     def __post_init__(self):
+        for name in ("samples_per_source", "candidate_count", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValidationError(
+                    f"{name} must be an integer, got {value!r}")
         if min(self.samples_per_source, self.candidate_count, self.budget) < 1:
             raise ValidationError("stage sizes must be positive")
         if self.budget > self.candidate_count:
@@ -280,6 +286,7 @@ def approximate_system(
 
 def system_to_dict(approx: DiscreteSystem) -> dict:
     """JSON-ready form: per-stage supports, kernel rows, marginals, deltas."""
+    # imported per call so kcbench's tracer, wrapping core's names, sees it
     from .core import distribution_to_dict, kernel_to_dict
 
     return {
@@ -293,6 +300,7 @@ def system_to_dict(approx: DiscreteSystem) -> dict:
 def system_from_dict(data: dict) -> DiscreteSystem:
     """Inverse of system_to_dict, validated as distributions and as a
     DiscreteSystem; a malformed document raises ValidationError."""
+    # imported per call so kcbench's tracer, wrapping core's names, sees it
     from .core import distribution_from_dict, kernel_from_dict
 
     if not isinstance(data, dict):

@@ -43,6 +43,11 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+# select and pipeline write one summary.csv schema, a row per stage
+SUMMARY_HEADER = ["seed", "stage", "dim_beta", "dim_gamma", "wall_time_s",
+                  "solve_s", "distance", "gap", "stop_reason"]
+
+
 def assert_phases(meta, *names):
     """metadata.json times the named phases, which fit in the wall time."""
     phases = meta["phases"]
@@ -332,8 +337,8 @@ def test_a_key_the_mode_never_reads_exits_2(tmp_path, capsys, mode,
 @pytest.mark.parametrize("argv, field", [
     (["evaluate", "--seed", "1"], "seeds"),
     (["evaluate", "--emit-plot-data"], "emit_plot_data"),
-    (["evaluate", "--threads", "1"], "solver"),
-    (["generate", "--threads", "1"], "solver"),
+    (["evaluate", "--threads", "1"], "solver.threads"),
+    (["generate", "--threads", "1"], "solver.threads"),
 ])
 def test_an_option_the_mode_never_reads_exits_2(tmp_path, capsys, argv,
                                                field):
@@ -479,6 +484,8 @@ def test_cost_grammar_terms():
         }
     )
     assert both([3.0, 4.0]) == pytest.approx(3.0 + 5.0)
+    # an empty norm object is the default term 1 * |x - 0|^1
+    assert cost_function({"norm": {}})([3.0, 4.0]) == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +534,10 @@ def test_select_artifacts_and_summary(tmp_path):
     assert result["composed_distance"] <= result["distance"] + 1e-9
 
     summary = read_csv(out / "summary.csv")
-    assert summary[0] == [
-        "seed",
-        "dim_beta",
-        "dim_gamma",
-        "wall_time_s",
-        "distance",
-        "gap",
-        "stop_reason",
-    ]
-    assert summary[1][0] == "2"
-    assert int(summary[1][1]) == 5 * 25 * 24
-    assert summary[1][6] == result["stop_reason"]
+    assert summary[0] == SUMMARY_HEADER
+    assert summary[1][:2] == ["2", "0"]
+    assert int(summary[1][2]) == 5 * 25 * 24
+    assert summary[1][8] == result["stop_reason"]
     assert result["stop_reason"] in ("certified", "stabilized", "max_iter")
     assert result["converged"] == (result["stop_reason"] == "certified")
 
@@ -565,6 +564,39 @@ def test_select_artifacts_and_summary(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["mode"] == "select"
     assert_phases(meta, "config_s", "stage_s", "write_s")
+
+
+def test_select_and_pipeline_write_one_summary_schema(tmp_path):
+    sel = tmp_path / "sel"
+    cfg_path = write_config(tmp_path / "c.json", select_config(
+        sel, seeds=(1, 2), k=16, m=4, n=15))
+    assert main(["select", "--config", cfg_path]) == 0
+    pipe = tmp_path / "pipe"
+    assert main(["pipeline", "--out", str(pipe), "--seeds", "[0, 3]",
+                 "--system",
+                 '{"type": "gaussian_walk", "x0": [0.0, 0.0], "sigma": 0.8}',
+                 "--stages", json.dumps([{"samples_per_source": 20,
+                                          "candidate_count": 16,
+                                          "budget": 3}] * 2)]) == 0
+    select_rows, pipeline_rows = (read_csv(out / "summary.csv")
+                                  for out in (sel, pipe))
+    assert select_rows[0] == pipeline_rows[0] == SUMMARY_HEADER
+    assert [r[:2] for r in select_rows[1:]] == [["1", "0"], ["2", "0"]]
+    for row in select_rows[1:]:
+        row = dict(zip(SUMMARY_HEADER, row))
+        result = json.loads((sel / f"result_seed{row['seed']}.json")
+                            .read_text())
+        assert float(row["distance"]) == result["distance"]
+        assert float(row["gap"]) == result["gap"]
+        assert row["stop_reason"] == result["stop_reason"]
+        assert float(row["wall_time_s"]) >= float(row["solve_s"]) > 0.0
+    assert [r[:2] for r in pipeline_rows[1:]] == [
+        ["0", "0"], ["0", "1"], ["3", "0"], ["3", "1"]]
+    for row in pipeline_rows[1:]:
+        row = dict(zip(SUMMARY_HEADER, row))
+        system = json.loads((pipe / f"system_seed{row['seed']}.json")
+                            .read_text())
+        assert float(row["distance"]) == system["deltas"][int(row["stage"])]
 
 
 def test_select_subsample_candidates_are_particles(tmp_path):
@@ -782,14 +814,11 @@ def test_pipeline_then_evaluate(tmp_path):
     system = json.loads((pipe_out / "system_seed1.json").read_text())
     assert len(system["kernels"]) == 2
     assert len(system["supports"]) == 3
-    stage0 = json.loads((pipe_out / "stage_0_seed1.json").read_text())
-    assert stage0["delta"] == system["deltas"][0]
-    assert len(stage0["support"]) <= 4
+    assert len(system["supports"][1]) <= 4
+    assert not list(pipe_out.glob("stage_*"))
     summary = read_csv(pipe_out / "summary.csv")
     assert len(summary) == 3
-    header = summary[0]
-    assert header[4:6] == ["wall_time_s", "solve_s"]
-    assert header[-1] == "stop_reason"
+    assert summary[0] == SUMMARY_HEADER
     assert {row[-1] for row in summary[1:]} <= {
         "certified", "stabilized", "max_iter"
     }
@@ -1025,8 +1054,8 @@ def test_desk_script_prints_the_select_run(tmp_path, capsys, max_iter):
         seed, dim_beta, distance, gap, iters, stop, wall = line.split()
         result = json.loads(
             (tmp_path / f"result_seed{row[0]}.json").read_text())
-        assert [seed, dim_beta, stop] == [row[0], row[1], row[6]]
+        assert [seed, dim_beta, stop] == [row[0], row[2], row[8]]
         assert float(distance) == round(result["distance"], 4)
         assert int(iters) == result["iterations"] <= max_iter
-    assert code == (0 if all(r[6] == "certified" for r in rows) else 1)
+    assert code == (0 if all(r[8] == "certified" for r in rows) else 1)
     assert code == (0 if max_iter > 1 else 1)

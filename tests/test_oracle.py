@@ -68,6 +68,16 @@ def test_zero_budget_rejected_at_build():
         SelectionInstance.build(
             [(1.0, [(0.0, 0.0)])], [(1.0, 1.0), (2.0, 2.0)], 1.0, 0
         )
+    # a bool or a non-integral budget is not a count
+    for budget in (2.5, True, 1.0):
+        with pytest.raises(ValidationError,
+                           match=f"budget must be an integer, got {budget}"):
+            SelectionInstance.build(
+                [(1.0, [(0.0, 0.0)])], [(1.0, 1.0), (2.0, 2.0)], 1.0, budget
+            )
+    inst = SelectionInstance.build(
+        [(1.0, [(0.0, 0.0)])], [(1.0, 1.0), (2.0, 2.0)], 1.0, np.int64(2))
+    assert inst.budget == 2
 
 
 def test_budget_above_k_rejected():

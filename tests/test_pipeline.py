@@ -65,6 +65,13 @@ def test_stage_spec_rejects_bad_sizes():
     with pytest.raises(ValidationError,
                        match="budget 9 exceeds candidate count 8"):
         StageSpec(5, 8, 9, 1.0)
+    for sizes, field in (((10, 8, 2.5), "budget"),
+                         ((10.0, 8, 2), "samples_per_source"),
+                         ((10, True, 1), "candidate_count")):
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be an integer, got"):
+            StageSpec(*sizes, 1.0)
+    assert StageSpec(np.int64(10), np.int32(8), np.int64(2), 1.0).budget == 2
 
 
 def test_build_stage_instance_weights():
