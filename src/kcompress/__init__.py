@@ -2,7 +2,7 @@
 
 The package splits into layers:
 
-* core: discrete distributions, kernels, systems, cost matrices.
+* core: distributions, kernels, systems, cost matrices; the system file.
 * transport: exact Wasserstein distances and assignment distances.
 * oracle: exhaustive solver for the selection problem on tiny instances.
 * dual: the certified dual subgradient method (the workhorse).

@@ -39,6 +39,9 @@ from .core import (
     WEIGHT_TOL,
     DiscreteDistribution,
     distribution_to_dict,
+    load_system,
+    rows_to_dict,
+    system_to_dict,
     write_csv,
 )
 from .dual import SolverConfig
@@ -50,10 +53,8 @@ from .pipeline import (
     approximate_system,
     assignment_plan,
     compress_stage,
-    load_system,
     stage_candidates,
     stage_stream,
-    system_to_dict,
 )
 from .risk import (
     RiskMapping,
@@ -226,8 +227,8 @@ def _run(data: dict, mode: str, keys: str) -> dict:
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError("seeds must be a nonempty list", field="seeds")
     seeds = tuple(_as(int, s, "seeds") for s in seeds)
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be integers >= 0, got"
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be distinct integers >= 0, got"
                           f" {data['seeds']!r}", "seeds")
     return {"out": out, "seeds": seeds, "emit_plot_data": emit_plot_data}
 
@@ -625,11 +626,9 @@ def run_generate(cfg: GenerateConfig, start: float):
         for s, cloud in enumerate(clouds):
             _write_points(cfg.out / f"cloud_{s:02d}_seed{seed}.csv", cloud)
         # the empirical kernel: each component mean to its own cloud
-        kernel = {
-            "sources": [c.mean.tolist() for c in cfg.components],
-            "rows": [{"support": c.tolist(), "weights": [1 / len(c)] * len(c)}
-                     for c in clouds],
-        }
+        kernel = rows_to_dict([c.mean.tolist() for c in cfg.components],
+                              ((c.tolist(), [1 / len(c)] * len(c))
+                               for c in clouds))
         _write_json(cfg.out / f"empirical_kernel_seed{seed}.json", kernel)
         if cfg.emit_plot_data:
             _write_samples(cfg.out / f"samples_seed{seed}.csv", clouds)

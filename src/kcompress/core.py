@@ -9,10 +9,15 @@ can be shared freely across workers.
 
 The ground metric is Euclidean; every optimization in this package consumes
 p-th powers of distances, which is what pairwise_cost produces.
+
+It also owns the artifact formats: the JSON codecs, the system file
+(system_to_dict writes it, load_system reads it) and the CSV writer.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from itertools import chain, islice
 from types import SimpleNamespace
@@ -322,7 +327,7 @@ def pairwise_cost(a, b, order: float) -> CostMatrix:
 
 
 # ---------------------------------------------------------------------------
-# artifact formats: JSON schema helpers and the CSV writer
+# artifact formats: the JSON codecs, the system file and the CSV writer
 # ---------------------------------------------------------------------------
 
 def distribution_to_dict(dist: DiscreteDistribution) -> dict:
@@ -336,17 +341,186 @@ def distribution_from_dict(data: dict) -> DiscreteDistribution:
     return DiscreteDistribution(data["support"], data["weights"])
 
 
+def rows_to_dict(sources, rows) -> dict:
+    """The kernel file schema from lists: the source points and one
+    (support, weights) pair per source, each row on its own support."""
+    return {"sources": sources,
+            "rows": [{"support": s, "weights": w} for s, w in rows]}
+
+
 def kernel_to_dict(kernel: DiscreteKernel) -> dict:
     """The file schema: every row is written on the common support."""
     support = kernel.support.tolist()
-    rows = [{"support": support, "weights": w} for w in kernel.matrix.tolist()]
-    return {"sources": kernel.sources.tolist(), "rows": rows}
+    return rows_to_dict(kernel.sources.tolist(),
+                        ((support, w) for w in kernel.matrix.tolist()))
 
 
 def kernel_from_dict(data: dict) -> DiscreteKernel:
     rows = (SimpleNamespace(support=r["support"], weights=r["weights"])
             for r in data["rows"])
     return DiscreteKernel.from_rows(data["sources"], rows)
+
+
+def system_to_dict(system: DiscreteSystem) -> dict:
+    """JSON-ready form: per-stage supports, kernel rows, marginals, deltas."""
+    return {
+        "supports": [s.tolist() for s in system.supports],
+        "kernels": [kernel_to_dict(k) for k in system.kernels],
+        "marginals": [distribution_to_dict(m) for m in system.marginals],
+        "deltas": [float(d) for d in system.deltas],
+    }
+
+
+def system_from_dict(data: dict) -> DiscreteSystem:
+    """Inverse of system_to_dict, validated as distributions and as a
+    DiscreteSystem; a malformed document raises ValidationError."""
+    if not isinstance(data, dict):
+        raise ValidationError("a system must be a JSON object")
+    try:
+        return DiscreteSystem(
+            data["supports"],
+            tuple(kernel_from_dict(k) for k in data["kernels"]),
+            tuple(distribution_from_dict(m) for m in data["marginals"]),
+            data["deltas"],
+        )
+    except KeyError as exc:
+        raise ValidationError(f"system lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValidationError(f"malformed system: {exc}") from None
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+class _Reader:
+    """A cursor over a JSON text. It walks the objects and arrays its
+    caller names and hands every other value to json's own scanner, so
+    what it reads means exactly what it means to json.load."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+
+    def skip(self) -> int:
+        """Move past whitespace; returns the new position."""
+        self.pos = _WHITESPACE.match(self.text, self.pos).end()
+        return self.pos
+
+    def _take(self, char: str) -> bool:
+        if self.text.startswith(char, self.skip()):
+            self.pos += 1
+            return True
+        return False
+
+    def _fail(self, message: str):
+        raise json.JSONDecodeError(message, self.text, self.pos)
+
+    def value(self):
+        value, self.pos = _DECODER.raw_decode(self.text, self.skip())
+        return value
+
+    def _items(self, close: str):
+        # the opening bracket is taken; yield with the cursor at each item
+        if self._take(close):
+            return
+        while True:
+            yield
+            if self._take(close):
+                return
+            if not self._take(","):
+                self._fail("Expecting ',' delimiter")
+
+    def object(self, read):
+        """The object at the cursor with read(key) reading each member's
+        value (the last of a repeated key wins); any other value as json
+        reads it."""
+        if not self._take("{"):
+            return self.value()
+        out = {}
+        for _ in self._items("}"):
+            if not self.text.startswith('"', self.skip()):
+                self._fail("Expecting property name enclosed in double quotes")
+            key = self.value()
+            if not self._take(":"):
+                self._fail("Expecting ':' delimiter")
+            out[key] = read(key)
+        return out
+
+    def array(self, read):
+        """The array at the cursor with read() reading each element; any
+        other value as json reads it."""
+        if not self._take("["):
+            return self.value()
+        return [read() for _ in self._items("]")]
+
+    def end(self):
+        if self.skip() != len(self.text):
+            self._fail("Extra data")
+
+
+def _read_system_text(text: str):
+    """The system file's document, with each kernel row's support and
+    weights as float64 arrays. A row support whose text repeats the previous
+    row support's text is skipped and shares that row's array."""
+    reader = _Reader(text)
+    last = (None, None)  # the previous row support's text and its array
+
+    def support():
+        nonlocal last
+        start = reader.skip()
+        if last[0] is not None and text.startswith(last[0], start):
+            reader.pos += len(last[0])
+            return last[1]
+        points = np.asarray(reader.value(), np.float64)
+        if text.startswith("[", start):
+            # a bracketed text ends where its value ends, so a later text
+            # that begins with it holds the same value there
+            last = text[start:reader.pos], points
+        return points
+
+    def row(key):
+        if key == "support":
+            return support()
+        value = reader.value()
+        return np.asarray(value, np.float64) if key == "weights" else value
+
+    def kernel(key):
+        if key == "rows":
+            return reader.array(lambda: reader.object(row))
+        return reader.value()
+
+    def top(key):
+        if key == "kernels":
+            return reader.array(lambda: reader.object(kernel))
+        return reader.value()
+
+    data = reader.object(top)
+    reader.end()
+    return data
+
+
+def load_system(path) -> DiscreteSystem:
+    """Read a system file written from system_to_dict.
+
+    Every row of a kernel is written on the kernel's common support, so most
+    of the file is one support list repeated row after row. The reader walks
+    the top object, the kernels and their rows itself; a row support whose
+    text starts exactly as the previous row support's is skipped and shares
+    its float64 array, so each support is decoded once and each kernel
+    merges it once. Every other value is decoded by json's own scanner, and
+    row weights become float64 arrays. The result equals
+    system_from_dict(json.load(f)), which validates it.
+    A file that is not JSON, or holds a non-numeric coordinate or weight,
+    raises ValidationError naming the file.
+    """
+    try:
+        with open(path) as fh:
+            return system_from_dict(_read_system_text(fh.read()))
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        # not JSON, or a coordinate or weight that is not a number
+        raise ValidationError(f"system file {path}: {exc}") from None
 
 
 def write_csv(path, header, rows):

@@ -1,9 +1,8 @@
 """Exception classes shared by all kcompress modules.
 
 A class is added only when a caller can tell it apart by more than its
-name: a base to catch everything, a ValueError for bad input, a config
-error that names its field, a KeyError for a missing value. Each raise
-site is told apart by its message.
+name: a base to catch everything, a ValueError for bad input and a config
+error that names its field. Each raise site is told apart by its message.
 """
 
 
@@ -13,10 +12,6 @@ class KCompressError(Exception):
 
 class ValidationError(KCompressError, ValueError):
     """Invalid input data or parameters."""
-
-
-class MissingValueError(KCompressError, KeyError):
-    """A point that a value table lacks."""
 
 
 class ConfigError(KCompressError):

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DiscreteDistribution, DiscreteSystem, write_csv
-from .errors import MissingValueError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def semideviation_mapping(kappa: float) -> RiskMapping:
 
 def lookup(points, queries, t: int) -> np.ndarray:
     """Index of the last exact occurrence in points (stage t's support) of
-    each query point, 0.0 and -0.0 alike. Raises MissingValueError naming
+    each query point, 0.0 and -0.0 alike. Raises ValidationError naming
     the first query that points lacks."""
     n = len(points)
     # the first occurrence in the reversed points is the last one
@@ -77,7 +77,7 @@ def lookup(points, queries, t: int) -> np.ndarray:
     first = first[label.ravel()[n:]]
     if np.any(first >= n):
         point = tuple(keys[n + np.argmax(first >= n)].tolist())
-        raise MissingValueError(f"no value at stage {t} for point {point}")
+        raise ValidationError(f"no value at stage {t} for point {point}")
     return n - 1 - first
 
 
@@ -89,7 +89,7 @@ def evaluate_backward(
     costs is a sequence of T+1 functions of a point. Returns one value
     array per stage, entry i the value at point i of that stage's support.
     Each stage makes one lookup of the kernel's support in the next one
-    (which raises MissingValueError for an absent point) and one
+    (which raises ValidationError for an absent point) and one
     sigma.aggregate call.
     """
     supports = system.supports

@@ -207,6 +207,8 @@ def _mode_config(tmp_path, mode):
     (["generate", "--mixture", "5"], "mixture"),
     (["generate", "--seeds", "[-1]"], "seeds"),
     (["generate", "--emit_plot_data", '"no"'], "emit_plot_data"),
+    (["select", "--seeds", "[0, 0]"], "seeds"),
+    (["pipeline", "--seeds", "[1, 1]"], "seeds"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
                                    field):
@@ -264,6 +266,10 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
     (["generate", "--mixture.samples_per_component", "0"],
      "mixture.samples_per_component",
      "samples_per_component must be positive"),
+    (["select", "--seeds", "[0, 0]"], "seeds",
+     "seeds must be distinct integers >= 0, got [0, 0]"),
+    (["pipeline", "--seeds", "[1, 1]"], "seeds",
+     "seeds must be distinct integers >= 0, got [1, 1]"),
 ])
 def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
                                                message):
@@ -982,6 +988,20 @@ def test_evaluate_malformed_system_file_exits_1(tmp_path, capsys, mangle,
     assert main(["evaluate", "--config", eval_cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_row_off_the_next_support_exits_1(tmp_path, capsys):
+    # the kernel's one row sits on (3, 0), which support 1 lacks; the
+    # message prints as written, unquoted
+    data = {"supports": [[[0.0, 0.0]], [[1.0, 0.0]]],
+            "kernels": [{"sources": [[0.0, 0.0]], "rows": [
+                {"support": [[3.0, 0.0]], "weights": [1.0]}]}],
+            "marginals": [], "deltas": []}
+    eval_cfg = _evaluate_config(tmp_path, data)
+    assert main(["evaluate", "--config", eval_cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: no value at stage 1 for point (3.0, 0.0)\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -1,9 +1,13 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import csv_module_bytes
+import kcompress.core as core
+from helpers import csv_module_bytes, ragged_system_dict
 from kcompress.core import (
     CSV_BLOCK_ROWS,
     CostMatrix,
@@ -420,6 +424,27 @@ def test_kernel_json_round_trip():
     np.testing.assert_array_equal(
         back.matrix, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]
     )
+
+
+def test_system_codec_calls_the_core_codecs_by_name(tmp_path, monkeypatch):
+    # kcbench's core.json_decode_s and json_encode_s spans wrap these four
+    # names in kcompress.core, so the system codec must look them up there:
+    # once per kernel and once per marginal
+    calls = Counter()
+    for name in ("kernel_from_dict", "distribution_from_dict",
+                 "kernel_to_dict", "distribution_to_dict"):
+        def recorder(data, name=name, codec=getattr(core, name)):
+            calls[name] += 1
+            return codec(data)
+        monkeypatch.setattr(core, name, recorder)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(
+        ragged_system_dict(np.random.default_rng(5), [3, 2, 4])))
+    system = core.load_system(path)
+    assert calls == {"kernel_from_dict": 3, "distribution_from_dict": 4}
+    calls.clear()
+    core.system_to_dict(system)
+    assert calls == {"kernel_to_dict": 3, "distribution_to_dict": 4}
 
 
 # ---------------------------------------------------------------------------

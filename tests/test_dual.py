@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from helpers import enumerate_lagrangian_min, random_tiny_instance
 from kcompress.core import DiscreteDistribution, pairwise_cost
@@ -446,6 +448,55 @@ def test_run_matches_oracle_mostly():
         if result.objective <= optimum * 1.05 + 1e-12:
             hits += 1
     assert hits >= 18
+
+
+def _highs_bounds(inst):
+    """The selection problem's LP relaxation optimum and its MILP optimum,
+    both by HiGHS over gamma (K) and beta (K x N, candidate-major): cover
+    each particle once, beta_ki <= gamma_k, at most M candidates. The MILP
+    optimum is its selection's objective recomputed by the instance."""
+    wdt = inst.stacked_weighted_costs().T
+    k, n = wdt.shape
+    cost = np.concatenate([np.zeros(k), wdt.ravel()])
+    cover = sparse.hstack([sparse.csr_matrix((n, k)),
+                           sparse.kron(np.ones((1, k)), sparse.eye(n))])
+    link = sparse.hstack([-sparse.kron(sparse.eye(k), np.ones((n, 1))),
+                          sparse.eye(k * n)])
+    budget = sparse.hstack([np.ones((1, k)), sparse.csr_matrix((1, k * n))])
+    a_ub = sparse.vstack([link, budget]).tocsr()
+    b_ub = np.append(np.zeros(k * n), inst.budget)
+    lp = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=cover, b_eq=np.ones(n),
+                 bounds=(0, 1), method="highs")
+    ip = milp(cost, integrality=np.r_[np.ones(k), np.zeros(k * n)],
+              constraints=[LinearConstraint(a_ub, -np.inf, b_ub),
+                           LinearConstraint(cover, 1, 1)],
+              bounds=Bounds(0, 1), options={"mip_rel_gap": 0})
+    assert lp.status == 0 and ip.status == 0
+    optimum = inst.objective(np.round(ip.x[:k]))
+    assert optimum == pytest.approx(ip.fun, rel=1e-9)
+    return lp.fun, optimum
+
+
+@pytest.mark.parametrize("budget", [3, 6])
+@pytest.mark.parametrize("seed", range(5))
+def test_run_is_bracketed_by_highs(seed, budget):
+    # 5 x 20 particles around random centres, 64 uniform candidates: every
+    # dual value is at most the LP bound, the selection at least the MILP
+    # optimum, and a certified one within CERT_TOL of it
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=4.0, size=(5, 2))
+    masses = rng.dirichlet(np.ones(5))
+    inst = SelectionInstance.build(
+        [(m / 20, c + rng.normal(size=(20, 2)))
+         for m, c in zip(masses, centres)],
+        rng.uniform(-8.0, 8.0, size=(64, 2)), 1.0, budget,
+    )
+    lp, optimum = _highs_bounds(inst)
+    result = run_subgradient(inst, SolverConfig())
+    assert result.history_dual.max() <= lp * (1 + 1e-9)
+    assert result.objective >= optimum * (1 - 1e-9)
+    if result.converged:
+        assert result.objective * (1 - CERT_TOL) <= optimum * (1 + 1e-9)
 
 
 def _mixture_instance(samples, count, budget, seed=0):

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_discrete_system, ragged_system_dict
-from kcompress.core import DiscreteDistribution, compose_marginal, dirac
+from kcompress.core import (
+    DiscreteDistribution,
+    compose_marginal,
+    dirac,
+    load_system,
+    system_from_dict,
+    system_to_dict,
+)
 from kcompress.dual import SolverConfig, run_subgradient
 from kcompress.errors import ValidationError
 from kcompress.pipeline import (
@@ -19,10 +26,7 @@ from kcompress.pipeline import (
     candidate_subsample,
     compress_stage,
     implied_kernel,
-    load_system,
     stage_candidates,
-    system_from_dict,
-    system_to_dict,
 )
 from kcompress.transport import integrated_distance
 

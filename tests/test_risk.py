@@ -15,7 +15,7 @@ from kcompress.core import (
     compose_marginal,
     dirac,
 )
-from kcompress.errors import MissingValueError, ValidationError
+from kcompress.errors import ValidationError
 from kcompress.risk import (
     error_bound,
     evaluate_backward,
@@ -185,7 +185,7 @@ def test_missing_next_stage_point():
     kernel = DiscreteKernel.from_rows([[0.0]], (dirac([5.0]),))
     system = DiscreteSystem(([[0.0]], [[1.0]]), (kernel,))
     costs = [lambda x: 0.0] * 2
-    with pytest.raises(MissingValueError):
+    with pytest.raises(ValidationError):
         evaluate_backward(system, costs, expectation_mapping())
 
 
@@ -281,7 +281,7 @@ def test_values_csv_one_row_per_distinct_point(tmp_path):
 def test_lookup_finds_last_occurrence():
     points = np.array([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]])
     assert lookup(points, [[2.0, 3.0], [0.0, 1.0]], 1).tolist() == [1, 2]
-    with pytest.raises(MissingValueError, match="stage 1"):
+    with pytest.raises(ValidationError, match="stage 1"):
         lookup(points, [[2.0, 3.0], [5.0, 5.0]], 1)
 
 
@@ -295,7 +295,7 @@ def test_missing_point_after_shared_rows():
          DiscreteDistribution([[2.0], [3.0]], [0.5, 0.5])),
     )
     system = DiscreteSystem(([[0.0], [0.5], [0.7]], [[1.0], [2.0]]), (kernel,))
-    with pytest.raises(MissingValueError):
+    with pytest.raises(ValidationError):
         evaluate_backward(system, [lambda x: 0.0] * 2, expectation_mapping())
 
 
