@@ -43,7 +43,8 @@ def main(argv=None):
         print(f"{t:>5} {len(approx.supports[t + 1]):>8} "
               f"{approx.deltas[t]:>8.4f}")
 
-    costs = [lambda x: float(np.dot(x, x))] * (approx.horizon + 1)
+    # |x|^2 at every point of a stage's (n, 2) support
+    costs = [lambda X: np.sum(X * X, axis=1)] * (approx.horizon + 1)
     for sigma_map in (expectation_mapping(), semideviation_mapping(args.kappa)):
         values = evaluate_backward(approx, costs, sigma_map)
         print(f"{sigma_map.name}: v_0 = {values[0][0]:.4f}")

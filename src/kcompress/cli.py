@@ -57,6 +57,7 @@ from .pipeline import (
     stage_stream,
 )
 from .risk import (
+    Cost,
     RiskMapping,
     evaluate_backward,
     expectation_mapping,
@@ -451,9 +452,9 @@ class EvaluateConfig:
         if not 0.0 <= kappa <= 1.0:
             raise ConfigError(f"mapping.kappa must lie in [0, 1], got {kappa}",
                               "mapping.kappa")
-        costs = tuple(_typed(spec, dict, f"costs[{i}]") for i, spec in
-                      enumerate(_typed(data.get("costs"), list, "costs")))
-        for i, spec in enumerate(costs):
+        costs = []
+        for i, spec in enumerate(_typed(data.get("costs"), list, "costs")):
+            spec = _typed(spec, dict, f"costs[{i}]")
             bad = sorted(set(spec) - {"affine", "norm"})
             if bad:
                 raise ConfigError(f"unknown cost term {bad[0]!r}",
@@ -462,11 +463,11 @@ class EvaluateConfig:
                                ("norm", "center weight power")):
                 _object(spec.get(term), f"costs[{i}].{term}", keys, cls.mode)
             try:
-                cost_function(spec)
+                costs.append(cost_function(spec))
             except ConfigError as exc:
                 raise ConfigError(f"costs[{i}].{exc}",
                                   f"costs[{i}].{exc.field}") from None
-        return cls(out, system_path, costs,
+        return cls(out, system_path, tuple(costs),
                    expectation_mapping() if mapping["type"] == "expectation"
                    else semideviation_mapping(kappa))
 
@@ -579,13 +580,10 @@ def _write_summary(cfg: SelectConfig | PipelineConfig, start: float,
 # cost grammar and risk mappings
 # ---------------------------------------------------------------------------
 
-def cost_function(spec: dict):
-    """Build c(x) = offset + coeff.x + weight * |x - center|^power from the
-    JSON cost grammar; an empty spec is the zero cost."""
+def cost_function(spec: dict) -> Cost:
+    """spec, in the JSON cost grammar, as a Cost; {} is the zero cost."""
     affine = _typed(spec.get("affine"), dict, "affine")
     norm = _typed(spec.get("norm"), dict, "norm")
-    # an empty norm object is the default term 1 * |x - 0|^1, not no term
-    has_norm = spec.get("norm") is not None
     coeff = _floats(affine.get("coeff", []), "affine.coeff")
     offset = _as(float, affine.get("offset", 0.0), "affine.offset")
     center = _floats(norm.get("center", []), "norm.center")
@@ -594,18 +592,9 @@ def cost_function(spec: dict):
     if power < 0:
         raise ConfigError(f"norm.power must be >= 0, got {power!r}",
                           "norm.power")
-
-    def cost(x):
-        x = np.asarray(x, dtype=np.float64).ravel()
-        value = offset
-        if coeff.size:
-            value += float(np.dot(coeff, x))
-        if has_norm:
-            shift = x - center if center.size else x
-            value += weight * float(np.linalg.norm(shift)) ** power
-        return value
-
-    return cost
+    # an empty norm object is the default term 1 * |x - 0|^1, not no term
+    return Cost(offset, coeff, center, weight, power,
+                spec.get("norm") is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -750,23 +739,19 @@ def run_evaluate(cfg: EvaluateConfig, start: float):
     system = load_system(cfg.system_path)
     decoded = time.perf_counter()
     horizon = system.horizon
-    specs = cfg.costs or ({},)  # no cost is the zero cost at every stage
-    if len(specs) == 1:
-        specs = specs * (horizon + 1)
-    elif len(specs) != horizon + 1:
-        raise ConfigError(
-            f"need 1 or {horizon + 1} cost entries for a {horizon}-stage"
-            f" system, got {len(specs)}",
-            field="costs",
-        )
+    costs = cfg.costs or (cost_function({}),)  # the zero cost at each stage
+    if len(costs) not in (1, horizon + 1):
+        raise ConfigError(f"need 1 or {horizon + 1} cost entries for a"
+                          f" {horizon}-stage system, got {len(costs)}",
+                          "costs")
+    if len(costs) == 1:
+        costs *= horizon + 1
     dim = system.supports[0].shape[1]
-    for i, spec in enumerate(cfg.costs):
+    for i, cost in enumerate(cfg.costs):
         for term, key in (("affine", "coeff"), ("norm", "center")):
-            raw = (spec.get(term) or {}).get(key, [])
-            if np.shape(raw) not in ((dim,), (0,)):
+            if getattr(cost, key).size not in (dim, 0):
                 raise ConfigError(f"costs[{i}] {term}.{key} needs {dim}"
-                                  f" numbers, got {raw!r}", f"costs[{i}]")
-    costs = [cost_function(spec) for spec in specs]
+                                  " numbers or none", f"costs[{i}]")
     evaluating = time.perf_counter()
     values = evaluate_backward(system, costs, cfg.mapping)
     writing = time.perf_counter()

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DiscreteDistribution, DiscreteSystem, write_csv
+from .core import DiscreteSystem, distance_power, write_csv
 from .errors import ValidationError
 
 
@@ -34,15 +34,35 @@ class RiskMapping:
     name: str
     aggregate: Callable
 
-    def __call__(self, x, mu: DiscreteDistribution, v) -> float:
-        values = np.array([v(y) for y in mu.support], dtype=np.float64)
-        return float(self.aggregate(mu.weights[None, :], values)[0])
-
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """Each row's sum, added left to right as a running total, so the
     result does not depend on how a BLAS build orders a matrix product."""
     return np.cumsum(terms, axis=1)[:, -1]
+
+
+@dataclass(frozen=True)
+class Cost:
+    """c(x) = offset + coeff.x + weight * |x - center|^power, the norm term
+    only with has_norm, at each row x of an (n, d) array (empty center: 0)."""
+
+    offset: float
+    coeff: np.ndarray
+    center: np.ndarray
+    weight: float
+    power: float
+    has_norm: bool
+
+    def __call__(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=np.float64)
+        values = np.full(len(points), self.offset)
+        if self.coeff.size:
+            values += _row_sums(points * self.coeff)
+        if self.has_norm:
+            origin = np.zeros(points.shape[1])
+            center = self.center if self.center.size else origin
+            values += self.weight * distance_power(points, center, self.power)
+        return values
 
 
 def expectation_mapping() -> RiskMapping:
@@ -86,11 +106,10 @@ def evaluate_backward(
 ) -> tuple:
     """Backward recursion v_T = c_T, v_t = c_t + sigma(P_t, v_{t+1}).
 
-    costs is a sequence of T+1 functions of a point. Returns one value
-    array per stage, entry i the value at point i of that stage's support.
-    Each stage makes one lookup of the kernel's support in the next one
-    (which raises ValidationError for an absent point) and one
-    sigma.aggregate call.
+    costs holds T+1 functions of an (n, d) array of points. Returns one
+    value array per stage, entry i the value at point i of its support.
+    Each stage calls its cost once on its support, looks the kernel's
+    support up in the next one (see lookup) and calls sigma.aggregate once.
     """
     supports = system.supports
     horizon = system.horizon
@@ -98,15 +117,11 @@ def evaluate_backward(
         raise ValidationError(
             f"need {horizon + 1} cost functions, got {len(costs)}"
         )
-
-    def stage_cost(t):
-        return np.array([float(costs[t](x)) for x in supports[t]])
-
-    values = [None] * horizon + [stage_cost(horizon)]
+    values = [None] * horizon + [costs[horizon](supports[horizon])]
     for t in range(horizon - 1, -1, -1):
         kernel = system.kernels[t]
         nxt = values[t + 1][lookup(supports[t + 1], kernel.support, t + 1)]
-        values[t] = stage_cost(t) + sigma.aggregate(kernel.matrix, nxt)
+        values[t] = costs[t](supports[t]) + sigma.aggregate(kernel.matrix, nxt)
     return tuple(values)
 
 

@@ -127,13 +127,14 @@ def ragged_system_dict(rng, sizes):
 
 def path_expectation(system, costs):
     """E[sum_t c_t(X_t)] by exhaustive path enumeration from the single
-    initial state, as a ground truth for the backward recursion."""
+    initial state, as a ground truth for the backward recursion; costs are
+    functions of an (n, d) array of points."""
     lookup = [
         {tuple(point): i for i, point in enumerate(support)}
         for support in system.supports
     ]
     total = 0.0
-    stack = [(0, 0, 1.0, float(costs[0](system.supports[0][0])))]
+    stack = [(0, 0, 1.0, float(costs[0](system.supports[0][:1])[0]))]
     while stack:
         t, idx, prob, acc = stack.pop()
         if t == system.horizon:
@@ -146,7 +147,7 @@ def path_expectation(system, costs):
                     t + 1,
                     lookup[t + 1][tuple(point)],
                     prob * float(w),
-                    acc + float(costs[t + 1](point)),
+                    acc + float(costs[t + 1](point[None])[0]),
                 )
             )
     return total
@@ -164,6 +165,13 @@ def perturb_system(rng, system, scale=0.3):
             rows.append(DiscreteDistribution(row.support, w / w.sum()))
         kernels.append(DiscreteKernel.from_rows(kernel.sources, tuple(rows)))
     return DiscreteSystem(system.supports, tuple(kernels))
+
+
+def aggregate_one(sigma, mu, values):
+    """sigma applied to the one distribution mu, values[j] the next-stage
+    value at mu's atom j: sigma.aggregate on a one-row matrix."""
+    values = np.asarray(values, dtype=np.float64)
+    return float(sigma.aggregate(mu.weights[None, :], values)[0])
 
 
 def value_at(system, values, t, point):

@@ -260,10 +260,7 @@ def test_criterion_6_backward_recursion():
         horizon = int(rng.integers(1, 5))
         system = random_discrete_system(rng, horizon=horizon, max_states=6)
         coeff = rng.normal(size=(horizon + 1, 2))
-        costs = [
-            (lambda x, c=coeff[t]: float(np.dot(c, x)))
-            for t in range(horizon + 1)
-        ]
+        costs = [(lambda X, c=coeff[t]: X @ c) for t in range(horizon + 1)]
         values = evaluate_backward(system, costs, expectation_mapping())
         root = value_at(system, values, 0, system.supports[0][0])
         want = path_expectation(system, costs)
@@ -281,10 +278,7 @@ def test_criterion_6_backward_recursion():
         system = random_discrete_system(rng, horizon=horizon, max_states=5)
         approx = perturb_system(rng, system)
         coeff = rng.normal(size=(horizon + 1, 2))
-        costs = [
-            (lambda x, c=coeff[t]: float(np.dot(c, x)))
-            for t in range(horizon + 1)
-        ]
+        costs = [(lambda X, c=coeff[t]: X @ c) for t in range(horizon + 1)]
         sigma = expectation_mapping()
         exact = evaluate_backward(system, costs, sigma)
         tilde = evaluate_backward(approx, costs, sigma)

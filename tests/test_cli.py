@@ -475,23 +475,25 @@ def test_default_mixture_is_five_components(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_cost_grammar_terms():
+    # a cost takes an (n, d) array of points and returns n values
     zero = cost_function({})
-    assert zero([3.0, 4.0]) == 0.0
+    assert zero(np.array([[3.0, 4.0], [1.0, 2.0]])).tolist() == [0.0, 0.0]
     affine = cost_function({"affine": {"coeff": [2.0, -1.0], "offset": 0.5}})
-    assert affine([1.0, 1.0]) == pytest.approx(1.5)
+    assert affine(np.array([[1.0, 1.0]])) == pytest.approx([1.5])
     norm = cost_function(
         {"norm": {"center": [1.0, 1.0], "weight": 2.0, "power": 2}}
     )
-    assert norm([4.0, 5.0]) == pytest.approx(2 * 25.0)
+    assert norm(np.array([[4.0, 5.0]])) == pytest.approx([2 * 25.0])
     both = cost_function(
         {
             "affine": {"coeff": [1.0, 0.0]},
             "norm": {"center": [0.0, 0.0], "weight": 1.0, "power": 1},
         }
     )
-    assert both([3.0, 4.0]) == pytest.approx(3.0 + 5.0)
+    assert both(np.array([[3.0, 4.0]])) == pytest.approx([3.0 + 5.0])
     # an empty norm object is the default term 1 * |x - 0|^1
-    assert cost_function({"norm": {}})([3.0, 4.0]) == pytest.approx(5.0)
+    assert cost_function({"norm": {}})(np.array([[3.0, 4.0]])) == (
+        pytest.approx([5.0]))
 
 
 # ---------------------------------------------------------------------------

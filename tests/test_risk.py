@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    aggregate_one,
     discrete_lipschitz,
     path_expectation,
     perturb_system,
@@ -31,8 +32,9 @@ def two_point(a, b, wa=0.5):
     return DiscreteDistribution([[a], [b]], [wa, 1.0 - wa])
 
 
-def table_fn(mapping):
-    return lambda y: mapping[tuple(np.asarray(y).ravel())]
+def at_atoms(mu, table):
+    """table's value at each atom of mu, in mu's order."""
+    return [table[tuple(p)] for p in np.asarray(mu.support)]
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +44,14 @@ def table_fn(mapping):
 def test_expectation_dirac():
     sigma = expectation_mapping()
     mu = dirac([3.0])
-    assert sigma(np.zeros(1), mu, lambda y: 7.5) == 7.5
+    assert aggregate_one(sigma, mu, [7.5]) == 7.5
 
 
 def test_expectation_uniform_average():
     sigma = expectation_mapping()
-    v = table_fn({(0.0,): 0.0, (1.0,): 2.0})
-    assert sigma(np.zeros(1), two_point(0.0, 1.0), v) == 1.0
+    v = {(0.0,): 0.0, (1.0,): 2.0}
+    mu = two_point(0.0, 1.0)
+    assert aggregate_one(sigma, mu, at_atoms(mu, v)) == 1.0
 
 
 def test_expectation_linearity():
@@ -63,8 +66,9 @@ def test_expectation_linearity():
         u = {tuple(p): float(rng.normal()) for p in support}
         a, b = rng.normal(size=2)
         combined = {k: a * v[k] + b * u[k] for k in v}
-        lhs = sigma(None, mu, table_fn(combined))
-        rhs = a * sigma(None, mu, table_fn(v)) + b * sigma(None, mu, table_fn(u))
+        lhs = aggregate_one(sigma, mu, at_atoms(mu, combined))
+        rhs = (a * aggregate_one(sigma, mu, at_atoms(mu, v))
+               + b * aggregate_one(sigma, mu, at_atoms(mu, u)))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -76,16 +80,17 @@ def test_semideviation_zero_kappa_is_expectation():
         n = int(rng.integers(2, 6))
         support = rng.normal(size=(n, 1))
         mu = DiscreteDistribution(support, rng.dirichlet(np.ones(n)))
-        v = {tuple(p): float(rng.normal()) for p in support}
-        assert degenerate(None, mu, table_fn(v)) == pytest.approx(
-            plain(None, mu, table_fn(v)), abs=1e-15
+        v = at_atoms(mu, {tuple(p): float(rng.normal()) for p in support})
+        assert aggregate_one(degenerate, mu, v) == pytest.approx(
+            aggregate_one(plain, mu, v), abs=1e-15
         )
 
 
 def test_semideviation_two_point():
     sigma = semideviation_mapping(1.0)
-    v = table_fn({(0.0,): 0.0, (1.0,): 2.0})
-    assert sigma(None, two_point(0.0, 1.0), v) == pytest.approx(1.5)
+    v = {(0.0,): 0.0, (1.0,): 2.0}
+    mu = two_point(0.0, 1.0)
+    assert aggregate_one(sigma, mu, at_atoms(mu, v)) == pytest.approx(1.5)
 
 
 def test_semideviation_rejects_bad_kappa():
@@ -109,8 +114,8 @@ def test_mappings_monotone_in_values():
         lo = {tuple(p): float(rng.normal()) for p in support}
         hi = {k: val + float(rng.uniform(0, 2)) for k, val in lo.items()}
         for sigma in mappings:
-            assert sigma(None, mu, table_fn(lo)) <= sigma(
-                None, mu, table_fn(hi)
+            assert aggregate_one(sigma, mu, at_atoms(mu, lo)) <= aggregate_one(
+                sigma, mu, at_atoms(mu, hi)
             ) + 1e-12
 
 
@@ -120,7 +125,7 @@ def test_mappings_monotone_in_values():
 
 def test_zero_costs_give_zero_values():
     system = random_discrete_system(np.random.default_rng(2))
-    costs = [lambda x: 0.0] * (system.horizon + 1)
+    costs = [lambda X: np.zeros(len(X))] * (system.horizon + 1)
     values = evaluate_backward(system, costs, expectation_mapping())
     for t in range(system.horizon + 1):
         for x in system.supports[t]:
@@ -134,7 +139,7 @@ def test_deterministic_chain_sums_path():
         DiscreteKernel.from_rows([[1.0]], (dirac([2.0]),)),
     )
     system = DiscreteSystem(supports, kernels)
-    costs = [lambda x: float(x[0]) + 1.0] * 3
+    costs = [lambda X: X[:, 0] + 1.0] * 3
     values = evaluate_backward(system, costs, expectation_mapping())
     assert value_at(system, values, 0, [0.0]) == pytest.approx(
         (0 + 1) + (1 + 1) + (2 + 1)
@@ -147,10 +152,7 @@ def test_matches_path_enumeration():
         horizon = int(rng.integers(1, 5))
         system = random_discrete_system(rng, horizon=horizon, max_states=6)
         coeff = rng.normal(size=(horizon + 1, 2))
-        costs = [
-            (lambda x, c=coeff[t]: float(np.dot(c, x)))
-            for t in range(horizon + 1)
-        ]
+        costs = [(lambda X, c=coeff[t]: X @ c) for t in range(horizon + 1)]
         values = evaluate_backward(system, costs, expectation_mapping())
         expected = path_expectation(system, costs)
         assert value_at(system, values, 0, system.supports[0][0]) == (
@@ -160,7 +162,7 @@ def test_matches_path_enumeration():
 
 def test_terminal_values_are_terminal_costs():
     system = random_discrete_system(np.random.default_rng(8))
-    costs = [lambda x: float(np.sum(x * x))] * (system.horizon + 1)
+    costs = [lambda X: np.sum(X * X, axis=1)] * (system.horizon + 1)
     values = evaluate_backward(system, costs, expectation_mapping())
     for x in system.supports[-1]:
         assert value_at(system, values, system.horizon, x) == float(
@@ -172,7 +174,7 @@ def test_identical_kernels_identical_values():
     rng = np.random.default_rng(17)
     system = random_discrete_system(rng)
     twin = DiscreteSystem(system.supports, system.kernels)
-    costs = [lambda x: float(x[0] - x[1])] * (system.horizon + 1)
+    costs = [lambda X: X[:, 0] - X[:, 1]] * (system.horizon + 1)
     sigma = semideviation_mapping(0.5)
     a = evaluate_backward(system, costs, sigma)
     b = evaluate_backward(twin, costs, sigma)
@@ -184,16 +186,16 @@ def test_identical_kernels_identical_values():
 def test_missing_next_stage_point():
     kernel = DiscreteKernel.from_rows([[0.0]], (dirac([5.0]),))
     system = DiscreteSystem(([[0.0]], [[1.0]]), (kernel,))
-    costs = [lambda x: 0.0] * 2
+    costs = [lambda X: np.zeros(len(X))] * 2
     with pytest.raises(ValidationError):
         evaluate_backward(system, costs, expectation_mapping())
 
 
 def per_point_values(system, costs, kappa):
     """v_t as one dict per stage, by one lookup per atom and plain Python
-    sums; kappa None is the expectation. A repeated point keeps its last
-    value."""
-    tables = [{tuple(x): costs[-1](x) for x in system.supports[-1]}]
+    sums, each cost taken at one point at a time; kappa None is the
+    expectation. A repeated point keeps its last value."""
+    tables = [{tuple(x): costs[-1](x[None])[0] for x in system.supports[-1]}]
     for t in range(system.horizon - 1, -1, -1):
         nxt, cur = tables[0], {}
         for x, row in zip(system.supports[t], system.kernels[t].rows):
@@ -204,7 +206,7 @@ def per_point_values(system, costs, kappa):
                 risk += kappa * sum(
                     w * max(0.0, vi - mean) for w, vi in zip(row.weights, v)
                 )
-            cur[tuple(x)] = costs[t](x) + risk
+            cur[tuple(x)] = costs[t](x[None])[0] + risk
         tables.insert(0, cur)
     return tables
 
@@ -246,7 +248,7 @@ def test_matches_per_point_reference(kappa):
         system = ragged_system(rng, horizon=horizon)
         coeff = rng.normal(size=(horizon + 1, 2))
         costs = [
-            (lambda x, c=coeff[t]: float(np.dot(c, x) + np.dot(x, x)))
+            (lambda X, c=coeff[t]: X @ c + np.sum(X * X, axis=1))
             for t in range(horizon + 1)
         ]
         values = evaluate_backward(system, costs, sigma)
@@ -296,7 +298,8 @@ def test_missing_point_after_shared_rows():
     )
     system = DiscreteSystem(([[0.0], [0.5], [0.7]], [[1.0], [2.0]]), (kernel,))
     with pytest.raises(ValidationError):
-        evaluate_backward(system, [lambda x: 0.0] * 2, expectation_mapping())
+        evaluate_backward(system, [lambda X: np.zeros(len(X))] * 2,
+                          expectation_mapping())
 
 
 def test_row_count_checked():
@@ -311,7 +314,8 @@ def test_row_count_checked():
 def test_cost_count_checked():
     system = random_discrete_system(np.random.default_rng(3), horizon=2)
     with pytest.raises(ValidationError, match="need 3 cost functions, got 2"):
-        evaluate_backward(system, [lambda x: 0.0] * 2, expectation_mapping())
+        evaluate_backward(system, [lambda X: np.zeros(len(X))] * 2,
+                          expectation_mapping())
 
 
 def test_discrete_system_validates_sources():
@@ -433,10 +437,7 @@ def test_bound_dominates_perturbed_value_error():
         system = random_discrete_system(rng, horizon=horizon, max_states=5)
         approx = perturb_system(rng, system)
         coeff = rng.normal(size=(horizon + 1, 2))
-        costs = [
-            (lambda x, c=coeff[t]: float(np.dot(c, x)))
-            for t in range(horizon + 1)
-        ]
+        costs = [(lambda X, c=coeff[t]: X @ c) for t in range(horizon + 1)]
         sigma = expectation_mapping()
         exact = evaluate_backward(system, costs, sigma)
         tilde = evaluate_backward(approx, costs, sigma)
