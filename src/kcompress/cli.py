@@ -12,8 +12,8 @@ artifacts into the output directory:
   elapsed_ms, primal, gap),
 * summary.csv with one row per compressed stage, in one schema for select
   and pipeline (_SUMMARY),
-* with --emit-plot-data: sample/candidate/selected point CSVs and the
-  nearest-assignment transport plan (i, k, mass).
+* with --emit-plot-data: sample/candidate/selected point CSVs and, from
+  select only, the nearest-assignment transport plan (i, k, mass).
 
 Options and overrides may come before or after MODE. Each solve, stage
 or evaluation prints an INFO line on stderr unless KC_LOG=error, which is
@@ -448,6 +448,9 @@ class EvaluateConfig:
         if mapping.get("type") not in ("expectation", "semideviation"):
             raise ConfigError(f"unknown mapping type {mapping.get('type')!r}",
                               "mapping")
+        if mapping["type"] == "expectation" and "kappa" in mapping:
+            raise ConfigError("mapping.kappa applies to semideviation only,"
+                              " not expectation", "mapping.kappa")
         kappa = _as(float, mapping.get("kappa", 0.0), "mapping.kappa")
         if not 0.0 <= kappa <= 1.0:
             raise ConfigError(f"mapping.kappa must lie in [0, 1], got {kappa}",

@@ -110,6 +110,8 @@ def evaluate_backward(
     value array per stage, entry i the value at point i of its support.
     Each stage calls its cost once on its support, looks the kernel's
     support up in the next one (see lookup) and calls sigma.aggregate once.
+    A cost that does not give one value per point, or a cost or value that
+    is not finite, raises ValidationError naming the stage.
     """
     supports = system.supports
     horizon = system.horizon
@@ -117,12 +119,38 @@ def evaluate_backward(
         raise ValidationError(
             f"need {horizon + 1} cost functions, got {len(costs)}"
         )
-    values = [None] * horizon + [costs[horizon](supports[horizon])]
-    for t in range(horizon - 1, -1, -1):
-        kernel = system.kernels[t]
-        nxt = values[t + 1][lookup(supports[t + 1], kernel.support, t + 1)]
-        values[t] = costs[t](supports[t]) + sigma.aggregate(kernel.matrix, nxt)
+    # an overflow is refused by _finite, naming its point, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [None] * horizon + [
+            _cost_values(costs[horizon], supports[horizon], horizon)]
+        for t in range(horizon - 1, -1, -1):
+            kernel = system.kernels[t]
+            nxt = values[t + 1][lookup(supports[t + 1], kernel.support, t + 1)]
+            total = (_cost_values(costs[t], supports[t], t)
+                     + sigma.aggregate(kernel.matrix, nxt))
+            values[t] = _finite("value", t, supports[t], total)
     return tuple(values)
+
+
+def _cost_values(cost, points, t: int) -> np.ndarray:
+    """cost on stage t's whole support points, one finite value per point,
+    in an array of its own (a cost may return a view of points)."""
+    values = np.array(cost(points), dtype=np.float64)
+    if values.shape != (len(points),):
+        raise ValidationError(f"cost at stage {t} gave shape {values.shape}"
+                              f" for {len(points)} points")
+    return _finite("cost", t, points, values)
+
+
+def _finite(what: str, t: int, points, values) -> np.ndarray:
+    """values, or a ValidationError naming stage t and the first point of
+    points whose value is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"{what} at stage {t} for point"
+                              f" {tuple(points[i].tolist())} is {values[i]}")
+    return values
 
 
 def write_values_csv(path, supports, values):

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -209,6 +210,8 @@ def _mode_config(tmp_path, mode):
     (["generate", "--emit_plot_data", '"no"'], "emit_plot_data"),
     (["select", "--seeds", "[0, 0]"], "seeds"),
     (["pipeline", "--seeds", "[1, 1]"], "seeds"),
+    (["evaluate", "--system_path", "s.json",
+      '--mapping={"type": "expectation", "kappa": 0.7}'], "mapping.kappa"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
                                    field):
@@ -270,6 +273,9 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
      "seeds must be distinct integers >= 0, got [0, 0]"),
     (["pipeline", "--seeds", "[1, 1]"], "seeds",
      "seeds must be distinct integers >= 0, got [1, 1]"),
+    (["evaluate", "--system_path", "s.json",
+      '--mapping={"type": "expectation", "kappa": 0.7}'], "mapping.kappa",
+     "mapping.kappa applies to semideviation only, not expectation"),
 ])
 def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
                                                message):
@@ -494,6 +500,51 @@ def test_cost_grammar_terms():
     # an empty norm object is the default term 1 * |x - 0|^1
     assert cost_function({"norm": {}})(np.array([[3.0, 4.0]])) == (
         pytest.approx([5.0]))
+
+
+def test_squared_norm_cost_is_exact():
+    # the sum of squares itself, not the square of its square root
+    cost = cost_function({"norm": {"power": 2}})
+    assert cost(np.array([[1.0, 1.0], [1.0, 2.0]])).tolist() == [2.0, 5.0]
+
+
+def _random_cost_spec(rng, dim):
+    """A cost spec whose coeff and center are empty or full, with norm
+    powers 0, 1, 2 or 1.7."""
+    spec = {}
+    if rng.random() < 0.7:
+        spec["affine"] = {"offset": float(rng.normal())}
+        if rng.random() < 0.5:
+            spec["affine"]["coeff"] = rng.normal(size=dim).tolist()
+    if rng.random() < 0.7:
+        spec["norm"] = {"weight": float(rng.uniform(0.0, 3.0)),
+                        "power": float(rng.choice([0.0, 1.0, 2.0, 1.7]))}
+        if rng.random() < 0.5:
+            spec["norm"]["center"] = rng.normal(size=dim).tolist()
+    return spec
+
+
+def test_cost_matches_a_per_point_formula():
+    rng = np.random.default_rng(71)
+    eps = np.finfo(np.float64).eps
+    for _ in range(300):
+        dim = int(rng.integers(1, 4))
+        spec = _random_cost_spec(rng, dim)
+        points = rng.normal(scale=3.0, size=(int(rng.integers(1, 6)), dim))
+        got = cost_function(spec)(points)
+        assert got.shape == (len(points),)
+        affine = spec.get("affine", {})
+        norm = spec.get("norm")
+        for x, value in zip(points.tolist(), got.tolist()):
+            terms = [affine.get("offset", 0.0)]
+            terms += [c * xi for c, xi in zip(affine.get("coeff", []), x)]
+            if norm is not None:
+                center = norm.get("center", [0.0] * dim)
+                terms.append(norm["weight"]
+                             * math.dist(x, center) ** norm["power"])
+            want = sum(terms)
+            assert abs(value - want) <= 4 * eps * sum(map(abs, terms)), (
+                spec, x)
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +1014,34 @@ def test_evaluate_cost_of_wrong_dimension_exits_2(tmp_path, capsys, term):
     assert main(["evaluate", "--config", eval_cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "costs[1]" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_builds_each_cost_once(tmp_path, monkeypatch):
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return cost_function(spec)
+
+    monkeypatch.setattr(cli, "cost_function", counted)
+    data = ragged_system_dict(np.random.default_rng(3), [3, 2])
+    costs = [{}, {"norm": {"power": 2}}, {"affine": {"offset": 1.0}}]
+    eval_cfg = _evaluate_config(tmp_path, data, costs=costs)
+    assert main(["evaluate", "--config", eval_cfg]) == 0
+    assert built == costs
+
+
+def test_evaluate_non_finite_cost_exits_1(tmp_path, capsys):
+    # 1e308 * |x|^3 overflows: no Infinity in evaluate_result.json, no inf
+    # rows in values.csv, and no output directory
+    data = ragged_system_dict(np.random.default_rng(3), [3, 2])
+    eval_cfg = _evaluate_config(
+        tmp_path, data, costs=[{"norm": {"weight": 1e308, "power": 3}}])
+    assert main(["evaluate", "--config", eval_cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cost at stage 2 for point (")
+    assert err.endswith(") is inf\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -311,6 +311,49 @@ def test_row_count_checked():
         DiscreteSystem(([[0.0], [0.5]], [[1.0]]), (kernel,))
 
 
+def test_each_stage_cost_is_called_once_on_its_whole_support():
+    system = random_discrete_system(np.random.default_rng(12), horizon=3)
+    calls = []
+
+    def recording(t):
+        def cost(points):
+            calls.append((t, points))
+            return points[:, 0]
+        return cost
+
+    evaluate_backward(system, [recording(t) for t in range(4)],
+                      semideviation_mapping(0.5))
+    assert [t for t, _ in calls] == [3, 2, 1, 0]
+    for t, points in calls:
+        assert np.array_equal(points, system.supports[t])
+
+
+def _two_point_chain():
+    kernel = DiscreteKernel.from_rows(
+        [[0.0]], (DiscreteDistribution([[1.0], [2.0]], [0.5, 0.5]),))
+    return DiscreteSystem(([[0.0]], [[1.0], [2.0]]), (kernel,))
+
+
+@pytest.mark.parametrize("cost, match", [
+    pytest.param(lambda X: np.where(X[:, 0] == 2.0, np.inf, 0.0),
+                 r"cost at stage 1 for point \(2.0,\) is inf", id="inf-cost"),
+    pytest.param(lambda X: np.where(X[:, 0] == 0.0, np.nan, 1.0),
+                 r"cost at stage 0 for point \(0.0,\) is nan", id="nan-cost"),
+    pytest.param(lambda X: np.full(len(X), 1e308),
+                 r"value at stage 0 for point \(0.0,\) is inf",
+                 id="overflowing-value"),
+    pytest.param(lambda X: np.zeros(len(X) + 1),
+                 r"cost at stage 1 gave shape \(3,\) for 2 points",
+                 id="one-value-too-many"),
+    pytest.param(lambda X: 0.0, r"cost at stage 1 gave shape \(\) for 2 points",
+                 id="scalar"),
+])
+def test_bad_stage_cost_or_value_is_refused(cost, match):
+    with pytest.raises(ValidationError, match=match):
+        evaluate_backward(_two_point_chain(), [cost] * 2,
+                          expectation_mapping())
+
+
 def test_cost_count_checked():
     system = random_discrete_system(np.random.default_rng(3), horizon=2)
     with pytest.raises(ValidationError, match="need 3 cost functions, got 2"):
