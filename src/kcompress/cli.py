@@ -671,7 +671,8 @@ def run_select(cfg: SelectConfig, start: float):
         )
 
         payload = {
-            "assignment": [a.tolist() for a in result.beta_assignment],
+            "assignment": [a.tolist() for a in np.split(
+                result.beta_assignment, np.cumsum(instance.sizes)[:-1])],
             "best_dual": float(result.best_dual),
             "budget": cfg.budget,
             "composed_distance": float(composed_distance),

@@ -17,16 +17,16 @@ upper bound UB on the optimum; every dual value is a lower bound (weak
 duality). The run stops once UB is within CERT_TOL of the best dual value:
 the returned selection is then provably within that share of the optimum.
 
-Every entry point sweeps the instance's one candidate-major weighted cost
-matrix through a _Screen: it keeps only the entries w_s d_sik below
-cap_si = 2 max(theta_si, 0), the only ones that can have a positive slack
-theta_si - w_s d_sik while theta stays at or below its cap (safe screening;
-El Ghaoui, Viallon & Rabbani 2012, and the Lagrangian p-median of Beasley
-1993). A sweep then costs two bincounts over the kept entries, and the
-screen is rebuilt only when some theta_si rises above its cap. Every dropped
-entry contributes exactly +0.0, and the kept ones are summed in the dense
-formula's particle order, so the results are those of the dense sweep to
-the bit.
+Every entry point reads the weighted costs only through the instance's
+queries (below, cheapest, nearest) and sweeps them through a _Screen: it
+keeps only the entries w_s d_sik below cap_si = 2 max(theta_si, 0), the only
+ones that can have a positive slack theta_si - w_s d_sik while theta stays
+at or below its cap (safe screening; El Ghaoui, Viallon & Rabbani 2012,
+and the Lagrangian p-median of Beasley 1993). A sweep then costs two
+bincounts over the kept entries, and the screen is rebuilt only when some
+theta_si rises above its cap. Every dropped entry contributes exactly +0.0,
+and the kept ones are summed in the dense formula's particle order, so the
+results are those of the dense sweep to the bit.
 """
 
 from __future__ import annotations
@@ -99,14 +99,14 @@ class SelectionResult:
     history_* arrays are aligned per iteration: raw dual value, best
     feasible objective so far (UB), number of selected candidates of the
     inner solution, step size, theta0, elapsed milliseconds. gamma and
-    beta_assignment describe the selection that gives UB; gap is its
-    objective minus the best dual value (nonnegative by weak duality).
-    stop_reason is "certified", "stabilized" or "max_iter" (see
-    run_subgradient).
+    beta_assignment, each particle's candidate as one (N,) array, describe
+    the selection that gives UB; gap is its objective minus the best dual
+    value (nonnegative by weak duality). stop_reason is "certified",
+    "stabilized" or "max_iter" (see run_subgradient).
     """
 
     gamma: np.ndarray
-    beta_assignment: tuple
+    beta_assignment: np.ndarray
     objective: float
     best_dual: float
     gap: float
@@ -139,9 +139,9 @@ class _Sweep(NamedTuple):
 
 
 class _Screen:
-    """The entries of a candidate-major (K, N) weighted cost matrix that can
-    have a positive slack, as flat candidate, particle and cost arrays in
-    row-major order.
+    """The weighted costs of the instance's candidates rows (all of them
+    when None, else renumbered 0..len(rows)-1) that can have a positive
+    slack, as instance.below's flat candidate, particle and cost arrays.
 
     Built at theta, it keeps w_s d_sik < cap_si = 2 max(theta_si, 0). At any
     later theta <= cap every dropped entry has w_s d_sik >= theta_si, so its
@@ -149,34 +149,29 @@ class _Screen:
     exceeds its cap anywhere rebuilds the screen first.
     """
 
-    def __init__(self, wdt: np.ndarray):
-        self.wdt = wdt
-        self.cap = None
+    def __init__(self, instance: SelectionInstance, rows=None):
+        self.instance, self.rows, self.cap = instance, rows, None
+        self.k = instance.n_candidates if rows is None else len(rows)
+        self.n = instance.n_particles
 
     def _build(self, theta):
         self.cap = 2.0 * np.maximum(theta, 0.0)
-        kept = np.flatnonzero(self.wdt < self.cap)
-        self.cand, self.part = np.divmod(kept, self.wdt.shape[1])
-        self.cost = self.wdt.ravel()[kept]
+        self.cand, self.part, self.cost = self.instance.below(
+            self.cap, self.rows)
 
     def sweep(self, theta, theta0) -> _Sweep:
         if self.cap is None or np.any(theta > self.cap):
             self._build(theta)
-        k, n = self.wdt.shape
         slack = theta[self.part] - self.cost
         np.maximum(slack, 0.0, out=slack)
         # per candidate, its particles in index order: the dense column sum
-        scores = np.bincount(self.cand, weights=slack, minlength=k)
+        scores = np.bincount(self.cand, weights=slack, minlength=self.k)
         gamma = scores > theta0
         active = slack > 0.0
         active &= gamma[self.cand]
-        cover = np.bincount(self.part[active], minlength=n)
+        cover = np.bincount(self.part[active], minlength=self.n)
         dual_neg = float(np.minimum(0.0, theta0 - scores).sum())
         return _Sweep(gamma, cover, scores, dual_neg, active)
-
-
-def _screen(instance: SelectionInstance) -> _Screen:
-    return _Screen(instance.stacked_weighted_costs().T)
 
 
 def _check_state(instance: SelectionInstance, state: DualState):
@@ -195,7 +190,7 @@ def inner_solution(instance: SelectionInstance, state: DualState):
     the zero branch.
     """
     _check_state(instance, state)
-    screen = _screen(instance)
+    screen = _Screen(instance)
     inner = screen.sweep(state.theta, state.theta0)
     beta = np.zeros((instance.n_particles, instance.n_candidates), dtype=bool)
     beta[screen.part[inner.active], screen.cand[inner.active]] = True
@@ -206,7 +201,7 @@ def dual_value(instance: SelectionInstance, state: DualState) -> float:
     """L_D(theta) by the closed form."""
     _check_state(instance, state)
     return (
-        _screen(instance).sweep(state.theta, state.theta0).dual_neg
+        _Screen(instance).sweep(state.theta, state.theta0).dual_neg
         + float(state.theta.sum())
         - instance.budget * state.theta0
     )
@@ -227,10 +222,9 @@ def batch_subgradient(instance: SelectionInstance, state: DualState, batch):
     batch sums by K/B so they are unbiased under uniform batch draws.
     """
     _check_state(instance, state)
-    wdt = instance.stacked_weighted_costs().T
     cols = np.asarray(batch, dtype=np.intp)
-    inner = _Screen(wdt[cols]).sweep(state.theta, state.theta0)
-    scale = len(wdt) / len(cols)
+    inner = _Screen(instance, cols).sweep(state.theta, state.theta0)
+    scale = instance.n_candidates / len(cols)
     g0 = scale * float(np.sum(inner.gamma)) - instance.budget
     g = 1.0 - scale * inner.cover
     return g0, g
@@ -241,8 +235,7 @@ def initial_state(instance: SelectionInstance) -> DualState:
     cost, theta0 at half the budget-th largest score there. That score is
     0: at theta_si = min_k w_s d_sik no slack theta_si - w_s d_sik is
     positive, so every score is 0 and theta0 starts at 0.0."""
-    theta = instance.stacked_weighted_costs().T.min(axis=0)
-    return DualState(theta0=0.0, theta=theta)
+    return DualState(theta0=0.0, theta=instance.cheapest())
 
 
 def _repair_with_scores(gamma, scores, theta0, budget: int):
@@ -267,7 +260,7 @@ def repair_feasibility(
     lowest index.
     """
     _check_state(instance, state)
-    scores = _screen(instance).sweep(state.theta, state.theta0).scores
+    scores = _Screen(instance).sweep(state.theta, state.theta0).scores
     return _repair_with_scores(gamma, scores, state.theta0, budget)
 
 
@@ -312,7 +305,7 @@ def run_subgradient(
     """
     m_budget = instance.budget
     # one screen for the whole solve, rebuilt only when theta outgrows it
-    screen = _screen(instance)
+    screen = _Screen(instance)
     state = initial_state(instance)
     hist_dual, hist_primal, hist_sum, hist_alpha = [], [], [], []
     hist_theta0, hist_ms = [], []

@@ -2,11 +2,12 @@
 
 A SelectionInstance holds per-source particle clouds with group weights
 w_s = lambda_s / n_s, a candidate set of K points, the order p, and a budget
-M on the number of selected candidates. From these it builds, once, the one
-matrix every solver reads: the weighted costs w_s * d(x_si, zeta_k)^p, one
-row per candidate and one column per particle, particles in group order. solve_exact enumerates candidate subsets
-outright and is guarded to tiny sizes; it exists so the dual method has an
-independent optimum to be checked against.
+M on the number of selected candidates. From these it builds, once, the
+weighted costs w_s * d(x_si, zeta_k)^p, which solvers read only through its
+queries below, cheapest and nearest; every per-particle array is flat in
+group order. solve_exact enumerates candidate subsets outright and is
+guarded to tiny sizes; it exists so the dual method has an independent
+optimum to be checked against.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ class SelectionInstance:
     """Data of the budgeted representative-point selection problem.
 
     weights[s] is the per-particle weight w_s of group s (so the group's
-    total mass is weights[s] * len(clouds[s]) and all masses sum to 1).
-    The read-only weighted cost matrix, entry (k, (s, i)) holding
-    w_s * d(x_si, zeta_k)^p, follows from the points and order and is
-    built when the instance is. It is stored candidate-major, (K, N), so
-    the rows of a selection are contiguous.
+    total mass is weights[s] * len(clouds[s]) and all masses sum to 1), and
+    sizes[s] is len(clouds[s]). The weighted costs w_s * d(x_si, zeta_k)^p
+    of all pairs are built with the instance, candidate-major, (K, N), so
+    the rows of a selection are contiguous; only its queries read them.
     """
 
     weights: np.ndarray
@@ -42,8 +42,8 @@ class SelectionInstance:
     order: float
     budget: int
     sources: np.ndarray | None = None
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
     _wdt: np.ndarray = field(init=False, repr=False, compare=False)
-    _wd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -81,13 +81,13 @@ class SelectionInstance:
         for w, cloud, end in zip(weights, clouds, ends):
             np.multiply(pairwise_cost(candidates, cloud, order).entries, w,
                         out=wdt[:, end - len(cloud):end])
-        wdt.flags.writeable = False
+        wdt.flags.writeable = sizes.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "clouds", clouds)
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "_wdt", wdt)
-        object.__setattr__(self, "_wd", wdt.T)
 
     @classmethod
     def build(
@@ -107,7 +107,7 @@ class SelectionInstance:
 
     @property
     def n_particles(self) -> int:
-        return sum(len(c) for c in self.clouds)
+        return self._wdt.shape[1]
 
     @property
     def dim_beta(self) -> int:
@@ -117,38 +117,42 @@ class SelectionInstance:
     def dim_gamma(self) -> int:
         return self.n_candidates
 
-    def group_sizes(self) -> np.ndarray:
-        return np.array([len(c) for c in self.clouds])
+    def below(self, cap, rows=None):
+        """The entries with w_s d_sik < cap_si, cap an (N,) array, as flat
+        candidate, particle and cost arrays in candidate-major order
+        (candidates ascending, each one's particles ascending). With rows,
+        only the candidates of the index array rows, renumbered
+        0..len(rows)-1 in rows' order."""
+        wdt = self._wdt if rows is None else self._wdt[rows]
+        kept = np.flatnonzero(wdt < cap)
+        return (*np.divmod(kept, wdt.shape[1]), wdt.ravel()[kept])
 
-    def stacked_weighted_costs(self) -> np.ndarray:
-        """The read-only (N, K) matrix of w_s * d_sik, rows in group order;
-        every call returns the same array. It is a view of the stored
-        candidate-major matrix, so its transpose is that C-contiguous
-        (K, N) array."""
-        return self._wd
+    def cheapest(self, rows=None) -> np.ndarray:
+        """Each particle's smallest weighted cost over the candidates of
+        the index array rows (all of them when None)."""
+        return (self._wdt if rows is None else self._wdt[rows]).min(axis=0)
 
     def objective(self, gamma) -> float:
         """Selection objective of the 0/1 vector gamma: each particle's
         cheapest weighted cost over the selected candidates, summed."""
-        return float(self._wdt[np.flatnonzero(gamma)].min(axis=0).sum())
+        return float(self.cheapest(np.flatnonzero(gamma)).sum())
 
-    def nearest(self, gamma) -> tuple:
-        """Per group, each particle's cheapest selected candidate (absolute
-        index) by the weighted costs objective reads; ties go to the lowest
-        index."""
+    def nearest(self, gamma) -> np.ndarray:
+        """Each particle's cheapest selected candidate (absolute index), by
+        the weighted costs objective reads, as one (N,) array in particle
+        order; ties go to the lowest index."""
         sel = np.flatnonzero(gamma)
-        cols = sel[np.argmin(self._wdt[sel], axis=0)]
-        return tuple(np.split(cols, np.cumsum(self.group_sizes())[:-1]))
+        return sel[np.argmin(self._wdt[sel], axis=0)]
 
 
 def solve_exact(instance: SelectionInstance):
     """Optimum of the selection problem by subset enumeration.
 
     Returns (gamma, objective, assignment): gamma is a 0/1 vector over
-    candidates, assignment a tuple of per-group arrays of absolute candidate
-    indices. Ties between optimal subsets break to the lexicographically
-    smallest index tuple, so equal-cost candidates resolve to the lowest
-    index.
+    candidates, assignment the (N,) array of each particle's absolute
+    candidate index, as nearest gives it. Ties between optimal subsets break
+    to the lexicographically smallest index tuple, so equal-cost candidates
+    resolve to the lowest index.
     """
     k = instance.n_candidates
     m = instance.budget

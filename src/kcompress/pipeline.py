@@ -104,8 +104,7 @@ def build_stage_instance(
 def _assigned_support(instance: SelectionInstance, assignment):
     """Assigned candidate indices, their points with coinciding ones merged
     (merge_atoms), and each particle's column in those points."""
-    flat = np.concatenate(assignment).astype(np.intp)
-    used, inverse = np.unique(flat, return_inverse=True)
+    used, inverse = np.unique(assignment, return_inverse=True)
     support, columns = merge_atoms(instance.candidates[used])
     return used, support, columns[inverse]
 
@@ -113,7 +112,8 @@ def _assigned_support(instance: SelectionInstance, assignment):
 def implied_kernel(
     instance: SelectionInstance, gamma, assignment
 ) -> DiscreteKernel:
-    """Kernel whose row weights are per-source assignment fractions.
+    """Kernel whose row weights are per-source fractions of assignment,
+    each particle's candidate index as one (N,) array in particle order.
 
     The support is the candidates that received an assignment, in index
     order, coinciding points merged. Requires the instance to carry source
@@ -127,7 +127,7 @@ def implied_kernel(
         raise ValidationError(
             "assignment references unselected candidates"
         )
-    sizes = np.fromiter(map(len, assignment), dtype=np.intp)
+    sizes = instance.sizes
     cells = np.repeat(np.arange(len(sizes)), sizes) * len(support) + columns
     counts = np.bincount(cells, minlength=len(sizes) * len(support))
     return DiscreteKernel(
@@ -150,10 +150,9 @@ def assignment_plan(stage: Stage):
     """
     instance, assignment = stage.instance, stage.result.beta_assignment
     columns = _assigned_support(instance, assignment)[2]
-    assigned = instance.candidates[np.concatenate(assignment)]
-    costs = distance_power(np.concatenate(instance.clouds), assigned,
-                           instance.order)
-    masses = np.repeat(instance.weights, instance.group_sizes())
+    costs = distance_power(np.concatenate(instance.clouds),
+                           instance.candidates[assignment], instance.order)
+    masses = np.repeat(instance.weights, instance.sizes)
     return columns, masses, costs
 
 

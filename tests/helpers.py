@@ -34,6 +34,27 @@ def random_tiny_instance(rng, max_groups=3, max_particles=8, max_k=12, max_m=4):
     return SelectionInstance.build(groups, candidates, p, m)
 
 
+def dense_weighted_costs(instance):
+    """The (N, K) matrix of w_s * d(x_si, zeta_k)^p, rows in group order,
+    built from pairwise_cost and the group weights rather than read back
+    from the instance: the dense reference for its queries."""
+    return np.vstack([
+        pairwise_cost(cloud, instance.candidates, instance.order).entries * w
+        for w, cloud in zip(instance.weights, instance.clouds)
+    ])
+
+
+def below_reference(wd, cap, rows=None):
+    """SelectionInstance.below over the dense (N, K) matrix wd: the
+    (candidate, particle, cost) entries with cost < cap[particle], the
+    candidates of rows (all when None) renumbered in rows' order, each
+    one's particles ascending."""
+    rows = np.arange(wd.shape[1]) if rows is None else np.asarray(rows)
+    block = wd[:, rows].T
+    cand, part = np.nonzero(block < np.asarray(cap)[None, :])
+    return cand, part, block[cand, part]
+
+
 def rational_distribution(rng, n, dim, denominator=24, spread=3.0):
     """Random distribution whose weights are multiples of 1/denominator."""
     cuts = rng.choice(np.arange(1, denominator), size=n - 1, replace=False)

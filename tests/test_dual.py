@@ -1,11 +1,19 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from helpers import enumerate_lagrangian_min, random_tiny_instance
+import kcompress.core
+import kcompress.oracle
+from helpers import (
+    below_reference,
+    dense_weighted_costs,
+    enumerate_lagrangian_min,
+    random_tiny_instance,
+)
 from kcompress.core import DiscreteDistribution, pairwise_cost
 from kcompress.dual import (
     CERT_TOL,
@@ -127,7 +135,7 @@ def test_dual_value_is_lagrangian_at_inner_solution():
         inst = random_tiny_instance(rng)
         state = _random_state(rng, inst, scale=0.5)
         gamma, beta = inner_solution(inst, state)
-        wd = inst.stacked_weighted_costs()
+        wd = dense_weighted_costs(inst)
         lagrangian = (
             float((wd * beta).sum())
             + float(state.theta @ (1.0 - beta.sum(axis=1)))
@@ -198,6 +206,18 @@ def test_weak_duality_random_multipliers():
 # the screened sweep kernel
 # ---------------------------------------------------------------------------
 
+class _DenseCosts:
+    """A stand-in instance whose weighted costs are the given (N, K) array,
+    answering the queries a _Screen makes with below_reference."""
+
+    def __init__(self, wd):
+        self.wd = wd
+        self.n_particles, self.n_candidates = wd.shape
+
+    def below(self, cap, rows=None):
+        return below_reference(self.wd, cap, rows)
+
+
 def _dense_sweep(wd, theta, theta0):
     """The dense formula over an (N, K) matrix: every slack
     max(0, theta_si - w_s d_sik), scores summed particle by particle in
@@ -229,7 +249,7 @@ def test_fused_sweep_matches_reference(k):
     scores = _dense_sweep(wd, theta, 0.0)[2]
     # a threshold inside the score range, so some candidates are selected
     theta0 = float(np.quantile(scores, 0.7)) if k > 1 else scores[0] / 2
-    screen = _Screen(np.ascontiguousarray(wd.T))
+    screen = _Screen(_DenseCosts(wd))
     expected = _assert_sweep_is_dense(
         screen.sweep(theta, theta0), wd, theta, theta0
     )
@@ -248,7 +268,7 @@ def test_screen_is_exact_at_caps_ties_and_nonpositive_rows():
     n, k = 40, 300
     wd = rng.uniform(0.0, 1.0, size=(n, k)) / n
     wd[3, :] = 0.0  # a particle on top of every candidate
-    screen = _Screen(np.ascontiguousarray(wd.T))
+    screen = _Screen(_DenseCosts(wd))
     start = wd.min(axis=1) * 1.5
     _assert_sweep_is_dense(screen.sweep(start, 0.0), wd, start, 0.0)
     built = screen.cap
@@ -277,7 +297,7 @@ def test_initial_state_is_the_dense_formula():
     instances = [random_tiny_instance(rng) for _ in range(100)]
     instances += [_mixture_instance(20, 64, 10, seed) for seed in range(3)]
     for inst in instances:
-        wd = inst.stacked_weighted_costs()
+        wd = dense_weighted_costs(inst)
         theta = wd.min(axis=1)
         scores = _dense_sweep(wd, theta, 0.0)[2]
         kth = np.sort(scores)[-inst.budget]
@@ -294,7 +314,7 @@ def test_batch_subgradient_is_the_dense_formula():
         k = inst.n_candidates
         cols = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
         g0, g = batch_subgradient(inst, state, cols)
-        wd = inst.stacked_weighted_costs()[:, cols]
+        wd = dense_weighted_costs(inst)[:, cols]
         sel, cover, _, _ = _dense_sweep(wd, state.theta, state.theta0)
         scale = k / len(cols)
         assert g0 == scale * float(sel.sum()) - inst.budget
@@ -307,40 +327,68 @@ def test_inner_solution_matches_unfused_formula():
         inst = random_tiny_instance(rng)
         state = _random_state(rng, inst, scale=0.5)
         gamma, beta = inner_solution(inst, state)
-        slack = state.theta[:, None] - inst.stacked_weighted_costs()
+        slack = state.theta[:, None] - dense_weighted_costs(inst)
         expected = np.maximum(slack, 0.0).sum(axis=0) > state.theta0
         np.testing.assert_array_equal(gamma, expected.astype(np.int8))
         np.testing.assert_array_equal(beta, (slack > 0.0) & expected)
 
 
-def test_stacked_matrix_built_once_per_instance(monkeypatch):
+def test_dual_reads_costs_only_through_instance_queries(monkeypatch):
+    # outside a query the instance's stored matrix is a bare shape, so any
+    # other read of it by the dual fails; and nothing recomputes a cost
     rng = np.random.default_rng(21)
     inst = random_tiny_instance(rng, max_k=10)
     state = _random_state(rng, inst)
-    reads = []
-    accessor = SelectionInstance.stacked_weighted_costs
+    stored = inst._wdt
+    calls = []
 
-    def recording(self):
-        reads.append(accessor(self))
-        return reads[-1]
+    def counted(name):
+        query = getattr(SelectionInstance, name)
 
-    monkeypatch.setattr(SelectionInstance, "stacked_weighted_costs", recording)
-    entry_points = (
-        lambda: inner_solution(inst, state),
-        lambda: dual_value(inst, state),
-        lambda: initial_state(inst),
-        lambda: batch_subgradient(inst, state, [0, 2]),
-        lambda: repair_feasibility(
+        def read(self, *args):
+            calls.append(name)
+            object.__setattr__(self, "_wdt", stored)
+            try:
+                return query(self, *args)
+            finally:
+                object.__setattr__(self, "_wdt", SimpleNamespace(
+                    shape=stored.shape))
+        return read
+
+    for name in ("below", "cheapest", "nearest"):
+        monkeypatch.setattr(SelectionInstance, name, counted(name))
+    object.__setattr__(inst, "_wdt", SimpleNamespace(shape=stored.shape))
+
+    def no_cost(*args):
+        raise AssertionError("pairwise_cost called after the build")
+
+    for module in (kcompress.core, kcompress.oracle):
+        monkeypatch.setattr(module, "pairwise_cost", no_cost)
+    entry_points = {
+        "inner_solution": lambda: inner_solution(inst, state),
+        "dual_value": lambda: dual_value(inst, state),
+        "initial_state": lambda: initial_state(inst),
+        "batch_subgradient": lambda: batch_subgradient(inst, state, [0, 2]),
+        "repair_feasibility": lambda: repair_feasibility(
             inst, np.ones(inst.n_candidates), inst.budget, state
         ),
-        lambda: run_subgradient(inst, SolverConfig(max_iter=30)),
-    )
-    for entry in entry_points:
-        before = len(reads)
+        "run_subgradient": lambda: run_subgradient(
+            inst, SolverConfig(max_iter=30)
+        ),
+    }
+    reads = {}
+    for name, entry in entry_points.items():
+        before = len(calls)
         entry()
-        assert len(reads) > before
-    assert all(wd is reads[0] for wd in reads)
-    assert not reads[0].flags.writeable
+        reads[name] = set(calls[before:])
+    assert reads == {
+        "inner_solution": {"below"},
+        "dual_value": {"below"},
+        "initial_state": {"cheapest"},
+        "batch_subgradient": {"below"},
+        "repair_feasibility": {"below"},
+        "run_subgradient": {"below", "cheapest", "nearest"},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +445,7 @@ def test_repair_clears_marginal_candidate():
     state = DualState(theta0=0.05, theta=np.array([10.0, 10.0, 0.1]))
     gamma, _ = inner_solution(inst, state)
     np.testing.assert_array_equal(gamma, [1, 1, 1])
-    wd = inst.stacked_weighted_costs()
+    wd = dense_weighted_costs(inst)
     scores = np.maximum(state.theta[:, None] - wd, 0.0).sum(axis=0)
     np.testing.assert_allclose(scores, [10.0, 10.0, 0.1])
     repaired = repair_feasibility(inst, gamma, 2, state)
@@ -455,7 +503,7 @@ def _highs_bounds(inst):
     both by HiGHS over gamma (K) and beta (K x N, candidate-major): cover
     each particle once, beta_ki <= gamma_k, at most M candidates. The MILP
     optimum is its selection's objective recomputed by the instance."""
-    wdt = inst.stacked_weighted_costs().T
+    wdt = dense_weighted_costs(inst).T
     k, n = wdt.shape
     cost = np.concatenate([np.zeros(k), wdt.ravel()])
     cover = sparse.hstack([sparse.csr_matrix((n, k)),
@@ -545,7 +593,7 @@ def _dense_run(inst, max_iter=5000):
     """run_subgradient's ascent written out over the dense (N, K) matrix:
     the dense initial state and sweep, the dense objective, and the same
     repair, step and stopping rules. Returns the histories and the answer."""
-    wd = np.ascontiguousarray(inst.stacked_weighted_costs())
+    wd = dense_weighted_costs(inst)
     m = inst.budget
     theta = wd.min(axis=1)
     kth = np.sort(_dense_sweep(wd, theta, 0.0)[2])[-m]
@@ -680,9 +728,8 @@ def test_selection_respects_budget():
         inst = random_tiny_instance(rng)
         result = run_subgradient(inst, SolverConfig(max_iter=200))
         assert result.gamma.sum() <= inst.budget
-        selected = set(np.flatnonzero(result.gamma))
-        for group in result.beta_assignment:
-            assert set(group) <= selected
+        assert result.beta_assignment.shape == (inst.n_particles,)
+        assert set(result.beta_assignment) <= set(np.flatnonzero(result.gamma))
 
 
 def test_polyak_step_scale_halves_on_stall():
@@ -700,7 +747,7 @@ def test_primal_trace_is_best_feasible_so_far():
     assert np.all(np.isfinite(primal))
     assert np.all(np.diff(primal) <= 0)
     assert primal[-1] == result.objective
-    wd = inst.stacked_weighted_costs()
+    wd = dense_weighted_costs(inst)
     selected = np.flatnonzero(result.gamma)
     assert 1 <= len(selected) <= inst.budget
     assert wd[:, selected].min(axis=1).sum() == result.objective

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import enumerate_selection_optimum, random_tiny_instance
+from helpers import (
+    below_reference,
+    dense_weighted_costs,
+    enumerate_selection_optimum,
+    random_tiny_instance,
+)
 from kcompress.core import pairwise_cost
 from kcompress.errors import KCompressError, ValidationError
 from kcompress.oracle import SelectionInstance, solve_exact
@@ -25,7 +32,7 @@ def test_budget_not_binding():
         inst.n_candidates,
     )
     _, objective, _ = solve_exact(free)
-    expected = float(free.stacked_weighted_costs().min(axis=1).sum())
+    expected = float(dense_weighted_costs(free).min(axis=1).sum())
     assert objective == pytest.approx(expected, abs=1e-12)
 
 
@@ -41,7 +48,7 @@ def test_hand_enumerated_singletons():
     )
     assert objective == pytest.approx(5.0, abs=1e-12)
     np.testing.assert_array_equal(gamma, [1, 0, 0])
-    np.testing.assert_array_equal(assignment[0], [0, 0])
+    np.testing.assert_array_equal(assignment, [0, 0])
 
 
 def test_exact_cover_reaches_zero():
@@ -105,7 +112,7 @@ def test_beats_random_subsets():
     rng = np.random.default_rng(5)
     inst = random_tiny_instance(rng)
     _, objective, _ = solve_exact(inst)
-    wd = inst.stacked_weighted_costs()
+    wd = dense_weighted_costs(inst)
     for _ in range(1000):
         size = int(rng.integers(1, inst.budget + 1))
         subset = rng.choice(inst.n_candidates, size=size, replace=False)
@@ -145,9 +152,8 @@ def test_assignment_refers_to_selected_only():
     rng = np.random.default_rng(21)
     inst = random_tiny_instance(rng)
     gamma, _, assignment = solve_exact(inst)
-    selected = set(np.flatnonzero(gamma))
-    for group in assignment:
-        assert set(group) <= selected
+    assert assignment.shape == (inst.n_particles,)
+    assert set(assignment) <= set(np.flatnonzero(gamma))
 
 
 def test_weighted_costs_are_the_per_group_stack():
@@ -158,14 +164,17 @@ def test_weighted_costs_are_the_per_group_stack():
             inst.weights, inst.clouds, inst.candidates, inst.order,
             inst.budget,
         )
-        stack = np.vstack([
-            pairwise_cost(cloud, inst.candidates, inst.order).entries * w
-            for w, cloud in zip(inst.weights, inst.clouds)
-        ])
+        stack = dense_weighted_costs(inst)
+        everything = np.full(inst.n_particles, np.inf)
         for built in (inst, direct):
-            wd = built.stacked_weighted_costs()
-            assert wd.dtype == np.float64 and not wd.flags.writeable
-            np.testing.assert_array_equal(wd, stack)
+            cand, part, cost = built.below(everything)
+            assert cost.dtype == np.float64
+            np.testing.assert_array_equal(cost.reshape(stack.T.shape), stack.T)
+            np.testing.assert_array_equal(built.cheapest(), stack.min(axis=1))
+            assert built.n_particles == len(stack)
+            assert not built.sizes.flags.writeable
+            np.testing.assert_array_equal(
+                built.sizes, [len(c) for c in built.clouds])
 
 
 def _brute_nearest(inst, gamma):
@@ -205,13 +214,46 @@ def test_nearest_and_objective_match_brute_force():
     for inst, gamma in cases:
         total, assignment = _brute_nearest(inst, gamma)
         assert inst.objective(gamma) == pytest.approx(total, rel=1e-12)
-        got = inst.nearest(gamma)
-        assert len(got) == inst.n_groups
-        for ours, brute in zip(got, assignment):
-            np.testing.assert_array_equal(ours, brute)
-    np.testing.assert_array_equal(
-        np.concatenate(tied.nearest([0, 1, 0, 1])), [1, 1, 1, 1]
-    )
+        np.testing.assert_array_equal(
+            inst.nearest(gamma), np.concatenate(assignment))
+    np.testing.assert_array_equal(tied.nearest([0, 1, 0, 1]), [1, 1, 1, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_queries_match_the_dense_reference(seed):
+    # points on a coarse integer grid and repeated candidates, so equal
+    # costs (ties at the cap and between candidates) are common
+    rng = np.random.default_rng(seed)
+    n_groups = int(rng.integers(1, 4))
+    sizes = rng.integers(1, 6, size=n_groups)
+    lam = rng.dirichlet(np.ones(n_groups))
+    groups = [(lam[s] / n, rng.integers(-2, 3, size=(n, 2)).astype(float))
+              for s, n in enumerate(sizes)]
+    base = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), 2))
+    candidates = base[rng.integers(0, len(base), size=int(rng.integers(1, 9)))]
+    inst = SelectionInstance.build(groups, candidates, float(rng.choice(
+        [1.0, 2.0])), 1)
+    wd = dense_weighted_costs(inst)
+    n, k = wd.shape
+    # caps: an entry of the particle's row (a tie), at most zero, or between
+    picks = rng.integers(0, 3, size=n)
+    cap = np.where(picks == 0, wd[np.arange(n), rng.integers(0, k, size=n)],
+                   np.where(picks == 1, -rng.choice([0.0, 1.0], size=n),
+                            rng.uniform(0.0, wd.max() + 0.1, size=n)))
+    rows = rng.integers(0, k, size=int(rng.integers(1, 2 * k + 1)))
+    for r in (None, rows):
+        for got, want in zip(inst.below(cap, r), below_reference(wd, cap, r)):
+            np.testing.assert_array_equal(got, want)
+        cols = np.arange(k) if r is None else r
+        np.testing.assert_array_equal(inst.cheapest(r), wd[:, cols].min(axis=1))
+    gamma = (rng.random(k) < 0.5).astype(np.int8)
+    gamma[rng.integers(k)] = 1
+    selected = np.flatnonzero(gamma)
+    costs = wd[:, selected]
+    first = selected[np.argmax(costs == costs.min(axis=1, keepdims=True),
+                               axis=1)]
+    np.testing.assert_array_equal(inst.nearest(gamma), first)
 
 
 _CLOUDS = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0)])

@@ -117,7 +117,7 @@ def test_implied_kernel_counts_assignments():
     candidates = np.array([[0.0], [1.0], [5.0], [10.0], [11.0]])
     inst = build_stage_instance(marginal, clouds, candidates, 1.0, 4)
     gamma = np.array([1, 1, 1, 1, 1], dtype=np.int8)
-    assignment = (np.array([0, 1, 1]), np.array([3, 4]))
+    assignment = np.array([0, 1, 1, 3, 4])
     kernel = implied_kernel(inst, gamma, assignment)
     # candidate 2 (and nothing else unused) is dropped from the shared support
     assert np.array_equal(
@@ -141,11 +141,12 @@ def test_implied_kernel_matches_per_particle_counts():
         inst = build_stage_instance(
             marginal, clouds, rng.normal(size=(k, 2)), 1.0, k
         )
-        assignment = tuple(rng.integers(0, k, size=len(c)) for c in clouds)
-        kernel = implied_kernel(inst, np.ones(k, dtype=np.int8), assignment)
-        used = sorted({int(j) for group in assignment for j in group})
+        groups = [rng.integers(0, k, size=len(c)) for c in clouds]
+        kernel = implied_kernel(inst, np.ones(k, dtype=np.int8),
+                                np.concatenate(groups))
+        used = sorted({int(j) for group in groups for j in group})
         want = np.zeros((n_src, len(used)))
-        for s, group in enumerate(assignment):
+        for s, group in enumerate(groups):
             for j in group:
                 want[s, used.index(int(j))] += 1.0
             want[s] /= len(group)
@@ -160,7 +161,7 @@ def test_implied_kernel_merges_coinciding_candidates():
     candidates = np.array([[1.0], [4.0], [1.0]])
     inst = build_stage_instance(marginal, clouds, candidates, 1.0, 3)
     gamma = np.array([1, 1, 1], dtype=np.int8)
-    assignment = (np.array([0, 2, 1]), np.array([2, 1]))
+    assignment = np.array([0, 2, 1, 2, 1])
     kernel = implied_kernel(inst, gamma, assignment)
     np.testing.assert_array_equal(kernel.support, [[1.0], [4.0]])
     np.testing.assert_array_equal(kernel.matrix, [[2 / 3, 1 / 3], [0.5, 0.5]])
@@ -174,7 +175,7 @@ def test_implied_kernel_rejects_unselected():
     gamma = np.array([1, 0], dtype=np.int8)
     with pytest.raises(ValidationError,
                        match="assignment references unselected candidates"):
-        implied_kernel(inst, gamma, (np.array([0, 1]),))
+        implied_kernel(inst, gamma, np.array([0, 1]))
 
 
 def test_implied_kernel_needs_sources():
@@ -185,7 +186,7 @@ def test_implied_kernel_needs_sources():
     )
     with pytest.raises(ValidationError,
                        match="instance carries no source coordinates"):
-        implied_kernel(inst, np.array([1, 0], dtype=np.int8), (np.array([0, 0]),))
+        implied_kernel(inst, np.array([1, 0], dtype=np.int8), np.array([0, 0]))
 
 
 # ---------------------------------------------------------------------------
