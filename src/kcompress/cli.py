@@ -750,7 +750,7 @@ def run_evaluate(cfg: EvaluateConfig, start: float):
                           "costs")
     if len(costs) == 1:
         costs *= horizon + 1
-    dim = system.supports[0].shape[1]
+    dim = system.dim
     for i, cost in enumerate(cfg.costs):
         for term, key in (("affine", "coeff"), ("norm", "center")):
             if getattr(cost, key).size not in (dim, 0):

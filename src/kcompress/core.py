@@ -188,8 +188,9 @@ class DiscreteSystem:
 
     A compressed system also carries its marginals (T+1, marginal t on
     X_t) and its stage errors Delta_0..Delta_{T-1}; either may be empty.
-    Supports are finite and read-only, and every count and source is
-    checked here, so a system that exists is consistent.
+    Supports are finite, nonempty and read-only, and every support and
+    kernel support has the dimension of support 0. Every count and source
+    is checked here, so a system that exists is consistent.
     """
 
     supports: tuple
@@ -207,7 +208,18 @@ class DiscreteSystem:
                 f"{len(supports)} supports need {len(supports) - 1} kernels, "
                 f"got {len(kernels)}"
             )
+        dim = supports[0].shape[1]
+        for t, support in enumerate(supports):
+            if len(support) == 0:
+                raise ValidationError(f"support {t} has no points")
+            if support.shape[1] != dim:
+                raise ValidationError(f"support {t} is {support.shape[1]}-D,"
+                                      f" support 0 is {dim}-D")
         for t, kernel in enumerate(kernels):
+            if kernel.support.shape[1] != dim:
+                raise ValidationError(
+                    f"kernel {t} support is {kernel.support.shape[1]}-D,"
+                    f" support 0 is {dim}-D")
             if len(kernel) != len(supports[t]):
                 raise ValidationError(
                     f"kernel {t} has {len(kernel)} rows for "
@@ -240,6 +252,10 @@ class DiscreteSystem:
     @property
     def horizon(self) -> int:
         return len(self.kernels)
+
+    @property
+    def dim(self) -> int:
+        return self.supports[0].shape[1]
 
 
 @dataclass(frozen=True)

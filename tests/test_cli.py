@@ -1086,6 +1086,35 @@ def test_evaluate_row_off_the_next_support_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_FLAT_TO_DEEP = {
+    "supports": [[[0.0, 0.0]], [[1.0, 0.0, 0.0]]],
+    "kernels": [{"sources": [[0.0, 0.0]], "rows": [
+        {"support": [[1.0, 0.0, 0.0]], "weights": [1.0]}]}],
+    "marginals": [], "deltas": []}
+
+
+@pytest.mark.parametrize("system, extra, message", [
+    pytest.param(_FLAT_TO_DEEP,
+                 {"costs": [{"affine": {"coeff": [1, 2]}}]},
+                 "support 1 is 3-D, support 0 is 2-D", id="mixed-with-cost"),
+    pytest.param(_FLAT_TO_DEEP, {},
+                 "support 1 is 3-D, support 0 is 2-D", id="mixed"),
+    pytest.param({**_FLAT_TO_DEEP, "supports": [[[0.0, 0.0]], [[1.0, 0.0]]]},
+                 {}, "kernel 0 support is 3-D, support 0 is 2-D",
+                 id="deep-kernel-row"),
+    pytest.param({"supports": [[]], "kernels": [], "marginals": [],
+                  "deltas": []}, {}, "support 0 has no points",
+                 id="empty-support"),
+])
+def test_evaluate_inconsistent_system_exits_1(tmp_path, capsys, system,
+                                             extra, message):
+    # each used to end in a traceback, two of them after writing values.csv
+    eval_cfg = _evaluate_config(tmp_path, system, **extra)
+    assert main(["evaluate", "--config", eval_cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("{not json", id="not-json"),
     pytest.param(

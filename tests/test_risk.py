@@ -370,6 +370,24 @@ def test_discrete_system_validates_sources():
         DiscreteSystem(([[0.0]],), (kernel,))
 
 
+def test_discrete_system_refuses_empty_and_mixed_dimension_supports():
+    flat = DiscreteKernel.from_rows([[0.0, 0.0]], (dirac([1.0, 0.0]),))
+    deep = DiscreteKernel.from_rows([[0.0, 0.0]], (dirac([1.0, 0.0, 0.0]),))
+    for supports, kernels, match in [
+        (([[0.0, 0.0]], [[1.0, 0.0, 0.0]]), (deep,),
+         "support 1 is 3-D, support 0 is 2-D"),
+        (([[0.0, 0.0]], [[1.0, 0.0]]), (deep,),
+         "kernel 0 support is 3-D, support 0 is 2-D"),
+        (([],), (), "support 0 has no points"),
+        ((np.zeros((0, 2)),), (), "support 0 has no points"),
+        (([[0.0, 0.0]], np.zeros((0, 2))), (flat,), "support 1 has no points"),
+    ]:
+        with pytest.raises(ValidationError, match=match):
+            DiscreteSystem(supports, kernels)
+    assert DiscreteSystem(([[0.0, 0.0]], [[1.0, 0.0]]), (flat,)).dim == 2
+    assert DiscreteSystem(([[0.0, 1.0, 2.0]],), ()).dim == 3
+
+
 def chain_parts():
     """Supports, kernels, marginals and deltas of a consistent two-stage
     chain."""
