@@ -150,9 +150,10 @@ class _Screen:
     """
 
     def __init__(self, instance: SelectionInstance, rows=None):
-        self.instance, self.rows, self.cap = instance, rows, None
+        self.instance, self.rows = instance, rows
         self.k = instance.n_candidates if rows is None else len(rows)
         self.n = instance.n_particles
+        self.cap = None
 
     def _build(self, theta):
         self.cap = 2.0 * np.maximum(theta, 0.0)

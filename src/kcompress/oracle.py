@@ -125,7 +125,8 @@ class SelectionInstance:
         0..len(rows)-1 in rows' order."""
         wdt = self._wdt if rows is None else self._wdt[rows]
         kept = np.flatnonzero(wdt < cap)
-        return (*np.divmod(kept, wdt.shape[1]), wdt.ravel()[kept])
+        cand, part = np.divmod(kept, wdt.shape[1])
+        return cand, part, wdt.ravel()[kept]
 
     def cheapest(self, rows=None) -> np.ndarray:
         """Each particle's smallest weighted cost over the candidates of

@@ -232,8 +232,8 @@ def test_queries_match_the_dense_reference(seed):
               for s, n in enumerate(sizes)]
     base = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), 2))
     candidates = base[rng.integers(0, len(base), size=int(rng.integers(1, 9)))]
-    inst = SelectionInstance.build(groups, candidates, float(rng.choice(
-        [1.0, 2.0])), 1)
+    order = float(rng.choice([1.0, 2.0]))
+    inst = SelectionInstance.build(groups, candidates, order, 1)
     wd = dense_weighted_costs(inst)
     n, k = wd.shape
     # caps: an entry of the particle's row (a tie), at most zero, or between
@@ -246,7 +246,8 @@ def test_queries_match_the_dense_reference(seed):
         for got, want in zip(inst.below(cap, r), below_reference(wd, cap, r)):
             np.testing.assert_array_equal(got, want)
         cols = np.arange(k) if r is None else r
-        np.testing.assert_array_equal(inst.cheapest(r), wd[:, cols].min(axis=1))
+        np.testing.assert_array_equal(inst.cheapest(r),
+                                      wd[:, cols].min(axis=1))
     gamma = (rng.random(k) < 0.5).astype(np.int8)
     gamma[rng.integers(k)] = 1
     selected = np.flatnonzero(gamma)
