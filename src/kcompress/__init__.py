@@ -2,7 +2,7 @@
 
 The package splits into layers:
 
-* core: distributions, kernels, systems, cost matrices; the system file.
+* core: distributions, kernels, systems, pairwise costs; the system file.
 * transport: exact Wasserstein distances and assignment distances.
 * oracle: exhaustive solver for the selection problem on tiny instances.
 * dual: the certified dual subgradient method (the workhorse).
@@ -13,7 +13,6 @@ The package splits into layers:
 """
 
 from .core import (
-    CostMatrix,
     DiscreteDistribution,
     DiscreteKernel,
     DiscreteSystem,
@@ -39,7 +38,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostMatrix",
     "DiscreteDistribution",
     "DiscreteKernel",
     "DiscreteSystem",

@@ -1,4 +1,4 @@
-"""Domain types for finitely supported measures, kernels, and cost matrices.
+"""Domain types for finitely supported measures and kernels, and their costs.
 
 Points live in R^n and are stored as rows of float64 arrays. A
 DiscreteDistribution pairs a support array with a normalized weight vector; a
@@ -8,7 +8,7 @@ All containers are frozen and their arrays are marked read-only, so instances
 can be shared freely across workers.
 
 The ground metric is Euclidean; every optimization in this package consumes
-p-th powers of distances, which is what pairwise_cost produces.
+p-th powers of distances, which distance_power computes.
 
 It also owns the artifact formats: the JSON codecs, the system file
 (system_to_dict writes it, load_system reads it) and the CSV writer.
@@ -258,31 +258,6 @@ class DiscreteSystem:
         return self.supports[0].shape[1]
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Pairwise transport costs d(x_i, y_k)^p for two point sets."""
-
-    entries: np.ndarray
-    order: float
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2:
-            raise ValidationError("cost entries must be 2-D")
-        if not np.all(np.isfinite(entries)):
-            raise ValidationError("cost entries must be finite")
-        if np.any(entries < 0):
-            raise ValidationError("cost entries must be nonnegative")
-        if self.order < 1:
-            raise ValidationError(f"order p must be >= 1, got {self.order}")
-        object.__setattr__(self, "entries", _freeze(entries))
-        object.__setattr__(self, "order", float(self.order))
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
 def dirac(point) -> DiscreteDistribution:
     """The unit mass at a single point."""
     return DiscreteDistribution(as_points([np.asarray(point, dtype=float).ravel()]), [1.0])
@@ -326,11 +301,11 @@ def distance_power(a, b, order: float) -> np.ndarray:
     return sq
 
 
-def pairwise_cost(a, b, order: float) -> CostMatrix:
-    """Euclidean distances raised to the p-th power, entry (i, k) = |a_i - b_k|^p,
-    by distance_power over every pair, so a cost matrix entry has the bits
-    of distance_power on that one pair. Its two (n, m) arrays take no more
-    memory than the result and the frozen copy CostMatrix makes of it."""
+def pairwise_cost(a, b, order: float) -> np.ndarray:
+    """Euclidean distances raised to the p-th power, entry (i, k) = |a_i - b_k|^p:
+    distance_power's (n, m) array over every pair, so an entry has the bits
+    of distance_power on that one pair. A cost that overflows to infinity
+    raises ValidationError."""
     if order < 1:
         raise ValidationError(f"order p must be >= 1, got {order}")
     pa = as_points(a)
@@ -339,12 +314,34 @@ def pairwise_cost(a, b, order: float) -> CostMatrix:
         raise ValidationError(
             f"point dimensions differ: {pa.shape[1]} vs {pb.shape[1]}"
         )
-    return CostMatrix(distance_power(pa[:, None], pb[None], order), order)
+    with np.errstate(over="ignore"):  # refused below, not warned of
+        costs = distance_power(pa[:, None], pb[None], order)
+    if not np.all(np.isfinite(costs)):
+        raise ValidationError("cost entries must be finite")
+    return costs
 
 
 # ---------------------------------------------------------------------------
 # artifact formats: the JSON codecs, the system file and the CSV writer
 # ---------------------------------------------------------------------------
+
+# numpy reads "1.0", "0" and true as floats: the decoders refuse them first
+_NOT_A_NUMBER = "a string or boolean where the system needs a number"
+
+
+def _numbers(value):
+    """value, its nested lists checked a level at a time for strings and
+    booleans (an array comes from the file reader, which checked its text)."""
+    if isinstance(value, np.ndarray):
+        return value
+    level = [value]
+    while kinds := set(map(type, level)):
+        if kinds & {str, bool}:
+            raise ValidationError(_NOT_A_NUMBER)
+        level = list(chain.from_iterable(v for v in level if type(v) is list)
+                     if list in kinds else ())
+    return value
+
 
 def distribution_to_dict(dist: DiscreteDistribution) -> dict:
     return {
@@ -354,7 +351,8 @@ def distribution_to_dict(dist: DiscreteDistribution) -> dict:
 
 
 def distribution_from_dict(data: dict) -> DiscreteDistribution:
-    return DiscreteDistribution(data["support"], data["weights"])
+    return DiscreteDistribution(_numbers(data["support"]),
+                                _numbers(data["weights"]))
 
 
 def rows_to_dict(sources, rows) -> dict:
@@ -372,9 +370,10 @@ def kernel_to_dict(kernel: DiscreteKernel) -> dict:
 
 
 def kernel_from_dict(data: dict) -> DiscreteKernel:
-    rows = (SimpleNamespace(support=r["support"], weights=r["weights"])
+    rows = (SimpleNamespace(support=_numbers(r["support"]),
+                            weights=_numbers(r["weights"]))
             for r in data["rows"])
-    return DiscreteKernel.from_rows(data["sources"], rows)
+    return DiscreteKernel.from_rows(_numbers(data["sources"]), rows)
 
 
 def system_to_dict(system: DiscreteSystem) -> dict:
@@ -394,10 +393,10 @@ def system_from_dict(data: dict) -> DiscreteSystem:
         raise ValidationError("a system must be a JSON object")
     try:
         return DiscreteSystem(
-            data["supports"],
+            _numbers(data["supports"]),
             tuple(kernel_from_dict(k) for k in data["kernels"]),
             tuple(distribution_from_dict(m) for m in data["marginals"]),
-            data["deltas"],
+            _numbers(data["deltas"]),
         )
     except KeyError as exc:
         raise ValidationError(f"system lacks key {exc.args[0]!r}") from None
@@ -433,6 +432,17 @@ class _Reader:
 
     def value(self):
         value, self.pos = _DECODER.raw_decode(self.text, self.skip())
+        return value
+
+    def numbers(self):
+        """The value at the cursor, refused if it holds a string ('"'), true
+        ('r') or false ('s'): no number, NaN or Infinity holds those."""
+        text, start = self.text, self.skip()
+        value, end = _DECODER.raw_decode(text, start)
+        if max(text.find('"', start, end), text.find("r", start, end),
+               text.find("s", start, end)) >= 0:
+            raise ValueError(_NOT_A_NUMBER)
+        self.pos = end
         return value
 
     def _items(self, close: str):
@@ -475,11 +485,11 @@ class _Reader:
 
 
 def _read_system_text(text: str):
-    """The system file's document, with each kernel row's support and
-    weights as float64 arrays. A row support whose text repeats the previous
-    row support's text is skipped and shares that row's array."""
+    """The system file's document, with each support and weights of a kernel
+    row or a marginal as a float64 array. A support whose text repeats the
+    previous support's text is skipped and shares its array."""
     reader = _Reader(text)
-    last = (None, None)  # the previous row support's text and its array
+    last = (None, None)  # the previous support's text and its array
 
     def support():
         nonlocal last
@@ -487,7 +497,7 @@ def _read_system_text(text: str):
         if last[0] is not None and text.startswith(last[0], start):
             reader.pos += len(last[0])
             return last[1]
-        points = np.asarray(reader.value(), np.float64)
+        points = np.asarray(reader.numbers(), np.float64)
         if text.startswith("[", start):
             # a bracketed text ends where its value ends, so a later text
             # that begins with it holds the same value there
@@ -497,17 +507,22 @@ def _read_system_text(text: str):
     def row(key):
         if key == "support":
             return support()
-        value = reader.value()
-        return np.asarray(value, np.float64) if key == "weights" else value
+        if key == "weights":
+            return np.asarray(reader.numbers(), np.float64)
+        return reader.value()
 
     def kernel(key):
         if key == "rows":
             return reader.array(lambda: reader.object(row))
-        return reader.value()
+        return reader.numbers() if key == "sources" else reader.value()
 
     def top(key):
         if key == "kernels":
             return reader.array(lambda: reader.object(kernel))
+        if key == "marginals":  # a marginal's keys are a row's
+            return reader.array(lambda: reader.object(row))
+        if key in ("supports", "deltas"):
+            return reader.numbers()
         return reader.value()
 
     data = reader.object(top)
@@ -520,22 +535,24 @@ def load_system(path) -> DiscreteSystem:
 
     Every row of a kernel is written on the kernel's common support, so most
     of the file is one support list repeated row after row. The reader walks
-    the top object, the kernels and their rows itself; a row support whose
-    text starts exactly as the previous row support's is skipped and shares
-    its float64 array, so each support is decoded once and each kernel
-    merges it once. Every other value is decoded by json's own scanner, and
-    row weights become float64 arrays. The result equals
+    the top object, the kernels, their rows and the marginals itself; a
+    support whose text starts exactly as the previous support's is skipped
+    and shares its float64 array, so each support is decoded once and each
+    kernel merges it once. Every other value is decoded by json's own
+    scanner, and weights become float64 arrays. The result equals
     system_from_dict(json.load(f)), which validates it.
-    A file that is not JSON, or holds a non-numeric coordinate or weight,
-    raises ValidationError naming the file.
+    A file that is not JSON, or holds a coordinate, weight or delta that is
+    not a number (a string or a boolean included), raises ValidationError
+    naming the file.
     """
     try:
         with open(path) as fh:
             return system_from_dict(_read_system_text(fh.read()))
     except ValidationError:
         raise
-    except ValueError as exc:
-        # not JSON, or a coordinate or weight that is not a number
+    except (TypeError, ValueError) as exc:
+        # not JSON, or a coordinate or weight that is not a number (numpy
+        # raises TypeError for an object such as {})
         raise ValidationError(f"system file {path}: {exc}") from None
 
 

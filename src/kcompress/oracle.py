@@ -18,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import as_points, pairwise_cost
+from .core import as_points, distance_power
 from .errors import KCompressError, ValidationError
 
 ENUMERATION_MAX_K = 20
@@ -76,11 +76,21 @@ class SelectionInstance:
                 raise ValidationError("one source point per group required")
             object.__setattr__(self, "sources", sources)
         order = float(self.order)
+        if order < 1:
+            raise ValidationError(f"order p must be >= 1, got {order}")
+        for cloud in clouds:
+            if cloud.shape[1] != candidates.shape[1]:
+                raise ValidationError(f"point dimensions differ: {candidates.shape[1]}"
+                                      f" vs {cloud.shape[1]}")
         wdt = np.empty((k, int(sizes.sum())))
         ends = np.cumsum(sizes)
-        for w, cloud, end in zip(weights, clouds, ends):
-            np.multiply(pairwise_cost(candidates, cloud, order).entries, w,
-                        out=wdt[:, end - len(cloud):end])
+        with np.errstate(over="ignore"):  # refused below, not warned of
+            for w, cloud, end in zip(weights, clouds, ends):
+                np.multiply(
+                    distance_power(candidates[:, None], cloud[None], order),
+                    w, out=wdt[:, end - len(cloud):end])
+        if not np.all(np.isfinite(wdt)):
+            raise ValidationError("cost entries must be finite")
         wdt.flags.writeable = sizes.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "clouds", clouds)

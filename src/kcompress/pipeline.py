@@ -101,38 +101,34 @@ def build_stage_instance(
     )
 
 
-def _assigned_support(instance: SelectionInstance, assignment):
-    """Assigned candidate indices, their points with coinciding ones merged
-    (merge_atoms), and each particle's column in those points."""
-    used, inverse = np.unique(assignment, return_inverse=True)
-    support, columns = merge_atoms(instance.candidates[used])
-    return used, support, columns[inverse]
-
-
-def implied_kernel(
-    instance: SelectionInstance, gamma, assignment
-) -> DiscreteKernel:
-    """Kernel whose row weights are per-source fractions of assignment,
-    each particle's candidate index as one (N,) array in particle order.
+def implied_kernel(instance: SelectionInstance, gamma, assignment):
+    """The kernel whose row weights are per-source fractions of assignment
+    (each particle's candidate index, one (N,) array in particle order),
+    and each particle's column in the kernel's support.
 
     The support is the candidates that received an assignment, in index
-    order, coinciding points merged. Requires the instance to carry source
-    coordinates (build_stage_instance attaches them).
+    order, coinciding points merged (merge_atoms). Requires the instance to
+    carry source coordinates (build_stage_instance attaches them).
     """
     sources = instance.sources
     if sources is None:
         raise ValidationError("instance carries no source coordinates")
-    used, support, columns = _assigned_support(instance, assignment)
+    if np.shape(assignment) != (instance.n_particles,):
+        raise ValidationError(f"assignment needs one entry per particle, got "
+                              f"{np.shape(assignment)} for {instance.n_particles}")
+    used, inverse = np.unique(assignment, return_inverse=True)
     if not np.all(np.asarray(gamma)[used]):
         raise ValidationError(
             "assignment references unselected candidates"
         )
+    support, columns = merge_atoms(instance.candidates[used])
+    columns = columns[inverse]
     sizes = instance.sizes
     cells = np.repeat(np.arange(len(sizes)), sizes) * len(support) + columns
     counts = np.bincount(cells, minlength=len(sizes) * len(support))
     return DiscreteKernel(
         sources, support, counts.reshape(len(sizes), -1) / sizes[:, None]
-    )
+    ), columns
 
 
 def assignment_plan(stage: Stage):
@@ -140,20 +136,19 @@ def assignment_plan(stage: Stage):
     order, sends its whole group weight w_s to its assigned candidate.
 
     Returns (columns, masses, costs), one entry per particle: the column
-    of the assigned candidate in the kernel's support, w_s, and
-    d(x_si, zeta_k)^p. The first marginal is the pooled weighted clouds and
-    the second is the marginal composed through implied_kernel. With every
-    particle on its nearest selected candidate (as run_subgradient assigns
-    them), the cost sum(masses * costs) attains the lower bound
+    of the assigned candidate in the kernel's support (stage.columns), w_s,
+    and d(x_si, zeta_k)^p. The first marginal is the pooled weighted clouds
+    and the second is the marginal composed through implied_kernel. With
+    every particle on its nearest selected candidate (as run_subgradient
+    assigns them), the cost sum(masses * costs) attains the lower bound
     sum_i w_i min_k d^p of any coupling onto the selection, so the coupling
     is optimal and its cost is the selection objective.
     """
     instance, assignment = stage.instance, stage.result.beta_assignment
-    columns = _assigned_support(instance, assignment)[2]
     costs = distance_power(np.concatenate(instance.clouds),
                            instance.candidates[assignment], instance.order)
     masses = np.repeat(instance.weights, instance.sizes)
-    return columns, masses, costs
+    return stage.columns, masses, costs
 
 
 def candidate_lattice(clouds, count: int, margin: float = 0.05,
@@ -197,13 +192,15 @@ def stage_candidates(clouds, count: int, mode: str, margin: float, box,
 @dataclass(frozen=True)
 class Stage:
     """One compressed stage: the selection instance and its solve, the
-    implied kernel, the marginal composed through it, the achieved error
-    delta (objective ** (1/order)) and the stage's wall time in seconds, from
-    the start of its sampling to the end of the composition."""
+    implied kernel and each particle's column in it, the marginal composed
+    through it, the achieved error delta (objective ** (1/order)) and the
+    stage's wall time in seconds, from the start of its sampling to the end
+    of the composition."""
 
     instance: SelectionInstance
     result: SelectionResult
     kernel: DiscreteKernel
+    columns: np.ndarray
     marginal: DiscreteDistribution
     delta: float
     wall_s: float
@@ -218,9 +215,10 @@ def compress_stage(marginal: DiscreteDistribution, clouds, candidates,
     sampling began."""
     instance = build_stage_instance(marginal, clouds, candidates, order, budget)
     result = run_subgradient(instance, solver)
-    kernel = implied_kernel(instance, result.gamma, result.beta_assignment)
+    kernel, columns = implied_kernel(instance, result.gamma,
+                                     result.beta_assignment)
     composed = compose_marginal(marginal, kernel)
-    return Stage(instance, result, kernel, composed,
+    return Stage(instance, result, kernel, columns, composed,
                  result.objective ** (1.0 / order),
                  time.perf_counter() - started)
 

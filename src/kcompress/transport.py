@@ -201,7 +201,7 @@ def wasserstein_exact(
         raise KCompressError(
             f"{len(keep_mu)}x{len(keep_nu)} exceeds cap {SIZE_CAP}"
         )
-    cost = pairwise_cost(mu.support[keep_mu], nu.support[keep_nu], p).entries
+    cost = pairwise_cost(mu.support[keep_mu], nu.support[keep_nu], p)
     flow = _solve_transportation(cost, mu.weights[keep_mu], nu.weights[keep_nu])
     value = float(np.sum(cost * flow))
     plan = np.zeros((len(mu), len(nu)))
@@ -221,7 +221,7 @@ def assignment_distance(particles, weights, selected, p: float):
         raise ValidationError("selected set must be nonempty")
     pts = as_points(particles)
     w = np.asarray(weights, dtype=np.float64)
-    cost = pairwise_cost(pts, sel, p).entries
+    cost = pairwise_cost(pts, sel, p)
     assignment = np.argmin(cost, axis=1)
     value = float(np.sum(w * cost[np.arange(len(pts)), assignment]))
     return value, assignment

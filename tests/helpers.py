@@ -39,7 +39,7 @@ def dense_weighted_costs(instance):
     built from pairwise_cost and the group weights rather than read back
     from the instance: the dense reference for its queries."""
     return np.vstack([
-        pairwise_cost(cloud, instance.candidates, instance.order).entries * w
+        pairwise_cost(cloud, instance.candidates, instance.order) * w
         for w, cloud in zip(instance.weights, instance.clouds)
     ])
 
@@ -74,7 +74,7 @@ def matching_expansion_value(support_mu, counts_mu, support_nu, counts_nu, p):
     d_mu = int(np.sum(counts_mu))
     d_nu = int(np.sum(counts_nu))
     assert d_mu == d_nu, "expansion requires a common denominator"
-    base = pairwise_cost(support_mu, support_nu, p).entries
+    base = pairwise_cost(support_mu, support_nu, p)
     rows = np.repeat(np.arange(len(counts_mu)), counts_mu)
     cols = np.repeat(np.arange(len(counts_nu)), counts_nu)
     big = base[np.ix_(rows, cols)]

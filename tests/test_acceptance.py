@@ -191,7 +191,7 @@ def test_criterion_5_dual_correctness():
         )
         closed = dual_value(instance, state)
         costs = [
-            pairwise_cost(cloud, instance.candidates, instance.order).entries
+            pairwise_cost(cloud, instance.candidates, instance.order)
             for cloud in instance.clouds
         ]
         theta_groups = []

@@ -589,8 +589,9 @@ def test_select_artifacts_and_summary(tmp_path):
         k for k, g in enumerate(result["gamma"]) if g
     ]
     assert result["best_dual"] <= result["objective"] + 1e-9
-    # composed marginal distance can only undershoot the integrated distance
-    assert result["composed_distance"] <= result["distance"] + 1e-9
+    # the plan is optimal between the pooled clouds and the composed
+    # marginal, so the two distances are one sum
+    assert result["composed_distance"] == result["distance"]
 
     summary = read_csv(out / "summary.csv")
     assert summary[0] == SUMMARY_HEADER
@@ -704,9 +705,7 @@ def test_select_plan_is_optimal_coupling(tmp_path):
     moved = np.linalg.norm(points[i] - selected.support[k], axis=1) ** p
     cost = float(np.sum(mass * moved))
     assert cost == pytest.approx(result["distance"] ** p, abs=1e-12)
-    assert result["composed_distance"] == pytest.approx(
-        result["distance"], abs=1e-12
-    )
+    assert result["composed_distance"] == result["distance"]
     _, exact = wasserstein_exact(
         DiscreteDistribution(points, pooled_w), selected, p
     )
@@ -1121,6 +1120,25 @@ def test_evaluate_inconsistent_system_exits_1(tmp_path, capsys, system,
         json.dumps({"supports": [[["a", 1]]], "kernels": [], "marginals": [],
                     "deltas": []}),
         id="non-numeric-coordinate",
+    ),
+    pytest.param(
+        json.dumps({"supports": [[[0.0, 0.0]], [[1.0, 0.0]]], "kernels": [
+            {"sources": [[0.0, 0.0]],
+             "rows": [{"support": [[1.0, 0.0]], "weights": ["1.0"]}]}],
+            "marginals": [], "deltas": []}),
+        id="string-weight",
+    ),
+    pytest.param(
+        json.dumps({"supports": [[[0.0, True]]], "kernels": [],
+                    "marginals": [], "deltas": []}),
+        id="boolean-coordinate",
+    ),
+    pytest.param(
+        json.dumps({"supports": [[[0.0, 0.0]], [[1.0, 0.0]]], "kernels": [
+            {"sources": [[0.0, 0.0]],
+             "rows": [{"support": {}, "weights": [1.0]}]}],
+            "marginals": [], "deltas": []}),
+        id="object-row-support",
     ),
 ])
 def test_evaluate_unreadable_system_file_exits_1(tmp_path, capsys, text):

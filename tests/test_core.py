@@ -10,7 +10,6 @@ import kcompress.core as core
 from helpers import csv_module_bytes, ragged_system_dict
 from kcompress.core import (
     CSV_BLOCK_ROWS,
-    CostMatrix,
     DiscreteDistribution,
     DiscreteKernel,
     as_points,
@@ -301,17 +300,17 @@ def test_compose_linear_in_marginal(case):
 
 def test_pairwise_cost_345():
     c = pairwise_cost([(0, 0)], [(3, 4)], 1)
-    np.testing.assert_allclose(c.entries, [[5.0]])
+    np.testing.assert_allclose(c, [[5.0]])
 
 
 def test_pairwise_cost_squared():
     c = pairwise_cost([(0, 0)], [(3, 4)], 2)
-    np.testing.assert_allclose(c.entries, [[25.0]])
+    np.testing.assert_allclose(c, [[25.0]])
 
 
 def test_pairwise_cost_column():
     c = pairwise_cost([(1, 1), (2, 2)], [(1, 1)], 1)
-    np.testing.assert_allclose(c.entries, [[0.0], [np.sqrt(2)]])
+    np.testing.assert_allclose(c, [[0.0], [np.sqrt(2)]])
 
 
 def test_pairwise_cost_bad_order():
@@ -332,7 +331,7 @@ def test_pairwise_cost_dim_mismatch():
 def test_pairwise_cost_symmetric_zero_diagonal(seed, p):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(5, 3))
-    c = pairwise_cost(pts, pts, p).entries
+    c = pairwise_cost(pts, pts, p)
     np.testing.assert_allclose(np.diag(c), 0.0, atol=1e-12)
     np.testing.assert_allclose(c, c.T, atol=1e-12)
 
@@ -346,7 +345,7 @@ def test_pairwise_cost_agrees_with_distance_power(dim):
     b = rng.normal(size=(11, dim))
     pick = rng.integers(0, len(b), size=len(a))
     for p in (1.0, 1.5, 2.0, 3.0):
-        entries = pairwise_cost(a, b, p).entries
+        entries = pairwise_cost(a, b, p)
         np.testing.assert_array_equal(
             entries, distance_power(a[:, None, :], b[None, :, :], p)
         )
@@ -354,27 +353,17 @@ def test_pairwise_cost_agrees_with_distance_power(dim):
             entries[np.arange(len(a)), pick], distance_power(a, b[pick], p)
         )
         # the instance's matrix is candidate-major: pairwise_cost(b, a)
-        np.testing.assert_array_equal(entries, pairwise_cost(b, a, p).entries.T)
+        np.testing.assert_array_equal(entries, pairwise_cost(b, a, p).T)
 
 
-# each case id names the kind of fault the case checks
-@pytest.mark.parametrize("entries, order, match", [
-    pytest.param([1.0, 2.0], 1.0, "cost entries must be 2-D",
-                 id="entries0-1.0-DimensionMismatchError"),
-    pytest.param([[[1.0]]], 1.0, "cost entries must be 2-D",
-                 id="entries1-1.0-DimensionMismatchError"),
-    pytest.param([[0.0, np.nan]], 1.0, "cost entries must be finite",
-                 id="entries2-1.0-NonFiniteError"),
-    pytest.param([[0.0, np.inf]], 1.0, "cost entries must be finite",
-                 id="entries3-1.0-NonFiniteError"),
-    pytest.param([[0.0, -1e-300]], 1.0, "cost entries must be nonnegative",
-                 id="entries4-1.0-NegativeWeightError"),
-    pytest.param([[0.0, 1.0]], 0.5, "order p must be >= 1, got 0.5",
-                 id="entries5-0.5-InvalidOrderError"),
-])
-def test_cost_matrix_rejects(entries, order, match):
-    with pytest.raises(ValidationError, match=match):
-        CostMatrix(entries, order)
+def test_pairwise_cost_rejects_an_overflowing_cost():
+    # finite points whose squared distance overflows to infinity
+    for p in (1.0, 2.0, 3.0):
+        with pytest.raises(ValidationError,
+                           match="cost entries must be finite"):
+            pairwise_cost([(1e200, 0.0)], [(-1e200, 0.0)], p)
+    np.testing.assert_allclose(
+        pairwise_cost([(1e100, 0.0)], [(0.0, 0.0)], 2), [[1e200]])
 
 
 def test_as_points_rejects_a_3d_array():
@@ -398,7 +387,7 @@ def test_pairwise_cost_matches_einsum_form_up_to_two_dims():
         b = rng.normal(size=(rng.integers(1, 30), dim)) * rng.uniform(0.1, 50)
         for p in (1.0, 1.5, 2.0, 3.0):
             np.testing.assert_array_equal(
-                pairwise_cost(a, b, p).entries, _einsum_cost(a, b, p)
+                pairwise_cost(a, b, p), _einsum_cost(a, b, p)
             )
 
 

@@ -116,7 +116,7 @@ def test_inner_attains_enumerated_minimum():
         state = _random_state(rng, inst, scale=0.3)
         value = dual_value(inst, state)
         blocks = [
-            pairwise_cost(cloud, inst.candidates, inst.order).entries
+            pairwise_cost(cloud, inst.candidates, inst.order)
             for cloud in inst.clouds
         ]
         brute = enumerate_lagrangian_min(
@@ -360,10 +360,10 @@ def test_dual_reads_costs_only_through_instance_queries(monkeypatch):
     object.__setattr__(inst, "_wdt", SimpleNamespace(shape=stored.shape))
 
     def no_cost(*args):
-        raise AssertionError("pairwise_cost called after the build")
+        raise AssertionError("distance_power called after the build")
 
     for module in (kcompress.core, kcompress.oracle):
-        monkeypatch.setattr(module, "pairwise_cost", no_cost)
+        monkeypatch.setattr(module, "distance_power", no_cost)
     entry_points = {
         "inner_solution": lambda: inner_solution(inst, state),
         "dual_value": lambda: dual_value(inst, state),

@@ -98,7 +98,7 @@ def test_matches_independent_enumeration():
         inst = random_tiny_instance(rng)
         gamma, objective, _ = solve_exact(inst)
         blocks = [
-            pairwise_cost(cloud, inst.candidates, inst.order).entries
+            pairwise_cost(cloud, inst.candidates, inst.order)
             for cloud in inst.clouds
         ]
         oracle_val, oracle_subset = enumerate_selection_optimum(
@@ -183,7 +183,7 @@ def _brute_nearest(inst, gamma):
     selected = np.flatnonzero(gamma)
     total, assignment = 0.0, []
     for w, cloud in zip(inst.weights, inst.clouds):
-        block = pairwise_cost(cloud, inst.candidates, inst.order).entries * w
+        block = pairwise_cost(cloud, inst.candidates, inst.order) * w
         picks = []
         for row in block:
             best = selected[0]
@@ -286,6 +286,21 @@ _CANDS = [(0.0, 0.0), (1.0, 1.0)]
 def test_instance_rejects_inconsistent_groups(weights, clouds, sources, match):
     with pytest.raises(ValidationError, match=match):
         SelectionInstance(weights, clouds, _CANDS, 1.0, 1, sources)
+
+
+def test_instance_rejects_an_overflowing_cost():
+    # finite points whose squared distance overflows to infinity
+    with pytest.raises(ValidationError, match="cost entries must be finite"):
+        SelectionInstance([0.5], [[(1e200, 0.0), (0.0, 0.0)]],
+                          [(-1e200, 0.0), (0.0, 0.0)], 2.0, 1)
+
+
+def test_instance_rejects_mismatched_dimensions_and_order():
+    with pytest.raises(ValidationError, match="point dimensions differ: 2 vs 3"):
+        SelectionInstance([0.5, 0.5], [[(0.0, 0.0)], [(0.0, 0.0, 0.0)]],
+                          _CANDS, 1.0, 1)
+    with pytest.raises(ValidationError, match="order p must be >= 1, got 0.5"):
+        SelectionInstance([0.25, 0.5], _CLOUDS, _CANDS, 0.5, 1)
 
 
 def test_instance_accepts_the_same_groups_when_consistent():

@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -118,7 +119,7 @@ def test_implied_kernel_counts_assignments():
     inst = build_stage_instance(marginal, clouds, candidates, 1.0, 4)
     gamma = np.array([1, 1, 1, 1, 1], dtype=np.int8)
     assignment = np.array([0, 1, 1, 3, 4])
-    kernel = implied_kernel(inst, gamma, assignment)
+    kernel, columns = implied_kernel(inst, gamma, assignment)
     # candidate 2 (and nothing else unused) is dropped from the shared support
     assert np.array_equal(
         kernel.rows[0].support, [[0.0], [1.0], [10.0], [11.0]]
@@ -126,6 +127,7 @@ def test_implied_kernel_counts_assignments():
     assert np.allclose(kernel.rows[0].weights, [1 / 3, 2 / 3, 0.0, 0.0])
     assert np.allclose(kernel.rows[1].weights, [0.0, 0.0, 0.5, 0.5])
     assert np.array_equal(kernel.sources, marginal.support)
+    np.testing.assert_array_equal(columns, [0, 1, 1, 2, 3])
 
 
 def test_implied_kernel_matches_per_particle_counts():
@@ -142,8 +144,8 @@ def test_implied_kernel_matches_per_particle_counts():
             marginal, clouds, rng.normal(size=(k, 2)), 1.0, k
         )
         groups = [rng.integers(0, k, size=len(c)) for c in clouds]
-        kernel = implied_kernel(inst, np.ones(k, dtype=np.int8),
-                                np.concatenate(groups))
+        kernel, _ = implied_kernel(inst, np.ones(k, dtype=np.int8),
+                                   np.concatenate(groups))
         used = sorted({int(j) for group in groups for j in group})
         want = np.zeros((n_src, len(used)))
         for s, group in enumerate(groups):
@@ -162,8 +164,9 @@ def test_implied_kernel_merges_coinciding_candidates():
     inst = build_stage_instance(marginal, clouds, candidates, 1.0, 3)
     gamma = np.array([1, 1, 1], dtype=np.int8)
     assignment = np.array([0, 2, 1, 2, 1])
-    kernel = implied_kernel(inst, gamma, assignment)
+    kernel, columns = implied_kernel(inst, gamma, assignment)
     np.testing.assert_array_equal(kernel.support, [[1.0], [4.0]])
+    np.testing.assert_array_equal(columns, [0, 0, 1, 0, 1])
     np.testing.assert_array_equal(kernel.matrix, [[2 / 3, 1 / 3], [0.5, 0.5]])
 
 
@@ -176,6 +179,17 @@ def test_implied_kernel_rejects_unselected():
     with pytest.raises(ValidationError,
                        match="assignment references unselected candidates"):
         implied_kernel(inst, gamma, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("assignment", [[0], [0, 1, 1], [[0, 1]]])
+def test_implied_kernel_needs_one_entry_per_particle(assignment):
+    marginal = DiscreteDistribution([[0.0]], [1.0])
+    inst = build_stage_instance(
+        marginal, [np.array([[0.0], [1.0]])], [[0.0], [1.0]], 1.0, 2
+    )
+    with pytest.raises(ValidationError,
+                       match="assignment needs one entry per particle"):
+        implied_kernel(inst, [1, 1], np.array(assignment))
 
 
 def test_implied_kernel_needs_sources():
@@ -292,7 +306,7 @@ def test_single_stage_matches_direct_solve():
     assert approx.deltas[0] == pytest.approx(
         result.objective ** (1.0 / stage.order), abs=1e-12
     )
-    kernel = implied_kernel(inst, result.gamma, result.beta_assignment)
+    kernel, _ = implied_kernel(inst, result.gamma, result.beta_assignment)
     assert np.array_equal(kernel.rows[0].support, approx.kernels[0].rows[0].support)
     assert np.allclose(kernel.rows[0].weights, approx.kernels[0].rows[0].weights)
 
@@ -468,6 +482,21 @@ def test_load_system_matches_json_load(tmp_path):
         assert_same_system(load_system(path), system_from_dict(data))
 
 
+def test_load_system_leaves_no_reference_cycle(tmp_path):
+    # the reader's closures must not refer to themselves: a cycle keeps the
+    # file's text and arrays alive until the next garbage collection, so a
+    # process that reads file after file grows by a file per read
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(small_system_dict()))
+    gc.collect()
+    gc.disable()
+    try:
+        load_system(path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def assert_reads_as_json_load(path, text):
     """load_system reads text as system_from_dict(json.loads(text)) does:
     the same system, or an error of the same class."""
@@ -610,6 +639,32 @@ def _delta_count(data):
     data["deltas"].append(0.3)
 
 
+def _string_weight(data):
+    data["kernels"][1]["rows"][1]["weights"] = [0.125, "0.375", 0.5]
+
+
+def _string_row_support(data):
+    data["kernels"][0]["rows"][0]["support"] = [
+        [1.0, 0.0], ["0", 1.0], [-1.0, 0.5]]
+
+
+def _boolean_coordinate(data):
+    # numpy would read [true, 0.0] as the point (1.0, 0.0) of support 1
+    data["supports"][1] = [[True, 0.0], [0.0, 1.0], [-1.0, 0.5]]
+
+
+def _string_source(data):
+    data["kernels"][1]["sources"] = [[1.0, 0.0], ["0", 1.0], [-1.0, 0.5]]
+
+
+def _boolean_marginal_weight(data):
+    data["marginals"][0]["weights"] = [True]
+
+
+def _string_delta(data):
+    data["deltas"] = [0.1, "0.2"]
+
+
 def _truncated(data):
     text = json.dumps(data)
     return text[: text.index("0.375")]
@@ -662,6 +717,19 @@ def _list_root(data):
     pytest.param(_delta_count, ValidationError,
                  "2 kernels need 2 deltas, got 3",
                  id="_delta_count-LengthMismatchError"),
+    pytest.param(_string_weight, ValidationError, "string or boolean",
+                 id="_string_weight-NonNumericError"),
+    pytest.param(_string_row_support, ValidationError, "string or boolean",
+                 id="_string_row_support-NonNumericError"),
+    pytest.param(_boolean_coordinate, ValidationError, "string or boolean",
+                 id="_boolean_coordinate-NonNumericError"),
+    pytest.param(_string_source, ValidationError, "string or boolean",
+                 id="_string_source-NonNumericError"),
+    pytest.param(_boolean_marginal_weight, ValidationError,
+                 "string or boolean",
+                 id="_boolean_marginal_weight-NonNumericError"),
+    pytest.param(_string_delta, ValidationError, "string or boolean",
+                 id="_string_delta-NonNumericError"),
     pytest.param(_truncated, ValueError, None,
                  id="_truncated-ValueError"),
     pytest.param(_trailing_garbage, ValueError, None,
@@ -686,5 +754,6 @@ def test_load_system_rejects_like_json_load(tmp_path, corrupt, error, match):
     with pytest.raises(error, match=match) as exc:
         load_system(path)
     assert isinstance(exc.value, ValidationError)
-    if error is ValueError:  # not JSON: the error names the file
+    if error is ValueError or match == "string or boolean":
+        # not JSON, or not a number: the error names the file
         assert str(path) in str(exc.value)
