@@ -78,10 +78,11 @@ class SelectionInstance:
         order = float(self.order)
         if order < 1:
             raise ValidationError(f"order p must be >= 1, got {order}")
+        dim = candidates.shape[1]
         for cloud in clouds:
-            if cloud.shape[1] != candidates.shape[1]:
-                raise ValidationError(f"point dimensions differ: {candidates.shape[1]}"
-                                      f" vs {cloud.shape[1]}")
+            if cloud.shape[1] != dim:
+                raise ValidationError(
+                    f"point dimensions differ: {dim} vs {cloud.shape[1]}")
         wdt = np.empty((k, int(sizes.sum())))
         ends = np.cumsum(sizes)
         with np.errstate(over="ignore"):  # refused below, not warned of

@@ -114,8 +114,9 @@ def implied_kernel(instance: SelectionInstance, gamma, assignment):
     if sources is None:
         raise ValidationError("instance carries no source coordinates")
     if np.shape(assignment) != (instance.n_particles,):
-        raise ValidationError(f"assignment needs one entry per particle, got "
-                              f"{np.shape(assignment)} for {instance.n_particles}")
+        raise ValidationError(
+            f"assignment needs one entry per particle, got "
+            f"{np.shape(assignment)} for {instance.n_particles}")
     used, inverse = np.unique(assignment, return_inverse=True)
     if not np.all(np.asarray(gamma)[used]):
         raise ValidationError(

@@ -296,7 +296,8 @@ def test_instance_rejects_an_overflowing_cost():
 
 
 def test_instance_rejects_mismatched_dimensions_and_order():
-    with pytest.raises(ValidationError, match="point dimensions differ: 2 vs 3"):
+    with pytest.raises(ValidationError,
+                       match="point dimensions differ: 2 vs 3"):
         SelectionInstance([0.5, 0.5], [[(0.0, 0.0)], [(0.0, 0.0, 0.0)]],
                           _CANDS, 1.0, 1)
     with pytest.raises(ValidationError, match="order p must be >= 1, got 0.5"):
