@@ -23,6 +23,7 @@ from kcompress.core import (
     write_csv,
 )
 from kcompress.errors import ValidationError
+from kcompress.oracle import SelectionInstance
 
 
 def test_single_atom_distribution():
@@ -364,6 +365,27 @@ def test_pairwise_cost_rejects_an_overflowing_cost():
             pairwise_cost([(1e200, 0.0)], [(-1e200, 0.0)], p)
     np.testing.assert_allclose(
         pairwise_cost([(1e100, 0.0)], [(0.0, 0.0)], 2), [[1e200]])
+
+
+# a cost matrix, built either by pairwise_cost or by a selection instance,
+# refuses what CostMatrix refused and finite points can still produce; each
+# case id names the kind of fault the case checks
+@pytest.mark.parametrize("a, b, order, match", [
+    pytest.param([(1e200, 0.0)], [(-1e200, 0.0)], 1.0,
+                 "cost entries must be finite",  # the square overflows
+                 id="entries2-1.0-NonFiniteError"),
+    pytest.param([(1.7e308, 0.0)], [(-1.7e308, 0.0)], 1.0,
+                 "cost entries must be finite",  # the difference overflows
+                 id="entries3-1.0-NonFiniteError"),
+    pytest.param([(0.0, 0.0)], [(1.0, 0.0)], 0.5,
+                 "order p must be >= 1, got 0.5",
+                 id="entries5-0.5-InvalidOrderError"),
+])
+def test_cost_matrix_rejects(a, b, order, match):
+    with pytest.raises(ValidationError, match=match):
+        pairwise_cost(a, b, order)
+    with pytest.raises(ValidationError, match=match):
+        SelectionInstance.build([(1.0, a)], b, order, 1)
 
 
 def test_as_points_rejects_a_3d_array():
