@@ -325,18 +325,18 @@ def pairwise_cost(a, b, order: float) -> np.ndarray:
 # artifact formats: the JSON codecs, the system file and the CSV writer
 # ---------------------------------------------------------------------------
 
-# numpy reads "1.0", "0" and true as floats: the decoders refuse them first
-_NOT_A_NUMBER = "a string or boolean where the system needs a number"
+# numpy reads "1.0", "0", true and null as floats: the decoders refuse them
+_NOT_A_NUMBER = "a null, string or boolean where the system needs a number"
 
 
 def _numbers(value):
-    """value, its nested lists checked a level at a time for strings and
-    booleans (an array comes from the file reader, which checked its text)."""
+    """value, its nested lists checked a level at a time for a null, string
+    or boolean (an array comes from the file reader, which checked it)."""
     if isinstance(value, np.ndarray):
         return value
     level = [value]
     while kinds := set(map(type, level)):
-        if kinds & {str, bool}:
+        if kinds & {str, bool, type(None)}:
             raise ValidationError(_NOT_A_NUMBER)
         level = list(chain.from_iterable(v for v in level if type(v) is list)
                      if list in kinds else ())
@@ -392,6 +392,9 @@ def system_from_dict(data: dict) -> DiscreteSystem:
     if not isinstance(data, dict):
         raise ValidationError("a system must be a JSON object")
     try:
+        for key in ("supports", "kernels", "marginals", "deltas"):
+            if not isinstance(data[key], list):
+                raise ValidationError(f"system key {key!r} must be a list")
         return DiscreteSystem(
             _numbers(data["supports"]),
             tuple(kernel_from_dict(k) for k in data["kernels"]),
@@ -400,7 +403,9 @@ def system_from_dict(data: dict) -> DiscreteSystem:
         )
     except KeyError as exc:
         raise ValidationError(f"system lacks key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:  # ValueError: a ragged list
         raise ValidationError(f"malformed system: {exc}") from None
 
 
@@ -436,11 +441,12 @@ class _Reader:
 
     def numbers(self):
         """The value at the cursor, refused if it holds a string ('"'), true
-        ('r') or false ('s'): no number, NaN or Infinity holds those."""
+        ('r'), false ('s') or null ('l'): no number, NaN or Infinity holds
+        those."""
         text, start = self.text, self.skip()
         value, end = _DECODER.raw_decode(text, start)
         if max(text.find('"', start, end), text.find("r", start, end),
-               text.find("s", start, end)) >= 0:
+               text.find("s", start, end), text.find("l", start, end)) >= 0:
             raise ValueError(_NOT_A_NUMBER)
         self.pos = end
         return value
@@ -542,8 +548,8 @@ def load_system(path) -> DiscreteSystem:
     scanner, and weights become float64 arrays. The result equals
     system_from_dict(json.load(f)), which validates it.
     A file that is not JSON, or holds a coordinate, weight or delta that is
-    not a number (a string or a boolean included), raises ValidationError
-    naming the file.
+    not a number (a null, a string or a boolean included), raises
+    ValidationError naming the file.
     """
     try:
         with open(path) as fh:

@@ -18,15 +18,16 @@ duality). The run stops once UB is within CERT_TOL of the best dual value:
 the returned selection is then provably within that share of the optimum.
 
 Every entry point reads the weighted costs only through the instance's
-queries (below, cheapest, nearest) and sweeps them through a _Screen: it
-keeps only the entries w_s d_sik below cap_si = 2 max(theta_si, 0), the only
-ones that can have a positive slack theta_si - w_s d_sik while theta stays
-at or below its cap (safe screening; El Ghaoui, Viallon & Rabbani 2012,
-and the Lagrangian p-median of Beasley 1993). A sweep then costs two
-bincounts over the kept entries, and the screen is rebuilt only when some
-theta_si rises above its cap. Every dropped entry contributes exactly +0.0,
-and the kept ones are summed in the dense formula's particle order, so the
-results are those of the dense sweep to the bit.
+queries (below, cheapest, nearest) and sweeps every candidate through a
+_Screen (batch_subgradient keeps its batch's share of the sums): it keeps
+only the entries w_s d_sik below cap_si = 2 max(theta_si, 0), the only ones
+that can have a positive slack theta_si - w_s d_sik while theta stays at or
+below its cap (safe screening; El Ghaoui, Viallon & Rabbani 2012, and the
+Lagrangian p-median of Beasley 1993). A sweep then costs two bincounts over
+the kept entries, and the screen is rebuilt only when some theta_si rises
+above its cap. Every dropped entry contributes exactly +0.0, and the kept
+ones are summed in the dense formula's particle order, so the results are
+those of the dense sweep to the bit.
 """
 
 from __future__ import annotations
@@ -139,9 +140,8 @@ class _Sweep(NamedTuple):
 
 
 class _Screen:
-    """The weighted costs of the instance's candidates rows (all of them
-    when None, else renumbered 0..len(rows)-1) that can have a positive
-    slack, as instance.below's flat candidate, particle and cost arrays.
+    """The instance's weighted costs that can have a positive slack, as
+    instance.below's flat candidate, particle and cost arrays.
 
     Built at theta, it keeps w_s d_sik < cap_si = 2 max(theta_si, 0). At any
     later theta <= cap every dropped entry has w_s d_sik >= theta_si, so its
@@ -149,16 +149,14 @@ class _Screen:
     exceeds its cap anywhere rebuilds the screen first.
     """
 
-    def __init__(self, instance: SelectionInstance, rows=None):
-        self.instance, self.rows = instance, rows
-        self.k = instance.n_candidates if rows is None else len(rows)
-        self.n = instance.n_particles
+    def __init__(self, instance: SelectionInstance):
+        self.instance = instance
+        self.k, self.n = instance.n_candidates, instance.n_particles
         self.cap = None
 
     def _build(self, theta):
         self.cap = 2.0 * np.maximum(theta, 0.0)
-        self.cand, self.part, self.cost = self.instance.below(
-            self.cap, self.rows)
+        self.cand, self.part, self.cost = self.instance.below(self.cap)
 
     def sweep(self, theta, theta0) -> _Sweep:
         if self.cap is None or np.any(theta > self.cap):
@@ -219,15 +217,21 @@ def subgradient(instance: SelectionInstance, state: DualState, inner):
 def batch_subgradient(instance: SelectionInstance, state: DualState, batch):
     """Stochastic supergradient estimate from a subset of candidate columns.
 
-    batch is a sequence of candidate indices; the estimates rescale the
-    batch sums by K/B so they are unbiased under uniform batch draws.
+    batch is a sequence of candidate indices, a repeated one counted each
+    time it is drawn; the estimates rescale the batch sums by K/B so they
+    are unbiased under uniform batch draws.
     """
     _check_state(instance, state)
     cols = np.asarray(batch, dtype=np.intp)
-    inner = _Screen(instance, cols).sweep(state.theta, state.theta0)
+    screen = _Screen(instance)
+    inner = screen.sweep(state.theta, state.theta0)
+    draws = np.bincount(cols, minlength=instance.n_candidates)
+    cover = np.bincount(screen.part[inner.active],
+                        weights=draws[screen.cand[inner.active]],
+                        minlength=instance.n_particles)
     scale = instance.n_candidates / len(cols)
-    g0 = scale * float(np.sum(inner.gamma)) - instance.budget
-    g = 1.0 - scale * inner.cover
+    g0 = scale * float(np.sum(inner.gamma[cols])) - instance.budget
+    g = 1.0 - scale * cover
     return g0, g
 
 

@@ -5,9 +5,9 @@ w_s = lambda_s / n_s, a candidate set of K points, the order p, and a budget
 M on the number of selected candidates. From these it builds, once, the
 weighted costs w_s * d(x_si, zeta_k)^p, which solvers read only through its
 queries below, cheapest and nearest; every per-particle array is flat in
-group order. solve_exact enumerates candidate subsets outright and is
-guarded to tiny sizes; it exists so the dual method has an independent
-optimum to be checked against.
+group order. It holds no source points. solve_exact enumerates
+candidate subsets outright and is guarded to tiny sizes; it exists so the
+dual method has an independent optimum to be checked against.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class SelectionInstance:
     candidates: np.ndarray
     order: float
     budget: int
-    sources: np.ndarray | None = None
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
     _wdt: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -70,11 +69,6 @@ class SelectionInstance:
             raise ValidationError(
                 f"budget {budget} outside [1, {k}]"
             )
-        if self.sources is not None:
-            sources = as_points(self.sources)
-            if len(sources) != len(clouds):
-                raise ValidationError("one source point per group required")
-            object.__setattr__(self, "sources", sources)
         order = float(self.order)
         if order < 1:
             raise ValidationError(f"order p must be >= 1, got {order}")
@@ -102,11 +96,11 @@ class SelectionInstance:
 
     @classmethod
     def build(
-        cls, groups, candidates, p: float, budget: int, sources=None
+        cls, groups, candidates, p: float, budget: int
     ) -> "SelectionInstance":
         """Build from (weight, particles) pairs."""
         return cls([w for w, _ in groups], [pts for _, pts in groups],
-                   candidates, p, budget, sources)
+                   candidates, p, budget)
 
     @property
     def n_groups(self) -> int:
@@ -128,16 +122,13 @@ class SelectionInstance:
     def dim_gamma(self) -> int:
         return self.n_candidates
 
-    def below(self, cap, rows=None):
+    def below(self, cap):
         """The entries with w_s d_sik < cap_si, cap an (N,) array, as flat
         candidate, particle and cost arrays in candidate-major order
-        (candidates ascending, each one's particles ascending). With rows,
-        only the candidates of the index array rows, renumbered
-        0..len(rows)-1 in rows' order."""
-        wdt = self._wdt if rows is None else self._wdt[rows]
-        kept = np.flatnonzero(wdt < cap)
-        cand, part = np.divmod(kept, wdt.shape[1])
-        return cand, part, wdt.ravel()[kept]
+        (candidates ascending, each one's particles ascending)."""
+        kept = np.flatnonzero(self._wdt < cap)
+        cand, part = np.divmod(kept, self._wdt.shape[1])
+        return cand, part, self._wdt.ravel()[kept]
 
     def cheapest(self, rows=None) -> np.ndarray:
         """Each particle's smallest weighted cost over the candidates of

@@ -96,23 +96,19 @@ def build_stage_instance(
         (float(w) / len(cloud), cloud)
         for w, cloud in zip(marginal.weights, clouds)
     ]
-    return SelectionInstance.build(
-        groups, candidates, p, budget, sources=marginal.support
-    )
+    return SelectionInstance.build(groups, candidates, p, budget)
 
 
-def implied_kernel(instance: SelectionInstance, gamma, assignment):
-    """The kernel whose row weights are per-source fractions of assignment
-    (each particle's candidate index, one (N,) array in particle order),
-    and each particle's column in the kernel's support.
-
-    The support is the candidates that received an assignment, in index
-    order, coinciding points merged (merge_atoms). Requires the instance to
-    carry source coordinates (build_stage_instance attaches them).
+def implied_kernel(instance: SelectionInstance, sources, gamma, assignment):
+    """The kernel on sources, one point per group, whose row weights are
+    per-source fractions of assignment (each particle's candidate index,
+    one (N,) array in particle order), and each particle's column in the
+    kernel's support: the candidates that received an assignment, in index
+    order, coinciding points merged (merge_atoms).
     """
-    sources = instance.sources
-    if sources is None:
-        raise ValidationError("instance carries no source coordinates")
+    sources = as_points(sources)
+    if len(sources) != instance.n_groups:
+        raise ValidationError("one source point per group required")
     if np.shape(assignment) != (instance.n_particles,):
         raise ValidationError(
             f"assignment needs one entry per particle, got "
@@ -216,7 +212,7 @@ def compress_stage(marginal: DiscreteDistribution, clouds, candidates,
     sampling began."""
     instance = build_stage_instance(marginal, clouds, candidates, order, budget)
     result = run_subgradient(instance, solver)
-    kernel, columns = implied_kernel(instance, result.gamma,
+    kernel, columns = implied_kernel(instance, marginal.support, result.gamma,
                                      result.beta_assignment)
     composed = compose_marginal(marginal, kernel)
     return Stage(instance, result, kernel, columns, composed,

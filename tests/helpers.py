@@ -44,13 +44,11 @@ def dense_weighted_costs(instance):
     ])
 
 
-def below_reference(wd, cap, rows=None):
+def below_reference(wd, cap):
     """SelectionInstance.below over the dense (N, K) matrix wd: the
-    (candidate, particle, cost) entries with cost < cap[particle], the
-    candidates of rows (all when None) renumbered in rows' order, each
-    one's particles ascending."""
-    rows = np.arange(wd.shape[1]) if rows is None else np.asarray(rows)
-    block = wd[:, rows].T
+    (candidate, particle, cost) entries with cost < cap[particle],
+    candidates ascending, each one's particles ascending."""
+    block = wd.T
     cand, part = np.nonzero(block < np.asarray(cap)[None, :])
     return cand, part, block[cand, part]
 

@@ -214,8 +214,8 @@ class _DenseCosts:
         self.wd = wd
         self.n_particles, self.n_candidates = wd.shape
 
-    def below(self, cap, rows=None):
-        return below_reference(self.wd, cap, rows)
+    def below(self, cap):
+        return below_reference(self.wd, cap)
 
 
 def _dense_sweep(wd, theta, theta0):
@@ -307,12 +307,19 @@ def test_initial_state_is_the_dense_formula():
 
 
 def test_batch_subgradient_is_the_dense_formula():
+    # half the batches drawn with replacement: a candidate drawn twice is
+    # a repeated column of the dense matrix, counted twice
     rng = np.random.default_rng(32)
-    for _ in range(20):
+    for trial in range(40):
         inst = random_tiny_instance(rng, max_k=10)
         state = _random_state(rng, inst, scale=0.5)
         k = inst.n_candidates
-        cols = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        size = int(rng.integers(1, k + 1))
+        if trial % 2:
+            cols = rng.integers(0, k, size=size + 2)
+            cols[-1] = cols[0]
+        else:
+            cols = rng.choice(k, size=size, replace=False)
         g0, g = batch_subgradient(inst, state, cols)
         wd = dense_weighted_costs(inst)[:, cols]
         sel, cover, _, _ = _dense_sweep(wd, state.theta, state.theta0)

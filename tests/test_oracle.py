@@ -241,10 +241,10 @@ def test_queries_match_the_dense_reference(seed):
     cap = np.where(picks == 0, wd[np.arange(n), rng.integers(0, k, size=n)],
                    np.where(picks == 1, -rng.choice([0.0, 1.0], size=n),
                             rng.uniform(0.0, wd.max() + 0.1, size=n)))
+    for got, want in zip(inst.below(cap), below_reference(wd, cap)):
+        np.testing.assert_array_equal(got, want)
     rows = rng.integers(0, k, size=int(rng.integers(1, 2 * k + 1)))
     for r in (None, rows):
-        for got, want in zip(inst.below(cap, r), below_reference(wd, cap, r)):
-            np.testing.assert_array_equal(got, want)
         cols = np.arange(k) if r is None else r
         np.testing.assert_array_equal(inst.cheapest(r),
                                       wd[:, cols].min(axis=1))
@@ -262,30 +262,27 @@ _CANDS = [(0.0, 0.0), (1.0, 1.0)]
 
 
 # each case id numbers the case's inputs and names the kind of fault
-@pytest.mark.parametrize("weights, clouds, sources, match", [
-    pytest.param([], (), None, "no particle groups",
+@pytest.mark.parametrize("weights, clouds, match", [
+    pytest.param([], (), "no particle groups",
                  id="weights0-clouds0-None-EmptyInstanceError"),
-    pytest.param([0.5], _CLOUDS, None, "one weight per group required",
+    pytest.param([0.5], _CLOUDS, "one weight per group required",
                  id="weights1-clouds1-None-LengthMismatchError"),
-    pytest.param([[0.25, 0.5]], _CLOUDS, None, "one weight per group required",
+    pytest.param([[0.25, 0.5]], _CLOUDS, "one weight per group required",
                  id="weights2-clouds2-None-LengthMismatchError"),
-    pytest.param([0.5, 0.0], _CLOUDS, None, "group weights must be positive",
+    pytest.param([0.5, 0.0], _CLOUDS, "group weights must be positive",
                  id="weights3-clouds3-None-NegativeWeightError"),
-    pytest.param([0.25, -0.5], _CLOUDS, None, "group weights must be positive",
+    pytest.param([0.25, -0.5], _CLOUDS, "group weights must be positive",
                  id="weights4-clouds4-None-NegativeWeightError"),
-    pytest.param([0.5, 1.0], ([(0.0, 0.0)], np.empty((0, 2))), None,
+    pytest.param([0.5, 1.0], ([(0.0, 0.0)], np.empty((0, 2))),
                  "empty particle group",
                  id="weights5-clouds5-None-EmptyInstanceError"),
-    pytest.param([0.25, 0.25], _CLOUDS, None,
+    pytest.param([0.25, 0.25], _CLOUDS,
                  r"sum of w_s \* n_s is 0.75, expected 1",
                  id="weights6-clouds6-None-WeightsNotNormalizedError"),
-    pytest.param([0.25, 0.5], _CLOUDS, [(0.0, 0.0)],
-                 "one source point per group required",
-                 id="weights7-clouds7-sources7-LengthMismatchError"),
 ])
-def test_instance_rejects_inconsistent_groups(weights, clouds, sources, match):
+def test_instance_rejects_inconsistent_groups(weights, clouds, match):
     with pytest.raises(ValidationError, match=match):
-        SelectionInstance(weights, clouds, _CANDS, 1.0, 1, sources)
+        SelectionInstance(weights, clouds, _CANDS, 1.0, 1)
 
 
 def test_instance_rejects_an_overflowing_cost():
@@ -305,6 +302,5 @@ def test_instance_rejects_mismatched_dimensions_and_order():
 
 
 def test_instance_accepts_the_same_groups_when_consistent():
-    inst = SelectionInstance([0.25, 0.5], _CLOUDS, _CANDS, 1.0, 1,
-                             [(0.0, 0.0), (5.0, 5.0)])
-    assert inst.n_particles == 3 and inst.sources.shape == (2, 2)
+    inst = SelectionInstance([0.25, 0.5], _CLOUDS, _CANDS, 1.0, 1)
+    assert inst.n_particles == 3

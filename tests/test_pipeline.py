@@ -84,7 +84,6 @@ def test_build_stage_instance_weights():
     clouds = [np.zeros((5, 1)), np.ones((3, 1))]
     inst = build_stage_instance(marginal, clouds, [[0.0], [2.0]], 2.0, 1)
     assert np.allclose(inst.weights, [0.25 / 5, 0.75 / 3])
-    assert np.array_equal(inst.sources, marginal.support)
     assert inst.order == 2.0
     assert inst.budget == 1
 
@@ -119,7 +118,8 @@ def test_implied_kernel_counts_assignments():
     inst = build_stage_instance(marginal, clouds, candidates, 1.0, 4)
     gamma = np.array([1, 1, 1, 1, 1], dtype=np.int8)
     assignment = np.array([0, 1, 1, 3, 4])
-    kernel, columns = implied_kernel(inst, gamma, assignment)
+    kernel, columns = implied_kernel(inst, marginal.support, gamma,
+                                     assignment)
     # candidate 2 (and nothing else unused) is dropped from the shared support
     assert np.array_equal(
         kernel.rows[0].support, [[0.0], [1.0], [10.0], [11.0]]
@@ -144,7 +144,8 @@ def test_implied_kernel_matches_per_particle_counts():
             marginal, clouds, rng.normal(size=(k, 2)), 1.0, k
         )
         groups = [rng.integers(0, k, size=len(c)) for c in clouds]
-        kernel, _ = implied_kernel(inst, np.ones(k, dtype=np.int8),
+        kernel, _ = implied_kernel(inst, marginal.support,
+                                   np.ones(k, dtype=np.int8),
                                    np.concatenate(groups))
         used = sorted({int(j) for group in groups for j in group})
         want = np.zeros((n_src, len(used)))
@@ -164,7 +165,8 @@ def test_implied_kernel_merges_coinciding_candidates():
     inst = build_stage_instance(marginal, clouds, candidates, 1.0, 3)
     gamma = np.array([1, 1, 1], dtype=np.int8)
     assignment = np.array([0, 2, 1, 2, 1])
-    kernel, columns = implied_kernel(inst, gamma, assignment)
+    kernel, columns = implied_kernel(inst, marginal.support, gamma,
+                                     assignment)
     np.testing.assert_array_equal(kernel.support, [[1.0], [4.0]])
     np.testing.assert_array_equal(columns, [0, 0, 1, 0, 1])
     np.testing.assert_array_equal(kernel.matrix, [[2 / 3, 1 / 3], [0.5, 0.5]])
@@ -178,7 +180,7 @@ def test_implied_kernel_rejects_unselected():
     gamma = np.array([1, 0], dtype=np.int8)
     with pytest.raises(ValidationError,
                        match="assignment references unselected candidates"):
-        implied_kernel(inst, gamma, np.array([0, 1]))
+        implied_kernel(inst, marginal.support, gamma, np.array([0, 1]))
 
 
 @pytest.mark.parametrize("assignment", [[0], [0, 1, 1], [[0, 1]]])
@@ -189,18 +191,18 @@ def test_implied_kernel_needs_one_entry_per_particle(assignment):
     )
     with pytest.raises(ValidationError,
                        match="assignment needs one entry per particle"):
-        implied_kernel(inst, [1, 1], np.array(assignment))
+        implied_kernel(inst, marginal.support, [1, 1], np.array(assignment))
 
 
-def test_implied_kernel_needs_sources():
-    from kcompress.oracle import SelectionInstance
-
-    inst = SelectionInstance.build(
-        [(0.5, np.zeros((2, 1)))], [[0.0], [1.0]], 1.0, 1
-    )
+@pytest.mark.parametrize("sources", [[[0.0]], [[0.0], [1.0], [2.0]]])
+def test_implied_kernel_needs_one_source_per_group(sources):
+    marginal = DiscreteDistribution([[0.0], [5.0]], [0.5, 0.5])
+    inst = build_stage_instance(marginal, [np.zeros((2, 1)), np.ones((1, 1))],
+                                [[0.0], [1.0]], 1.0, 1)
     with pytest.raises(ValidationError,
-                       match="instance carries no source coordinates"):
-        implied_kernel(inst, np.array([1, 0], dtype=np.int8), np.array([0, 0]))
+                       match="one source point per group required"):
+        implied_kernel(inst, sources, np.array([1, 0], dtype=np.int8),
+                       np.array([0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +308,8 @@ def test_single_stage_matches_direct_solve():
     assert approx.deltas[0] == pytest.approx(
         result.objective ** (1.0 / stage.order), abs=1e-12
     )
-    kernel, _ = implied_kernel(inst, result.gamma, result.beta_assignment)
+    kernel, _ = implied_kernel(inst, marginal.support, result.gamma,
+                               result.beta_assignment)
     assert np.array_equal(kernel.rows[0].support, approx.kernels[0].rows[0].support)
     assert np.allclose(kernel.rows[0].weights, approx.kernels[0].rows[0].weights)
 
@@ -665,6 +668,38 @@ def _string_delta(data):
     data["deltas"] = [0.1, "0.2"]
 
 
+def _null_weight(data):
+    data["kernels"][1]["rows"][1]["weights"] = [0.125, None, 0.5]
+
+
+def _null_delta(data):
+    data["deltas"] = [0.1, None]
+
+
+def _ragged_support(data):
+    data["supports"][1] = [[1.0, 0.0], [0.0]]
+
+
+def _ragged_row_support(data):
+    data["kernels"][1]["rows"][2]["support"] = [[0.0, 2.0], [1.0]]
+
+
+def _supports_object(data):
+    data["supports"] = {}
+
+
+def _kernels_object(data):
+    data["kernels"] = {}
+
+
+def _marginals_object(data):
+    data["marginals"] = {}
+
+
+def _deltas_object(data):
+    data["deltas"] = {}
+
+
 def _truncated(data):
     text = json.dumps(data)
     return text[: text.index("0.375")]
@@ -730,6 +765,28 @@ def _list_root(data):
                  id="_boolean_marginal_weight-NonNumericError"),
     pytest.param(_string_delta, ValidationError, "string or boolean",
                  id="_string_delta-NonNumericError"),
+    pytest.param(_null_weight, ValidationError, "string or boolean",
+                 id="_null_weight-NonNumericError"),
+    pytest.param(_null_delta, ValidationError, "string or boolean",
+                 id="_null_delta-NonNumericError"),
+    pytest.param(_ragged_support, ValidationError,
+                 "array element with a sequence",
+                 id="_ragged_support-RaggedListError"),
+    pytest.param(_ragged_row_support, ValidationError,
+                 "array element with a sequence",
+                 id="_ragged_row_support-RaggedListError"),
+    pytest.param(_supports_object, ValidationError,
+                 "system key 'supports' must be a list",
+                 id="_supports_object-NotAListError"),
+    pytest.param(_kernels_object, ValidationError,
+                 "system key 'kernels' must be a list",
+                 id="_kernels_object-NotAListError"),
+    pytest.param(_marginals_object, ValidationError,
+                 "system key 'marginals' must be a list",
+                 id="_marginals_object-NotAListError"),
+    pytest.param(_deltas_object, ValidationError,
+                 "system key 'deltas' must be a list",
+                 id="_deltas_object-NotAListError"),
     pytest.param(_truncated, ValueError, None,
                  id="_truncated-ValueError"),
     pytest.param(_trailing_garbage, ValueError, None,
