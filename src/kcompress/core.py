@@ -270,9 +270,7 @@ def compose_marginal(lam: DiscreteDistribution, kernel: DiscreteKernel) -> Discr
     lam.support must equal kernel.sources (same points, same order). The
     mass at each atom is the sum of lam_s * P[s] in row order.
     """
-    if lam.support.shape != kernel.sources.shape or not np.array_equal(
-        lam.support, kernel.sources
-    ):
+    if not np.array_equal(lam.support, kernel.sources):
         raise ValidationError("marginal support does not match kernel sources")
     # a reduction over the first axis adds the rows one after another
     weights = (lam.weights[:, None] * kernel.matrix).sum(axis=0)
@@ -547,18 +545,16 @@ def load_system(path) -> DiscreteSystem:
     kernel merges it once. Every other value is decoded by json's own
     scanner, and weights become float64 arrays. The result equals
     system_from_dict(json.load(f)), which validates it.
-    A file that is not JSON, or holds a coordinate, weight or delta that is
-    not a number (a null, a string or a boolean included), raises
-    ValidationError naming the file.
+    A file that is not JSON, holds a value that is not a number (a null, a
+    string or a boolean included) or a system that system_from_dict refuses
+    raises ValidationError naming the file.
     """
     try:
         with open(path) as fh:
             return system_from_dict(_read_system_text(fh.read()))
-    except ValidationError:
-        raise
     except (TypeError, ValueError) as exc:
-        # not JSON, or a coordinate or weight that is not a number (numpy
-        # raises TypeError for an object such as {})
+        # ValidationError is a ValueError; numpy raises TypeError for a
+        # coordinate or weight such as {}
         raise ValidationError(f"system file {path}: {exc}") from None
 
 

@@ -19,7 +19,8 @@ the returned selection is then provably within that share of the optimum.
 
 Every entry point reads the weighted costs only through the instance's
 queries (below, cheapest, nearest) and sweeps every candidate through a
-_Screen (batch_subgradient keeps its batch's share of the sums): it keeps
+_Screen, one per solve in run_subgradient and a fresh one from _sweep_at
+elsewhere (batch_subgradient keeps its batch's share of the sums): it keeps
 only the entries w_s d_sik below cap_si = 2 max(theta_si, 0), the only ones
 that can have a positive slack theta_si - w_s d_sik while theta stays at or
 below its cap (safe screening; El Ghaoui, Viallon & Rabbani 2012, and the
@@ -173,12 +174,15 @@ class _Screen:
         return _Sweep(gamma, cover, scores, dual_neg, active)
 
 
-def _check_state(instance: SelectionInstance, state: DualState):
+def _sweep_at(instance: SelectionInstance, state: DualState):
+    """A fresh _Screen of the instance and its sweep at a checked state."""
     if len(state.theta) != instance.n_particles:
         raise ValidationError(
             f"theta has {len(state.theta)} entries for "
             f"{instance.n_particles} particles"
         )
+    screen = _Screen(instance)
+    return screen, screen.sweep(state.theta, state.theta0)
 
 
 def inner_solution(instance: SelectionInstance, state: DualState):
@@ -188,9 +192,7 @@ def inner_solution(instance: SelectionInstance, state: DualState):
     is the flat particle order. Exact equality in either comparison takes
     the zero branch.
     """
-    _check_state(instance, state)
-    screen = _Screen(instance)
-    inner = screen.sweep(state.theta, state.theta0)
+    screen, inner = _sweep_at(instance, state)
     beta = np.zeros((instance.n_particles, instance.n_candidates), dtype=bool)
     beta[screen.part[inner.active], screen.cand[inner.active]] = True
     return inner.gamma.astype(np.int8), beta
@@ -198,9 +200,8 @@ def inner_solution(instance: SelectionInstance, state: DualState):
 
 def dual_value(instance: SelectionInstance, state: DualState) -> float:
     """L_D(theta) by the closed form."""
-    _check_state(instance, state)
     return (
-        _Screen(instance).sweep(state.theta, state.theta0).dual_neg
+        _sweep_at(instance, state)[1].dual_neg
         + float(state.theta.sum())
         - instance.budget * state.theta0
     )
@@ -217,14 +218,12 @@ def subgradient(instance: SelectionInstance, state: DualState, inner):
 def batch_subgradient(instance: SelectionInstance, state: DualState, batch):
     """Stochastic supergradient estimate from a subset of candidate columns.
 
-    batch is a sequence of candidate indices, a repeated one counted each
-    time it is drawn; the estimates rescale the batch sums by K/B so they
-    are unbiased under uniform batch draws.
+    batch is a nonempty sequence of candidate indices, a repeated one
+    counted each time it is drawn; the estimates rescale the batch sums by
+    K/B so they are unbiased under uniform batch draws.
     """
-    _check_state(instance, state)
-    cols = np.asarray(batch, dtype=np.intp)
-    screen = _Screen(instance)
-    inner = screen.sweep(state.theta, state.theta0)
+    screen, inner = _sweep_at(instance, state)
+    cols = instance.candidate_indices(batch)
     draws = np.bincount(cols, minlength=instance.n_candidates)
     cover = np.bincount(screen.part[inner.active],
                         weights=draws[screen.cand[inner.active]],
@@ -264,8 +263,7 @@ def repair_feasibility(
     dual expression least when cleared, so they go first; ties clear the
     lowest index.
     """
-    _check_state(instance, state)
-    scores = _Screen(instance).sweep(state.theta, state.theta0).scores
+    scores = _sweep_at(instance, state)[1].scores
     return _repair_with_scores(gamma, scores, state.theta0, budget)
 
 

@@ -3,7 +3,8 @@
 A SelectionInstance holds per-source particle clouds with group weights
 w_s = lambda_s / n_s, a candidate set of K points, the order p, and a budget
 M on the number of selected candidates. From these it builds, once, the
-weighted costs w_s * d(x_si, zeta_k)^p, which solvers read only through its
+weighted costs w_s * d(x_si, zeta_k)^p, a block per group from
+core.pairwise_cost and its checks, which solvers read only through its
 queries below, cheapest and nearest; every per-particle array is flat in
 group order. It holds no source points. solve_exact enumerates
 candidate subsets outright and is guarded to tiny sizes; it exists so the
@@ -18,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import as_points, distance_power
+from . import core
 from .errors import KCompressError, ValidationError
 
 ENUMERATION_MAX_K = 20
@@ -46,8 +47,8 @@ class SelectionInstance:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
-        clouds = tuple(as_points(c) for c in self.clouds)
-        candidates = as_points(self.candidates)
+        clouds = tuple(core.as_points(c) for c in self.clouds)
+        candidates = core.as_points(self.candidates)
         if len(clouds) == 0:
             raise ValidationError("no particle groups")
         if weights.ndim != 1 or len(weights) != len(clouds):
@@ -70,22 +71,12 @@ class SelectionInstance:
                 f"budget {budget} outside [1, {k}]"
             )
         order = float(self.order)
-        if order < 1:
-            raise ValidationError(f"order p must be >= 1, got {order}")
-        dim = candidates.shape[1]
-        for cloud in clouds:
-            if cloud.shape[1] != dim:
-                raise ValidationError(
-                    f"point dimensions differ: {dim} vs {cloud.shape[1]}")
         wdt = np.empty((k, int(sizes.sum())))
         ends = np.cumsum(sizes)
-        with np.errstate(over="ignore"):  # refused below, not warned of
-            for w, cloud, end in zip(weights, clouds, ends):
-                np.multiply(
-                    distance_power(candidates[:, None], cloud[None], order),
-                    w, out=wdt[:, end - len(cloud):end])
-        if not np.all(np.isfinite(wdt)):
-            raise ValidationError("cost entries must be finite")
+        for w, cloud, end in zip(weights, clouds, ends):
+            # w <= 1, so a finite cost stays finite
+            np.multiply(core.pairwise_cost(candidates, cloud, order), w,
+                        out=wdt[:, end - len(cloud):end])
         wdt.flags.writeable = sizes.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "clouds", clouds)
@@ -103,10 +94,6 @@ class SelectionInstance:
                    candidates, p, budget)
 
     @property
-    def n_groups(self) -> int:
-        return len(self.clouds)
-
-    @property
     def n_candidates(self) -> int:
         return len(self.candidates)
 
@@ -122,6 +109,25 @@ class SelectionInstance:
     def dim_gamma(self) -> int:
         return self.n_candidates
 
+    def candidate_indices(self, values) -> np.ndarray:
+        """values as a nonempty 1-D intp array of candidate indices in
+        [0, K), or ValidationError."""
+        rows, k = np.asarray(values), self.n_candidates
+        if (rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size == 0
+                or rows.min() < 0 or rows.max() >= k):
+            raise ValidationError("candidate indices must be a nonempty 1-D "
+                                  f"integer array in [0, {k})")
+        return rows.astype(np.intp, copy=False)
+
+    def selected(self, gamma) -> np.ndarray:
+        """The candidates a (K,) vector gamma selects (its nonzero entries),
+        ascending; another shape, or no nonzero entry, is a ValidationError."""
+        rows, shape = np.flatnonzero(gamma), (self.n_candidates,)
+        if np.shape(gamma) != shape or rows.size == 0:
+            raise ValidationError(f"gamma needs shape {shape} and a nonzero "
+                                  f"entry, got {np.shape(gamma)}")
+        return rows
+
     def below(self, cap):
         """The entries with w_s d_sik < cap_si, cap an (N,) array, as flat
         candidate, particle and cost arrays in candidate-major order
@@ -133,18 +139,19 @@ class SelectionInstance:
     def cheapest(self, rows=None) -> np.ndarray:
         """Each particle's smallest weighted cost over the candidates of
         the index array rows (all of them when None)."""
-        return (self._wdt if rows is None else self._wdt[rows]).min(axis=0)
+        rows = slice(None) if rows is None else self.candidate_indices(rows)
+        return self._wdt[rows].min(axis=0)
 
     def objective(self, gamma) -> float:
         """Selection objective of the 0/1 vector gamma: each particle's
         cheapest weighted cost over the selected candidates, summed."""
-        return float(self.cheapest(np.flatnonzero(gamma)).sum())
+        return float(self.cheapest(self.selected(gamma)).sum())
 
     def nearest(self, gamma) -> np.ndarray:
         """Each particle's cheapest selected candidate (absolute index), by
         the weighted costs objective reads, as one (N,) array in particle
         order; ties go to the lowest index."""
-        sel = np.flatnonzero(gamma)
+        sel = self.selected(gamma)
         return sel[np.argmin(self._wdt[sel], axis=0)]
 
 

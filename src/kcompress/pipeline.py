@@ -107,17 +107,16 @@ def implied_kernel(instance: SelectionInstance, sources, gamma, assignment):
     order, coinciding points merged (merge_atoms).
     """
     sources = as_points(sources)
-    if len(sources) != instance.n_groups:
+    if len(sources) != len(instance.sizes):
         raise ValidationError("one source point per group required")
     if np.shape(assignment) != (instance.n_particles,):
         raise ValidationError(
             f"assignment needs one entry per particle, got "
             f"{np.shape(assignment)} for {instance.n_particles}")
-    used, inverse = np.unique(assignment, return_inverse=True)
-    if not np.all(np.asarray(gamma)[used]):
-        raise ValidationError(
-            "assignment references unselected candidates"
-        )
+    used, inverse = np.unique(instance.candidate_indices(assignment),
+                              return_inverse=True)
+    if not np.isin(used, instance.selected(gamma)).all():
+        raise ValidationError("assignment references unselected candidates")
     support, columns = merge_atoms(instance.candidates[used])
     columns = columns[inverse]
     sizes = instance.sizes

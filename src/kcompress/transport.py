@@ -238,9 +238,7 @@ def integrated_distance(
     (sum_s lam_s * W_p(Q_s, Qtilde_s)**p)**(1/p).
     """
     for sources in (Q.sources, Qtilde.sources):
-        if lam.support.shape != sources.shape or not np.array_equal(
-            lam.support, sources
-        ):
+        if not np.array_equal(lam.support, sources):
             raise ValidationError("marginal support does not match kernel sources")
     total = 0.0
     for lam_w, row, row_t in zip(lam.weights, Q.rows, Qtilde.rows):

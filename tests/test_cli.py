@@ -1110,7 +1110,8 @@ def test_evaluate_inconsistent_system_exits_1(tmp_path, capsys, system,
     # each used to end in a traceback, two of them after writing values.csv
     eval_cfg = _evaluate_config(tmp_path, system, **extra)
     assert main(["evaluate", "--config", eval_cfg]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "system.json"
+    assert capsys.readouterr().err == f"error: system file {path}: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -7,7 +7,6 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 import kcompress.core
-import kcompress.oracle
 from helpers import (
     below_reference,
     dense_weighted_costs,
@@ -107,6 +106,16 @@ def test_dual_value_rejects_theta_of_the_wrong_length():
                            match=f"theta has {n} entries for "
                            f"{inst.n_particles} particles"):
             dual_value(inst, DualState(theta0=0.0, theta=np.zeros(n)))
+
+
+@pytest.mark.parametrize("batch", [[], [-1, 2], [6, 2], [1.5, 2]])
+def test_batch_subgradient_rejects_what_is_not_a_batch(batch):
+    # K = 6: an empty batch, indices outside [0, 6) and a fraction
+    inst = SelectionInstance.build([(0.5, [(0.0,), (1.0,)])],
+                                   [(float(k),) for k in range(6)], 1.0, 2)
+    state = DualState(theta0=0.0, theta=np.full(2, 0.5))
+    with pytest.raises(ValidationError, match="candidate indices"):
+        batch_subgradient(inst, state, batch)
 
 
 def test_inner_attains_enumerated_minimum():
@@ -369,8 +378,7 @@ def test_dual_reads_costs_only_through_instance_queries(monkeypatch):
     def no_cost(*args):
         raise AssertionError("distance_power called after the build")
 
-    for module in (kcompress.core, kcompress.oracle):
-        monkeypatch.setattr(module, "distance_power", no_cost)
+    monkeypatch.setattr(kcompress.core, "distance_power", no_cost)
     entry_points = {
         "inner_solution": lambda: inner_solution(inst, state),
         "dual_value": lambda: dual_value(inst, state),

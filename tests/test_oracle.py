@@ -257,6 +257,26 @@ def test_queries_match_the_dense_reference(seed):
     np.testing.assert_array_equal(inst.nearest(gamma), first)
 
 
+# K = 6; each query refuses what it cannot answer instead of reading a
+# wrapped, truncated or empty selection
+@pytest.mark.parametrize("query, arg, match", [
+    ("objective", [1, 0, 0, 0, 1], r"a nonzero entry, got \(5,\)"),
+    ("objective", [0] * 6, r"a nonzero entry, got \(6,\)"),
+    ("nearest", [0] * 6, r"a nonzero entry, got \(6,\)"),
+    ("nearest", [[1, 0, 0, 0, 0, 1]], r"a nonzero entry, got \(1, 6\)"),
+    ("cheapest", [-1], "candidate indices"),
+    ("cheapest", [6], "candidate indices"),
+    ("cheapest", [], "candidate indices"),
+    ("cheapest", [1.5], "candidate indices"),
+    ("cheapest", [[0, 1]], "candidate indices"),
+])
+def test_selection_queries_refuse_what_they_cannot_answer(query, arg, match):
+    inst = _single_group_instance(
+        [(0.0, 0.0), (1.0, 0.0)], [(float(k), 1.0) for k in range(6)], 1.0, 2)
+    with pytest.raises(ValidationError, match=match):
+        getattr(inst, query)(arg)
+
+
 _CLOUDS = ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0)])
 _CANDS = [(0.0, 0.0), (1.0, 1.0)]
 

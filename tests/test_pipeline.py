@@ -194,6 +194,25 @@ def test_implied_kernel_needs_one_entry_per_particle(assignment):
         implied_kernel(inst, marginal.support, [1, 1], np.array(assignment))
 
 
+# K = 2: an index of -1 (the last candidate, selected), one of K, a
+# fraction, and a gamma one entry short
+@pytest.mark.parametrize("gamma, assignment, match", [
+    ([0, 1], [-1, -1], "candidate indices"),
+    ([1, 1], [0, 2], "candidate indices"),
+    ([1, 1], [0.0, 1.0], "candidate indices"),
+    ([1], [0, 0], r"gamma needs shape \(2,\) and a nonzero entry"),
+])
+def test_implied_kernel_refuses_what_is_not_a_candidate(gamma, assignment,
+                                                        match):
+    marginal = DiscreteDistribution([[0.0]], [1.0])
+    inst = build_stage_instance(
+        marginal, [np.array([[0.0], [1.0]])], [[0.0], [1.0]], 1.0, 2
+    )
+    with pytest.raises(ValidationError, match=match):
+        implied_kernel(inst, marginal.support, np.array(gamma),
+                       np.array(assignment))
+
+
 @pytest.mark.parametrize("sources", [[[0.0]], [[0.0], [1.0], [2.0]]])
 def test_implied_kernel_needs_one_source_per_group(sources):
     marginal = DiscreteDistribution([[0.0], [5.0]], [0.5, 0.5])
@@ -811,6 +830,5 @@ def test_load_system_rejects_like_json_load(tmp_path, corrupt, error, match):
     with pytest.raises(error, match=match) as exc:
         load_system(path)
     assert isinstance(exc.value, ValidationError)
-    if error is ValueError or match == "string or boolean":
-        # not JSON, or not a number: the error names the file
-        assert str(path) in str(exc.value)
+    # every fault the reader or system_from_dict finds names the file
+    assert str(path) in str(exc.value)
