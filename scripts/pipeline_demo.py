@@ -9,7 +9,6 @@ import sys
 
 import numpy as np
 
-from kcompress.dual import SolverConfig
 from kcompress.pipeline import GenerativeSystem, StageSpec, approximate_system
 from kcompress.risk import (
     evaluate_backward,
@@ -36,7 +35,7 @@ def main(argv=None):
     stages = [
         StageSpec(args.samples, args.candidates, args.budget, 1.0)
     ] * args.stages
-    approx = approximate_system(system, stages, SolverConfig(), seed=args.seed)
+    approx = approximate_system(system, stages, seed=args.seed)
 
     print(f"{'stage':>5} {'support':>8} {'delta':>8}")
     for t in range(approx.horizon):

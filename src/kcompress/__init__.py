@@ -29,6 +29,7 @@ from .oracle import SelectionInstance, solve_exact
 from .dual import SelectionResult, SolverConfig, run_subgradient
 from .pipeline import (
     GenerativeSystem,
+    StageRule,
     StageSpec,
     approximate_system,
     build_stage_instance,
@@ -45,6 +46,7 @@ __all__ = [
     "SelectionInstance",
     "SelectionResult",
     "SolverConfig",
+    "StageRule",
     "StageSpec",
     "TransportPlan",
     "approximate_system",

@@ -49,11 +49,11 @@ from .errors import ConfigError, KCompressError, ValidationError
 from .generators import GaussianComponent, demo_mixture, sample_gaussian_mixture
 from .pipeline import (
     GenerativeSystem,
+    StageRule,
     StageSpec,
     approximate_system,
     assignment_plan,
     compress_stage,
-    stage_candidates,
     stage_stream,
 )
 from .risk import (
@@ -207,7 +207,7 @@ def _box_from(raw, field: str):
         raise ConfigError(
             f"box needs low < high per coordinate, got {raw!r}", field=field
         )
-    return low, high
+    return tuple(low.tolist()), tuple(high.tolist())
 
 
 def _out(data: dict, mode: str) -> Path:
@@ -246,10 +246,16 @@ def _mixture(data: dict, mode: str, keys: str):
     return mixture, _components_from(mixture), samples
 
 
-def _stage_fields(data: dict, candidates: dict) -> dict:
-    """What select and pipeline read alike to compress a stage:
-    candidates.box, margin, order, solver and candidate_mode."""
-    margin = _as(float, data.get("margin", 0.05), "margin")
+# the top-level keys _stage_fields reads, in both modes that compress stages
+_STAGE_KEYS = " candidates margin order solver candidate_mode"
+
+
+def _stage_fields(data: dict, candidates: dict):
+    """What select and pipeline read alike to compress a stage: the
+    StageRule of candidate_mode, candidates.box, margin and solver (each
+    absent key at the rule's default), and the order a stage takes unless
+    it sets its own."""
+    margin = _as(float, data.get("margin", StageRule.margin), "margin")
     if margin < 0:
         raise ConfigError("margin must be >= 0", field="margin")
     order = _as(float, data.get("order", 1.0), "order")
@@ -267,22 +273,22 @@ def _stage_fields(data: dict, candidates: dict) -> dict:
         except ValidationError as exc:
             raise ConfigError(f"bad solver.{name}: {exc}",
                               f"solver.{name}") from None
-    candidate_mode = data.get("candidate_mode", "lattice")
+    candidate_mode = data.get("candidate_mode", StageRule.candidate_mode)
     if candidate_mode not in ("lattice", "subsample"):
         raise ConfigError("candidate_mode must be lattice or subsample, got"
                           f" {candidate_mode!r}", "candidate_mode")
-    return {"candidate_box": _box_from(candidates.get("box"), "candidates.box"),
-            "margin": margin, "order": order,
-            "solver": SolverConfig(**solver), "candidate_mode": candidate_mode}
+    box = _box_from(candidates.get("box"), "candidates.box")
+    return (StageRule(candidate_mode, margin, box, SolverConfig(**solver)),
+            order)
 
 
-def _check_candidates(data: dict, stage: dict, dim: int, field: str,
+def _check_candidates(data: dict, rule: StageRule, dim: int, field: str,
                       count: int, pool: int):
     """Refuse, for a subsample, more candidates (count, named by field)
     than the pool of particles, and box or margin, which it never reads;
     and a box whose corners do not have dim coordinates."""
-    box = stage["candidate_box"]
-    if stage["candidate_mode"] == "subsample":
+    box = rule.box
+    if rule.candidate_mode == "subsample":
         if count > pool:
             raise ConfigError(f"{field} {count} exceeds the {pool} particles"
                               " to subsample", field)
@@ -318,7 +324,8 @@ class GenerateConfig:
 
 @dataclass(frozen=True)
 class SelectConfig:
-    """A checked select config: the mixture, its candidates and budget."""
+    """A checked select config: the mixture and its one stage, whose
+    samples_per_source is the mixture's samples_per_component."""
 
     mode = "select"
     out: Path
@@ -326,19 +333,12 @@ class SelectConfig:
     emit_plot_data: bool
     components: tuple
     mixture_weights: np.ndarray
-    samples_per_component: int
-    candidate_count: int
-    budget: int
-    candidate_box: tuple | None
-    margin: float
-    order: float
-    solver: SolverConfig
-    candidate_mode: str
+    stage: StageSpec
+    rule: StageRule
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelectConfig":
-        run = _run(data, cls.mode, "mixture candidates margin budget order"
-                   " solver candidate_mode")
+        run = _run(data, cls.mode, "mixture budget" + _STAGE_KEYS)
         mixture, components, samples = _mixture(
             data, cls.mode, "components weights samples_per_component")
         raw = mixture.get("weights")
@@ -352,18 +352,17 @@ class SelectConfig:
                               "mixture.weights")
         candidates = _object(data.get("candidates"), "candidates",
                              "count box", cls.mode)
-        stage = _stage_fields(data, candidates)
+        rule, order = _stage_fields(data, candidates)
         count = _as(int, _require(candidates, "count", cls.mode,
                                   "candidates."), "candidates.count")
         budget = _as(int, _require(data, "budget", cls.mode), "budget")
         if not 1 <= budget <= count:
             raise ConfigError(f"budget {budget} outside [1, {count}]",
                               "budget")
-        _check_candidates(data, stage, components[0].dim, "candidates.count",
+        _check_candidates(data, rule, components[0].dim, "candidates.count",
                           count, len(components) * samples)
-        return cls(**run, **stage, components=components,
-                   mixture_weights=weights, samples_per_component=samples,
-                   candidate_count=count, budget=budget)
+        return cls(**run, components=components, mixture_weights=weights,
+                   stage=StageSpec(samples, count, budget, order), rule=rule)
 
 
 @dataclass(frozen=True)
@@ -376,18 +375,13 @@ class PipelineConfig:
     emit_plot_data: bool
     system: GenerativeSystem
     stages: tuple
-    candidate_box: tuple | None
-    margin: float
-    order: float
-    solver: SolverConfig
-    candidate_mode: str
+    rule: StageRule
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        run = _run(data, cls.mode, "system stages solver candidate_mode"
-                   " candidates margin order")
-        stage = _stage_fields(data, _object(data.get("candidates"),
-                                            "candidates", "box", cls.mode))
+        run = _run(data, cls.mode, "system stages" + _STAGE_KEYS)
+        rule, order = _stage_fields(data, _object(
+            data.get("candidates"), "candidates", "box", cls.mode))
         stages = []
         for i, raw in enumerate(_typed(data.get("stages"), list, "stages")):
             at = f"stages[{i}]"
@@ -397,7 +391,7 @@ class PipelineConfig:
                 sizes = {k: _as(int, raw[k], f"{at}.{k}") for k in (
                     "samples_per_source", "candidate_count", "budget")}
                 stages.append(StageSpec(**sizes, order=_as(
-                    float, raw.get("order", stage["order"]), f"{at}.order")))
+                    float, raw.get("order", order), f"{at}.order")))
             except (KeyError, ValidationError) as exc:
                 raise ConfigError(f"bad stage {i}: {exc}", at) from exc
         system = _object(_require(data, "system", cls.mode), "system",
@@ -416,15 +410,15 @@ class PipelineConfig:
                 "missing required field 'stages' for mode pipeline", "stages")
         # stage 0 has one source, x0, so its pool is its sample count;
         # later pools hang on the support each stage keeps
-        _check_candidates(data, stage, x0.size, "stages[0].candidate_count",
+        _check_candidates(data, rule, x0.size, "stages[0].candidate_count",
                           stages[0].candidate_count,
                           stages[0].samples_per_source)
 
         def walk(t, source, n, rng):
             return source + sigma * rng.standard_normal((n, x0.size))
 
-        return cls(**run, **stage, system=GenerativeSystem(x0, walk),
-                   stages=tuple(stages))
+        return cls(**run, system=GenerativeSystem(x0, walk),
+                   stages=tuple(stages), rule=rule)
 
 
 @dataclass(frozen=True)
@@ -651,14 +645,10 @@ def run_select(cfg: SelectConfig, start: float):
     for seed in cfg.seeds:
         started = time.perf_counter()
         clouds = sample_gaussian_mixture(cfg.components,
-                                         cfg.samples_per_component, seed)
+                                         cfg.stage.samples_per_source, seed)
         # a subsample draws from the stream of the pipeline's stage 0
-        candidates = stage_candidates(
-            clouds, cfg.candidate_count, cfg.candidate_mode, cfg.margin,
-            cfg.candidate_box, stage_stream(seed, 0, len(clouds)),
-        )
-        stage = compress_stage(marginal, clouds, candidates, cfg.order,
-                               cfg.budget, cfg.solver, started)
+        stage = compress_stage(marginal, clouds, cfg.stage, cfg.rule,
+                               stage_stream(seed, 0, len(clouds)), started)
         phases["stage_s"] += stage.wall_s
         writing = time.perf_counter()
         instance, result = stage.instance, stage.result
@@ -667,14 +657,14 @@ def run_select(cfg: SelectConfig, start: float):
         columns, masses, costs = assignment_plan(stage)
         plan_value = float(np.sum(masses * costs))
         composed_distance = (
-            plan_value ** (1.0 / cfg.order) if plan_value > 0 else 0.0
+            plan_value ** (1.0 / cfg.stage.order) if plan_value > 0 else 0.0
         )
 
         payload = {
             "assignment": [a.tolist() for a in np.split(
                 result.beta_assignment, np.cumsum(instance.sizes)[:-1])],
             "best_dual": float(result.best_dual),
-            "budget": cfg.budget,
+            "budget": cfg.stage.budget,
             "composed_distance": float(composed_distance),
             "converged": bool(result.converged),
             "dim_beta": instance.dim_beta,
@@ -684,7 +674,7 @@ def run_select(cfg: SelectConfig, start: float):
             "gap": float(result.gap),
             "iterations": int(result.iterations),
             "objective": float(result.objective),
-            "order": cfg.order,
+            "order": cfg.stage.order,
             "seed": seed,
             "selected_distribution": distribution_to_dict(stage.marginal),
             "selected_indices": np.flatnonzero(result.gamma).tolist(),
@@ -712,13 +702,8 @@ def run_pipeline(cfg: PipelineConfig, start: float):
     for seed in cfg.seeds:
         stages = []
         t0 = time.perf_counter()
-        approx = approximate_system(
-            cfg.system, cfg.stages, cfg.solver, seed=seed,
-            candidate_mode=cfg.candidate_mode,
-            margin=cfg.margin,
-            box=cfg.candidate_box,
-            on_stage=stages.append,
-        )
+        approx = approximate_system(cfg.system, cfg.stages, cfg.rule,
+                                    seed=seed, on_stage=stages.append)
         writing = time.perf_counter()
         wall = writing - t0
         phases["stage_s"] += wall
@@ -856,8 +841,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seeds"] = [args.seed]
         if args.threads is not None:
-            # named by the key it writes, as --seed is named by seeds
-            if "solver" not in _MODES[mode][0].__dataclass_fields__:
+            # named by the key it writes, which a mode's stage rule holds
+            if "rule" not in _MODES[mode][0].__dataclass_fields__:
                 raise _unknown("solver.threads", mode)
             overrides["solver.threads"] = args.threads
         if args.out is not None:

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import KCompressError, ValidationError
-from .oracle import SelectionInstance
+from .oracle import SelectionInstance, check_budget
 
 # A run is certified once UB - best dual <= CERT_TOL * UB.
 CERT_TOL = 1e-4
@@ -261,8 +261,11 @@ def repair_feasibility(
 
     Candidates whose braces value theta0 - score_k is largest change the
     dual expression least when cleared, so they go first; ties clear the
-    lowest index.
+    lowest index. gamma and budget get the instance's checks (selected,
+    check_budget).
     """
+    instance.selected(gamma)
+    check_budget(budget, instance.n_candidates)
     scores = _sweep_at(instance, state)[1].scores
     return _repair_with_scores(gamma, scores, state.theta0, budget)
 

@@ -26,6 +26,14 @@ ENUMERATION_MAX_K = 20
 ENUMERATION_MAX_M = 6
 
 
+def check_budget(budget, k: int):
+    """Refuse a budget that is not an integer in [1, k]."""
+    if isinstance(budget, bool) or not isinstance(budget, Integral):
+        raise ValidationError(f"budget must be an integer, got {budget!r}")
+    if not 1 <= budget <= k:
+        raise ValidationError(f"budget {budget} outside [1, {k}]")
+
+
 @dataclass(frozen=True)
 class SelectionInstance:
     """Data of the budgeted representative-point selection problem.
@@ -63,15 +71,9 @@ class SelectionInstance:
             raise ValidationError(
                 f"sum of w_s * n_s is {total!r}, expected 1"
             )
-        k, budget = len(candidates), self.budget
-        if isinstance(budget, bool) or not isinstance(budget, Integral):
-            raise ValidationError(f"budget must be an integer, got {budget!r}")
-        if not (1 <= budget <= k):
-            raise ValidationError(
-                f"budget {budget} outside [1, {k}]"
-            )
+        check_budget(self.budget, len(candidates))
         order = float(self.order)
-        wdt = np.empty((k, int(sizes.sum())))
+        wdt = np.empty((len(candidates), int(sizes.sum())))
         ends = np.cumsum(sizes)
         for w, cloud, end in zip(weights, clouds, ends):
             # w <= 1, so a finite cost stays finite

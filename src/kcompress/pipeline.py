@@ -7,8 +7,8 @@ and forms the implied kernel whose row weights are assignment fractions.
 The achieved stage error Delta_t is the p-th root of the selection
 objective, which equals the integrated transportation distance between the
 empirical clouds and the implied kernel under the current marginal.
-compress_stage is that one step, and stage_candidates the one candidate
-rule; approximate_system repeats them over a horizon.
+compress_stage is that one step, its sizes and order a StageSpec, its
+candidates and solver a StageRule; approximate_system repeats it.
 """
 
 from __future__ import annotations
@@ -59,6 +59,17 @@ class StageSpec:
             )
         if self.order < 1:
             raise ValidationError("order must be >= 1")
+
+
+@dataclass(frozen=True)
+class StageRule:
+    """How every stage draws its candidates (stage_candidates) and solves
+    (solver, the dual's settings)."""
+
+    candidate_mode: str = "lattice"
+    margin: float = 0.05
+    box: tuple | None = None
+    solver: SolverConfig = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,7 @@ def assignment_plan(stage: Stage):
     return stage.columns, masses, costs
 
 
-def candidate_lattice(clouds, count: int, margin: float = 0.05,
+def candidate_lattice(clouds, count: int, margin: float = StageRule.margin,
                       box=None) -> np.ndarray:
     """Sobol candidates over box, a (low, high) pair, or when box is None
     over the pooled bounding box expanded by `margin` per side; flat
@@ -172,17 +183,16 @@ def candidate_subsample(clouds, count: int, rng) -> np.ndarray:
     return pool[idx]
 
 
-def stage_candidates(clouds, count: int, mode: str, margin: float, box,
-                     rng) -> np.ndarray:
-    """The stage's candidate set: in "lattice" mode a Sobol lattice over box,
-    or over the pooled bounding box padded by margin (candidate_lattice)
-    when box is None; in "subsample" mode count pooled particles drawn
-    with rng (candidate_subsample)."""
-    if mode == "subsample":
+def stage_candidates(clouds, count: int, rule: StageRule, rng) -> np.ndarray:
+    """The stage's count candidates: in rule's "lattice" mode
+    candidate_lattice with its margin and box, in "subsample" mode
+    candidate_subsample drawing with rng."""
+    if rule.candidate_mode == "subsample":
         return candidate_subsample(clouds, count, rng)
-    if mode != "lattice":
-        raise ValidationError(f"unknown candidate mode {mode!r}")
-    return candidate_lattice(clouds, count, margin, box)
+    if rule.candidate_mode != "lattice":
+        raise ValidationError(
+            f"unknown candidate mode {rule.candidate_mode!r}")
+    return candidate_lattice(clouds, count, rule.margin, rule.box)
 
 
 @dataclass(frozen=True)
@@ -202,20 +212,22 @@ class Stage:
     wall_s: float
 
 
-def compress_stage(marginal: DiscreteDistribution, clouds, candidates,
-                   order: float, budget: int, solver: SolverConfig,
-                   started: float) -> Stage:
-    """Select at most budget candidates for the clouds drawn from each
-    marginal atom, form the implied kernel and push the marginal through
-    it. started is the time.perf_counter() reading at which the stage's
-    sampling began."""
-    instance = build_stage_instance(marginal, clouds, candidates, order, budget)
-    result = run_subgradient(instance, solver)
+def compress_stage(marginal: DiscreteDistribution, clouds, spec: StageSpec,
+                   rule: StageRule, rng, started: float) -> Stage:
+    """Draw spec.candidate_count candidates under rule (rng is the stream a
+    subsample draws from), select at most spec.budget of them for the
+    clouds drawn from each marginal atom, form the implied kernel and push
+    the marginal through it. started is the time.perf_counter() reading at
+    which the stage's sampling began."""
+    candidates = stage_candidates(clouds, spec.candidate_count, rule, rng)
+    instance = build_stage_instance(marginal, clouds, candidates,
+                                    spec.order, spec.budget)
+    result = run_subgradient(instance, rule.solver)
     kernel, columns = implied_kernel(instance, marginal.support, result.gamma,
                                      result.beta_assignment)
     composed = compose_marginal(marginal, kernel)
     return Stage(instance, result, kernel, columns, composed,
-                 result.objective ** (1.0 / order),
+                 result.objective ** (1.0 / spec.order),
                  time.perf_counter() - started)
 
 
@@ -230,23 +242,19 @@ def stage_stream(seed: int, t: int, index: int):
 def approximate_system(
     system: GenerativeSystem,
     stages,
-    solver: SolverConfig,
+    rule: StageRule = StageRule(),
     *,
     seed: int,
-    candidate_mode: str = "lattice",
-    margin: float = 0.05,
-    box=None,
     on_stage=None,
 ) -> DiscreteSystem:
     """Run the per-stage sample/select/compose loop over the whole horizon.
 
-    Stage t runs stages[t], a StageSpec, and calls the sampler with t.
-    Sampling is reproducible: the cloud for source s at stage t comes from
-    a generator seeded by (seed, t, s), independent of every other cloud,
-    and a subsample of candidates from one seeded by (seed, t, number of
-    sources). With box set, the stage candidate lattice uses that fixed
-    box instead of the pooled bounding box. on_stage(stage) is called with
-    each compress_stage result, for diagnostics collection.
+    Stage t runs compress_stage with stages[t], a StageSpec, and rule, and
+    calls the sampler with t. Sampling is reproducible: the cloud for
+    source s at stage t comes from a generator seeded by (seed, t, s),
+    independent of every other cloud, and a subsample of candidates from
+    one seeded by (seed, t, number of sources). on_stage(stage) is called
+    with each compress_stage result, for diagnostics collection.
     """
     marginals = [DiscreteDistribution([system.x0], [1.0])]
     kernels = []
@@ -259,12 +267,8 @@ def approximate_system(
                                      stage_stream(seed, t, s)))
             for s, source in enumerate(marginal.support)
         ]
-        candidates = stage_candidates(
-            clouds, spec.candidate_count, candidate_mode, margin, box,
-            stage_stream(seed, t, len(marginal)),
-        )
-        stage = compress_stage(marginal, clouds, candidates, spec.order,
-                               spec.budget, solver, started)
+        stage = compress_stage(marginal, clouds, spec, rule,
+                               stage_stream(seed, t, len(marginal)), started)
         if on_stage is not None:
             on_stage(stage)
         kernels.append(stage.kernel)

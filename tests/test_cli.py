@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,10 @@ from kcompress.cli import (
     parse_overrides,
 )
 from kcompress.core import DiscreteDistribution, write_csv
+from kcompress.dual import SolverConfig
 from kcompress.errors import ConfigError
+from kcompress.generators import sample_gaussian_mixture
+from kcompress.pipeline import StageRule, StageSpec, compress_stage, stage_stream
 from kcompress.transport import wasserstein_exact
 
 
@@ -78,8 +82,8 @@ def test_overrides_take_the_first_bare_token_as_mode():
 def test_override_reaches_nested_field(tmp_path):
     cfg_path = write_config(tmp_path / "c.json", select_config(tmp_path / "o"))
     cfg = load_config(cfg_path, {"solver.max_iter": 7, "budget": 4})
-    assert cfg.solver.max_iter == 7
-    assert cfg.budget == 4
+    assert cfg.rule.solver.max_iter == 7
+    assert cfg.stage.budget == 4
 
 
 def test_missing_budget_names_field(tmp_path):
@@ -126,6 +130,35 @@ def _mode_config(tmp_path, mode):
         "evaluate": {"mode": "evaluate", "out": str(tmp_path / "o")},
     }[mode]
     return write_config(tmp_path / "c.json", data)
+
+
+def test_a_minimal_select_config_takes_the_rule_defaults(tmp_path):
+    cfg = load_config(None, {"mode": "select", "out": str(tmp_path / "o"),
+                             "candidates.count": 8, "budget": 2})
+    assert cfg.rule == StageRule()
+    assert cfg.stage == StageSpec(100, 8, 2, 1.0)
+
+
+@pytest.mark.parametrize("keys, rule", [
+    ({"margin": 0.2, "solver.max_iter": 40},
+     StageRule(margin=0.2, solver=SolverConfig(max_iter=40))),
+    ({"candidate_mode": "subsample", "solver.threads": 2},
+     StageRule("subsample", solver=SolverConfig(threads=2))),
+    ({"candidates.box": [[-3, -3], [3, 3]], "margin": 0.1},
+     StageRule(margin=0.1, box=((-3.0, -3.0), (3.0, 3.0)))),
+], ids=["lattice", "subsample", "box"])
+def test_select_and_pipeline_hold_one_rule(tmp_path, keys, rule):
+    select = {"mode": "select", "out": str(tmp_path / "s"),
+              "candidates.count": 8, "budget": 2}
+    pipeline = write_config(tmp_path / "p.json",
+                            _pipeline_config(tmp_path / "p"))
+    assert load_config(None, {**select, **keys}).rule == rule
+    assert load_config(pipeline, keys).rule == rule
+
+
+def test_threads_flag_runs_pipeline(tmp_path):
+    data = _mode_config(tmp_path, "pipeline")
+    assert main(["pipeline", "--config", data, "--threads", "1"]) == 0
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -624,6 +657,27 @@ def test_select_artifacts_and_summary(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["mode"] == "select"
     assert_phases(meta, "config_s", "stage_s", "write_s")
+
+
+@pytest.mark.parametrize("candidate_mode", ["lattice", "subsample"])
+def test_select_result_is_the_one_stage_step(tmp_path, candidate_mode):
+    data = select_config(tmp_path / "sel", seeds=(0,), k=24, m=6, n=20)
+    if candidate_mode == "subsample":
+        data["candidate_mode"] = "subsample"
+        del data["candidates"]["box"]
+    cfg_path = write_config(tmp_path / "c.json", data)
+    assert main(["select", "--config", cfg_path]) == 0
+    result = json.loads((tmp_path / "sel" / "result_seed0.json").read_text())
+    cfg = load_config(cfg_path, {})
+    marginal = DiscreteDistribution([c.mean for c in cfg.components],
+                                    cfg.mixture_weights)
+    clouds = sample_gaussian_mixture(cfg.components,
+                                     cfg.stage.samples_per_source, 0)
+    stage = compress_stage(marginal, clouds, cfg.stage, cfg.rule,
+                           stage_stream(0, 0, 5), time.perf_counter())
+    assert result["gamma"] == stage.result.gamma.tolist()
+    assert result["objective"] == stage.result.objective
+    assert result["stop_reason"] == stage.result.stop_reason
 
 
 def test_select_and_pipeline_write_one_summary_schema(tmp_path):

@@ -38,7 +38,9 @@ from kcompress.generators import (
     sobol_lattice,
 )
 from kcompress.oracle import SelectionInstance, solve_exact
-from kcompress.pipeline import build_stage_instance, stage_candidates
+from kcompress.pipeline import (
+    StageRule, build_stage_instance, stage_candidates,
+)
 
 
 def _zero_state(instance):
@@ -467,6 +469,20 @@ def test_repair_clears_marginal_candidate():
     np.testing.assert_array_equal(repaired, [1, 1, 0])
 
 
+@pytest.mark.parametrize("size, budget, message", [
+    (4, 2, r"gamma needs shape \(6,\)"),
+    (8, 2, r"gamma needs shape \(6,\)"),
+    (6, -1, r"budget -1 outside \[1, 6\]"),
+    (6, 7, r"budget 7 outside \[1, 6\]"),
+    (6, 2.5, "budget must be an integer"),
+], ids=["short", "long", "negative", "above_k", "fractional"])
+def test_repair_refuses_what_is_not_a_gamma_or_budget(size, budget, message):
+    points = np.arange(12.0).reshape(6, 2)
+    inst = SelectionInstance.build([(1.0 / 6.0, points)], points, 1.0, 2)
+    with pytest.raises(ValidationError, match=message):
+        repair_feasibility(inst, np.ones(size), budget, initial_state(inst))
+
+
 def test_gap_zero_when_equal():
     assert duality_gap(1.5, 1.5) == 0.0
 
@@ -679,7 +695,7 @@ def test_subsample_run_is_the_dense_ascent(monkeypatch):
     )
     clouds = sample_gaussian_mixture(components, 40, 4)
     candidates = stage_candidates(
-        clouds, 100, "subsample", 0.05, None, np.random.default_rng(4)
+        clouds, 100, StageRule("subsample"), np.random.default_rng(4)
     )
     inst = build_stage_instance(marginal, clouds, candidates, 1.0, 20)
     builds = []

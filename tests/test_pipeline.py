@@ -20,6 +20,7 @@ from kcompress.dual import SolverConfig, run_subgradient
 from kcompress.errors import ValidationError
 from kcompress.pipeline import (
     GenerativeSystem,
+    StageRule,
     StageSpec,
     approximate_system,
     build_stage_instance,
@@ -266,8 +267,8 @@ def test_candidate_subsample_draws_from_pool():
 def test_system_shapes_and_invariants():
     system = walk_system()
     stages = walk_stages(3)
-    solver = SolverConfig(max_iter=250)
-    approx = approximate_system(system, stages, solver, seed=5)
+    rule = StageRule(solver=SolverConfig(max_iter=250))
+    approx = approximate_system(system, stages, rule, seed=5)
     assert approx.horizon == 3
     assert len(approx.supports) == 4
     assert len(approx.marginals) == 4
@@ -293,8 +294,8 @@ def test_system_shapes_and_invariants():
 def test_deltas_match_integrated_distance():
     system = walk_system()
     stages = walk_stages(2, n=30, k=20, m=4)
-    solver = SolverConfig(max_iter=250)
-    approx = approximate_system(system, stages, solver, seed=9)
+    rule = StageRule(solver=SolverConfig(max_iter=250))
+    approx = approximate_system(system, stages, rule, seed=9)
     for t, stage in enumerate(stages):
         marginal = approx.marginals[t]
         clouds = stage_clouds(system, marginal, t, stage, 9)
@@ -315,7 +316,8 @@ def test_single_stage_matches_direct_solve():
     system = walk_system()
     stage = StageSpec(35, 16, 3, 2.0)
     solver = SolverConfig(max_iter=250)
-    approx = approximate_system(system, [stage], solver, seed=21)
+    rule = StageRule(solver=solver)
+    approx = approximate_system(system, [stage], rule, seed=21)
 
     marginal = dirac(system.x0)
     clouds = stage_clouds(system, marginal, 0, stage, 21)
@@ -333,8 +335,7 @@ def test_single_stage_matches_direct_solve():
     assert np.allclose(kernel.rows[0].weights, approx.kernels[0].rows[0].weights)
 
     stage_step = compress_stage(
-        marginal, clouds, candidates, stage.order, stage.budget, solver,
-        time.perf_counter(),
+        marginal, clouds, stage, rule, None, time.perf_counter(),
     )
     assert np.array_equal(stage_step.result.gamma, result.gamma)
     assert np.array_equal(stage_step.kernel.support, kernel.support)
@@ -351,7 +352,7 @@ def test_on_stage_gets_each_stage_of_the_system():
     stages = walk_stages(3, n=20, k=16, m=4)
     seen = []
     approx = approximate_system(
-        system, stages, SolverConfig(max_iter=200), seed=8,
+        system, stages, StageRule(solver=SolverConfig(max_iter=200)), seed=8,
         on_stage=seen.append,
     )
     assert len(seen) == 3
@@ -368,17 +369,17 @@ def test_on_stage_gets_each_stage_of_the_system():
 def test_stage_candidates_follows_the_mode():
     clouds = [np.arange(12.0).reshape(6, 2), np.ones((4, 2))]
     box = (np.zeros(2), np.full(2, 2.0))
-    lattice = stage_candidates(clouds, 8, "lattice", 0.05, None, None)
+    lattice = stage_candidates(clouds, 8, StageRule(), None)
     assert np.array_equal(lattice, candidate_lattice(clouds, 8, 0.05))
-    fixed = stage_candidates(clouds, 8, "lattice", 0.05, box, None)
+    fixed = stage_candidates(clouds, 8, StageRule(box=box), None)
     assert np.all((fixed >= 0.0) & (fixed <= 2.0))
-    sub = stage_candidates(clouds, 5, "subsample", 0.05, box,
+    sub = stage_candidates(clouds, 5, StageRule("subsample", box=box),
                            np.random.default_rng(3))
     assert np.array_equal(
         sub, candidate_subsample(clouds, 5, np.random.default_rng(3))
     )
     with pytest.raises(ValidationError):
-        stage_candidates(clouds, 5, "grid", 0.05, None, None)
+        stage_candidates(clouds, 5, StageRule("grid"), None)
 
 
 def test_deterministic_kernel_compresses_exactly():
@@ -391,7 +392,7 @@ def test_deterministic_kernel_compresses_exactly():
     stages = [StageSpec(10, 5, 1, 1.0)] * 2
     solver = SolverConfig(max_iter=100)
     approx = approximate_system(
-        system, stages, solver, seed=2, candidate_mode="subsample"
+        system, stages, StageRule("subsample", solver=solver), seed=2
     )
     assert np.allclose(approx.deltas, 0.0)
     assert len(approx.supports[1]) == 1
@@ -402,9 +403,9 @@ def test_deterministic_kernel_compresses_exactly():
 def test_same_seed_reproduces_system():
     system = walk_system()
     stages = walk_stages(2, n=25, k=16, m=4)
-    solver = SolverConfig(max_iter=200)
-    a = approximate_system(system, stages, solver, seed=77)
-    b = approximate_system(system, stages, solver, seed=77)
+    rule = StageRule(solver=SolverConfig(max_iter=200))
+    a = approximate_system(system, stages, rule, seed=77)
+    b = approximate_system(system, stages, rule, seed=77)
     for t in range(2):
         assert np.array_equal(a.supports[t + 1], b.supports[t + 1])
         assert np.array_equal(a.marginals[t + 1].weights, b.marginals[t + 1].weights)
@@ -416,7 +417,8 @@ def test_fixed_box_candidates():
     stages = walk_stages(1, n=25, k=16, m=4)
     solver = SolverConfig(max_iter=200)
     box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-    approx = approximate_system(system, stages, solver, seed=4, box=box)
+    approx = approximate_system(system, stages,
+                                StageRule(box=box, solver=solver), seed=4)
     for point in approx.supports[1]:
         assert np.all(point >= -3.0) and np.all(point <= 3.0)
 
@@ -424,10 +426,7 @@ def test_fixed_box_candidates():
 def test_unknown_candidate_mode():
     system = walk_system()
     with pytest.raises(ValidationError):
-        approximate_system(
-            system, walk_stages(1), SolverConfig(), seed=0,
-            candidate_mode="grid"
-        )
+        approximate_system(system, walk_stages(1), StageRule("grid"), seed=0)
 
 
 def test_support_growth_is_budgeted():
@@ -437,8 +436,8 @@ def test_support_growth_is_budgeted():
         StageSpec(20, 32, 5, 1.0),
         StageSpec(15, 32, 3, 1.0),
     ]
-    solver = SolverConfig(max_iter=300)
-    approx = approximate_system(system, stages, solver, seed=13)
+    rule = StageRule(solver=SolverConfig(max_iter=300))
+    approx = approximate_system(system, stages, rule, seed=13)
     assert len(approx.supports[1]) <= 6
     assert len(approx.supports[2]) <= 5
     assert len(approx.supports[3]) <= 3
@@ -495,7 +494,7 @@ def assert_same_system(a, b):
 def test_load_system_matches_json_load(tmp_path):
     approx = approximate_system(
         walk_system(), walk_stages(2, n=25, k=16, m=4),
-        SolverConfig(max_iter=200), seed=3,
+        StageRule(solver=SolverConfig(max_iter=200)), seed=3,
     )
     for name, data in (("walk", system_to_dict(approx)),
                        ("small", small_system_dict())):
