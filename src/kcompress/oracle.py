@@ -4,11 +4,12 @@ A SelectionInstance holds per-source particle clouds with group weights
 w_s = lambda_s / n_s, a candidate set of K points, the order p, and a budget
 M on the number of selected candidates. From these it builds, once, the
 weighted costs w_s * d(x_si, zeta_k)^p, a block per group from
-core.pairwise_cost and its checks, which solvers read only through its
-queries below, cheapest and nearest; every per-particle array is flat in
-group order. It holds no source points. solve_exact enumerates
-candidate subsets outright and is guarded to tiny sizes; it exists so the
-dual method has an independent optimum to be checked against.
+core.frozen_pairwise_cost and its checks on the points it froze once, which
+solvers read only through its queries below, cheapest and nearest; every
+per-particle array is flat in group order. It holds no source points.
+solve_exact enumerates candidate subsets outright and is guarded to tiny
+sizes; it exists so the dual method has an independent optimum to be
+checked against.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class SelectionInstance:
         ends = np.cumsum(sizes)
         for w, cloud, end in zip(weights, clouds, ends):
             # w <= 1, so a finite cost stays finite
-            np.multiply(core.pairwise_cost(candidates, cloud, order), w,
-                        out=wdt[:, end - len(cloud):end])
+            np.multiply(core.frozen_pairwise_cost(candidates, cloud, order),
+                        w, out=wdt[:, end - len(cloud):end])
         wdt.flags.writeable = sizes.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "clouds", clouds)

@@ -1014,7 +1014,8 @@ def test_evaluate_values_csv_and_phases(tmp_path):
     # evaluate draws nothing at random, so it reports no seeds
     assert set(meta) == {"mode", "version", "wall_time_s", "written_utc",
                          "phases", "system_bytes", "kernel_rows"}
-    assert_phases(meta, "decode_s", "evaluate_s", "write_s")
+    # reading the file, then parsing and checking it
+    assert_phases(meta, "read_s", "decode_s", "evaluate_s", "write_s")
     # what the decode read: the file's size and the rows of all kernels
     assert meta["system_bytes"] == (tmp_path / "system.json").stat().st_size
     assert meta["kernel_rows"] == 1 + 5 + 7

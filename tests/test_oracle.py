@@ -9,6 +9,7 @@ from helpers import (
     enumerate_selection_optimum,
     random_tiny_instance,
 )
+from kcompress import core
 from kcompress.core import pairwise_cost
 from kcompress.errors import KCompressError, ValidationError
 from kcompress.oracle import SelectionInstance, solve_exact
@@ -310,6 +311,17 @@ def test_instance_rejects_an_overflowing_cost():
     with pytest.raises(ValidationError, match="cost entries must be finite"):
         SelectionInstance([0.5], [[(1e200, 0.0), (0.0, 0.0)]],
                           [(-1e200, 0.0), (0.0, 0.0)], 2.0, 1)
+
+
+def test_instance_build_freezes_each_array_once(monkeypatch):
+    # the candidates and each cloud are copied and scanned once per build,
+    # not again for every group's cost block
+    frozen = []
+    as_points = core.as_points
+    monkeypatch.setattr(core, "as_points",
+                        lambda points: frozen.append(1) or as_points(points))
+    SelectionInstance([0.25, 0.5], _CLOUDS, _CANDS, 1.0, 1)
+    assert len(frozen) == 1 + len(_CLOUDS)
 
 
 def test_instance_rejects_mismatched_dimensions_and_order():

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import time
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_discrete_system, ragged_system_dict
+from kcompress import core
 from kcompress.core import (
     DiscreteDistribution,
+    DiscreteSystem,
     compose_marginal,
     dirac,
     load_system,
@@ -501,6 +504,124 @@ def test_load_system_matches_json_load(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
         assert_same_system(load_system(path), system_from_dict(data))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def assert_same_bits(a, b):
+    """Every support, kernel array, marginal and delta of a and b holds the
+    same float64 bits."""
+    pairs = list(zip(a.supports, b.supports, strict=True))
+    for ka, kb in zip(a.kernels, b.kernels, strict=True):
+        pairs += [(ka.sources, kb.sources), (ka.support, kb.support),
+                  (ka.matrix, kb.matrix)]
+    for ma, mb in zip(a.marginals, b.marginals, strict=True):
+        pairs += [(ma.support, mb.support), (ma.weights, mb.weights)]
+    pairs.append((a.deltas, b.deltas))
+    for x, y in pairs:
+        assert np.array_equal(_bits(x), _bits(y))
+
+
+def _support_places(data, doc):
+    """(the support's list in data, its nesting depth, the reader's array)
+    for every support of a system document: the supports entries, each
+    kernel's sources and row supports, each marginal's support."""
+    places = [(s, 2, a) for s, a in zip(data["supports"], doc["supports"])]
+    for kernel, read in zip(data["kernels"], doc["kernels"]):
+        places.append((kernel["sources"], 3, read["sources"]))
+        places += [(row["support"], 5, got["support"])
+                   for row, got in zip(kernel["rows"], read["rows"])]
+    places += [(m["support"], 3, got["support"])
+               for m, got in zip(data["marginals"], doc["marginals"])]
+    return places
+
+
+def test_load_system_shares_each_support_text_in_both_layouts(tmp_path):
+    rng = np.random.default_rng(47)
+    base = random_discrete_system(rng, horizon=3, max_states=6)
+    marginals = [dirac(base.supports[0][0])]
+    for kernel in base.kernels:
+        marginals.append(compose_marginal(marginals[-1], kernel))
+    data = system_to_dict(DiscreteSystem(base.supports, base.kernels,
+                                         marginals, (0.25, 0.5, 0.125)))
+    layouts = {
+        # the benchmark's and json.dumps' layout: each support one text
+        "compact": (json.dumps(data), lambda v, depth: json.dumps(v)),
+        # the CLI's layout: a support's text depends on its depth
+        "cli": (json.dumps(data, indent=2, sort_keys=True),
+                lambda v, depth: json.dumps(v, indent=2).replace(
+                    "\n", "\n" + "  " * depth)),
+    }
+    for name, (text, text_of) in layouts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        with open(path) as fh:
+            want = system_from_dict(json.load(fh))
+        assert_same_bits(load_system(path), want)
+        # every repeat of a support's exact text is one array object
+        arrays = {}
+        for value, depth, array in _support_places(
+                data, core._SystemReader(text).document()):
+            assert text_of(value, depth) in text
+            arrays.setdefault(text_of(value, depth), set()).add(id(array))
+        assert all(len(ids) == 1 for ids in arrays.values()), name
+        if name == "compact":
+            # a stage's support, sources, rows and marginal share one text
+            assert len(arrays) == len(data["supports"])
+
+
+def test_load_system_reads_supports_that_begin_alike(tmp_path):
+    # the rows cycle through six supports with one first point, more than
+    # the reader keeps for one first point, so repeats are decoded again
+    sources = [[float(i)] for i in range(12)]
+    points = [[float(i)] for i in range(1, 7)]
+    rows = [{"support": points[:1 + i % 6],
+             "weights": [1.0 / (1 + i % 6)] * (1 + i % 6)} for i in range(12)]
+    data = {"supports": [sources, points],
+            "kernels": [{"sources": sources, "rows": rows}],
+            "marginals": [], "deltas": [0.0]}
+    assert_reads_as_json_load(tmp_path / "system.json", json.dumps(data))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_read_system_file_keeps_the_text_of_any_file(tmp_path):
+    # a mapped file and a pipe keep every character, a '\r' and a two-byte
+    # one included
+    text = json.dumps({"note": "\u00e9t\u00e9"}, ensure_ascii=False) + "\r\n"
+    path = tmp_path / "text.json"
+    path.write_bytes(text.encode())
+    assert core.read_system_file(path) == text
+    read, write = os.pipe()
+    with os.fdopen(write, "wb") as fh:
+        fh.write(text.encode())
+    try:
+        assert core.read_system_file(f"/dev/fd/{read}") == text
+    finally:
+        os.close(read)
+    # an empty file cannot be mapped; it is read, and refused as json refuses
+    # its empty text
+    empty = tmp_path / "empty.json"
+    empty.write_bytes(b"")
+    assert core.read_system_file(empty) == ""
+    with pytest.raises(json.JSONDecodeError, match="Expecting value"):
+        json.loads("")
+    with pytest.raises(ValidationError, match="Expecting value") as exc:
+        load_system(empty)
+    assert str(empty) in str(exc.value)
+
+
+def test_load_system_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_bytes(json.dumps(small_system_dict()).encode().replace(
+        b'"deltas"', b'"d\xe9ltas"'))
+    with pytest.raises(UnicodeDecodeError):
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    with pytest.raises(ValidationError, match="can't decode") as exc:
+        load_system(path)
+    assert str(path) in str(exc.value)
 
 
 def test_load_system_leaves_no_reference_cycle(tmp_path):
