@@ -200,11 +200,13 @@ def _box_from(raw, field: str):
     if raw is None:
         return None
     try:
-        low = np.asarray(raw[0], dtype=np.float64).ravel()
-        high = np.asarray(raw[1], dtype=np.float64).ravel()
-    except (IndexError, TypeError, ValueError) as exc:
+        corners = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad box {raw!r}", field=field) from exc
-    if len(low) != len(high) or np.any(low >= high):
+    if corners.ndim != 2 or len(corners) != 2:  # exactly two flat corners
+        raise ConfigError(f"bad box {raw!r}", field=field)
+    low, high = corners
+    if np.any(low >= high):
         raise ConfigError(
             f"box needs low < high per coordinate, got {raw!r}", field=field
         )

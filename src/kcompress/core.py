@@ -418,6 +418,9 @@ def system_from_dict(data: dict) -> DiscreteSystem:
 
 _WS = r"[ \t\n\r]*"
 _WHITESPACE = re.compile(_WS)
+# a member's name and its colon, each with the whitespace before it; a name
+# written with an escape is read by json.loads instead
+_KEY = re.compile(_WS + r'"([a-z]+)"' + _WS + ":")
 # the parts of a kernel row or a marginal as system_to_dict writes them,
 # {"support": S, "weights": W}, each with the whitespace before it
 _ROW_OPEN = re.compile(_WS + r'\{' + _WS + r'"support"' + _WS + ":" + _WS)
@@ -429,13 +432,24 @@ _SHARED_PER_POINT = 4
 _DECODER = json.JSONDecoder()
 
 
-class _Reader:
-    """A cursor over a JSON text. It walks the objects and arrays its
-    caller names and hands every other value to json's own scanner, so
-    what it reads means exactly what it means to json.load."""
+class _Unread(Exception):
+    """Text the system file's cursor does not read: json.loads reads it."""
+
+
+class _SystemReader:
+    """A cursor over a system file in system_to_dict's layout, its members
+    in any order and spacing, the last of a repeated key kept. Supports and
+    weights are read as float64 arrays, each support text decoded once per
+    file, and every value is decoded by json's own scanner, so what it reads
+    means what it means to json.loads. Any other text (an unknown key, a row
+    in another form, a value in another place or a syntax fault) raises
+    _Unread, TypeError or ValueError."""
 
     def __init__(self, text: str):
         self.text, self.pos = text, 0
+        # the text through a support's first point: that support's
+        # (text, array) pairs, latest last
+        self.supports = {}
 
     def skip(self) -> int:
         """Move past whitespace; returns the new position."""
@@ -448,27 +462,28 @@ class _Reader:
             return True
         return False
 
-    def _fail(self, message: str):
-        raise json.JSONDecodeError(message, self.text, self.pos)
-
-    def value(self):
-        value, self.pos = _DECODER.raw_decode(self.text, self.skip())
-        return value
+    def _match(self, pattern):
+        if (part := pattern.match(self.text, self.pos)) is None:
+            raise _Unread
+        self.pos = part.end()
+        return part
 
     def numbers(self):
-        """The value at the cursor, refused if it holds a string ('"'), true
+        """The value at the cursor, unread if it holds a string ('"'), true
         ('r'), false ('s') or null ('l'): no number, NaN or Infinity holds
         those."""
         text, start = self.text, self.skip()
         value, end = _DECODER.raw_decode(text, start)
         if max(text.find('"', start, end), text.find("r", start, end),
                text.find("s", start, end), text.find("l", start, end)) >= 0:
-            raise ValueError(_NOT_A_NUMBER)
+            raise _Unread
         self.pos = end
         return value
 
-    def _items(self, close: str):
-        # the opening bracket is taken; yield with the cursor at each item
+    def _items(self, open_: str, close: str):
+        # yield with the cursor at each item
+        if not self._take(open_):
+            raise _Unread
         if self._take(close):
             return
         while True:
@@ -476,54 +491,31 @@ class _Reader:
             if self._take(close):
                 return
             if not self._take(","):
-                self._fail("Expecting ',' delimiter")
+                raise _Unread
 
-    def object(self, read):
-        """The object at the cursor with read(key) reading each member's
-        value (the last of a repeated key wins); any other value as json
-        reads it."""
-        if not self._take("{"):
-            return self.value()
+    def object(self, members: dict) -> dict:
+        """The object at the cursor, members[key]() reading each member's
+        value."""
         out = {}
-        for _ in self._items("}"):
-            if not self.text.startswith('"', self.skip()):
-                self._fail("Expecting property name enclosed in double quotes")
-            key = self.value()
-            if not self._take(":"):
-                self._fail("Expecting ':' delimiter")
-            out[key] = read(key)
+        for _ in self._items("{", "}"):
+            key = self._match(_KEY)[1]
+            if key not in members:
+                raise _Unread
+            out[key] = members[key]()
         return out
 
-    def array(self, read):
-        """The array at the cursor with read() reading each element; any
-        other value as json reads it."""
-        if not self._take("["):
-            return self.value()
-        return [read() for _ in self._items("]")]
-
-    def end(self):
-        if self.skip() != len(self.text):
-            self._fail("Extra data")
-
-
-class _SystemReader(_Reader):
-    """The system file's cursor: supports and weights are read as float64
-    arrays, and each support text is decoded once per file."""
-
-    def __init__(self, text: str):
-        super().__init__(text)
-        # the text through a support's first point: that support's
-        # (text, array) pairs, latest last
-        self.supports = {}
+    def array(self, read) -> list:
+        """The array at the cursor, read() reading each element."""
+        return [read() for _ in self._items("[", "]")]
 
     def support(self):
-        """The support at the cursor as a float64 array. A bracketed text
+        """The bracketed support at the cursor as a float64 array. A text
         that repeats one decoded before, anywhere in the file, is skipped
         and shares its array: a bracketed text ends where its value ends,
         so a later text that begins with it holds the same value there."""
         text, start = self.text, self.skip()
         if not text.startswith("[", start):
-            return self.floats()
+            raise _Unread
         # a bracketed text holds a "]", so this is a prefix of the text
         point = text[start:text.find("]", start) + 1]
         seen = self.supports.get(point, ())
@@ -540,49 +532,27 @@ class _SystemReader(_Reader):
         """The value at the cursor, read by numbers(), as a float64 array."""
         return np.asarray(self.numbers(), np.float64)
 
-    def row(self):
-        """A kernel row or a marginal. Text in system_to_dict's layout is
-        read through one match per part; any other text (another key order,
-        a repeated or unknown key, a value that is not an object) by
-        object()."""
-        text, start = self.text, self.pos
-        if part := _ROW_OPEN.match(text, start):
-            self.pos = part.end()
-            support = self.support()
-            if part := _ROW_WEIGHTS.match(text, self.pos):
-                self.pos = part.end()
-                weights = self.floats()
-                if part := _ROW_CLOSE.match(text, self.pos):
-                    self.pos = part.end()
-                    return {"support": support, "weights": weights}
-        self.pos = start
-        return self.object(self._row_member)
+    def row(self) -> dict:
+        """A kernel row or a marginal, {"support": S, "weights": W}, read
+        through one match per part."""
+        self._match(_ROW_OPEN)
+        support = self.support()
+        self._match(_ROW_WEIGHTS)
+        weights = self.floats()
+        self._match(_ROW_CLOSE)
+        return {"support": support, "weights": weights}
 
-    def _row_member(self, key):
-        if key == "support":
-            return self.support()
-        return self.floats() if key == "weights" else self.value()
+    def _kernel(self) -> dict:
+        return self.object({"sources": self.support,
+                            "rows": lambda: self.array(self.row)})
 
-    def _kernel(self):
-        return self.object(self._kernel_member)
-
-    def _kernel_member(self, key):
-        if key == "rows":
-            return self.array(self.row)
-        return self.support() if key == "sources" else self.value()
-
-    def _top_member(self, key):
-        if key == "kernels":
-            return self.array(self._kernel)
-        if key == "marginals":
-            return self.array(self.row)
-        if key == "supports":
-            return self.array(self.support)
-        return self.numbers() if key == "deltas" else self.value()
-
-    def document(self):
-        data = self.object(self._top_member)
-        self.end()
+    def document(self) -> dict:
+        data = self.object({"supports": lambda: self.array(self.support),
+                            "kernels": lambda: self.array(self._kernel),
+                            "marginals": lambda: self.array(self.row),
+                            "deltas": self.numbers})
+        if self.skip() != len(self.text):
+            raise _Unread
         return data
 
 
@@ -611,35 +581,37 @@ def decode_system(text: str, path) -> DiscreteSystem:
     """The system in a system file's text (see load_system); a fault raises
     ValidationError naming the file, path."""
     try:
-        return system_from_dict(_SystemReader(text).document())
-    except (TypeError, ValueError) as exc:
-        # ValidationError is a ValueError; numpy raises TypeError for a
-        # coordinate or weight such as {}
+        try:
+            data = _SystemReader(text).document()
+        except (_Unread, TypeError, ValueError):
+            data = json.loads(text)
+        return system_from_dict(data)
+    except ValueError as exc:  # json's JSONDecodeError, or ValidationError
         raise ValidationError(f"system file {path}: {exc}") from None
 
 
 def load_system(path) -> DiscreteSystem:
-    """Read a system file written from system_to_dict.
+    """Read a system file written from system_to_dict: the result is
+    system_from_dict(json.load(f)), which validates it.
 
     read_system_file reads the file's text, and decode_system the system
-    in it. The reader walks the top object, the kernels, their rows and the
-    marginals itself. A row written as system_to_dict writes it,
-    {"support": S, "weights": W}, is read through one compiled pattern per
-    part; a row in any other form is read member by member. Every row of a
-    kernel is written on the kernel's common support, so most of the file
-    is one support text repeated. A support (of a row, a kernel's sources,
-    a marginal or the supports list) whose bracketed text repeats one
-    decoded before anywhere in the file is skipped and shares that float64
-    array, so each distinct support text is decoded once and each kernel
-    merges its support once. Every value, the weights included, is decoded
-    by json's own scanner and then made a float64 array, so the result
-    equals system_from_dict(json.load(f)), which validates it. What is left
-    is json's decimal-to-double conversion of the row weights: on a dense
-    4x300 system (361.5k weights), about 89 ms of decode_system's ~110 ms
-    (one core, Python 3.11).
+    in it. A cursor reads system_to_dict's layout: the four system keys
+    and each kernel's sources and rows, in any order, and each row and
+    marginal written as {"support": S, "weights": W}, all in any spacing.
+    Any other text is read by json.loads, so an invalid file or one in
+    another layout is parsed twice. Every row of a kernel is written on
+    the kernel's common support, so most of the file is one support text
+    repeated. A support (of a row, a kernel's sources, a marginal or the
+    supports list) whose bracketed text repeats one decoded before
+    anywhere in the file is skipped and shares that float64 array, so each
+    distinct support text is decoded once and each kernel merges its
+    support once. What is left is json's decimal-to-double conversion of
+    the row weights: on a dense 4x300 system (361.5k weights), about 89 ms
+    of decode_system's ~110 ms (one core, Python 3.11).
     A file that is not JSON, holds a value that is not a number (a null, a
     string or a boolean included) or a system that system_from_dict refuses
-    raises ValidationError naming the file.
+    raises ValidationError naming the file, with json's or system_from_dict's
+    message.
     """
     return decode_system(read_system_file(path), path)
 

@@ -309,6 +309,10 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
     (["evaluate", "--system_path", "s.json",
       '--mapping={"type": "expectation", "kappa": 0.7}'], "mapping.kappa",
      "mapping.kappa applies to semideviation only, not expectation"),
+    (["select", "--candidates.box", "[[-1, -1], [1, 1], [9, 9]]"],
+     "candidates.box", "bad box [[-1, -1], [1, 1], [9, 9]]"),
+    (["select", "--candidates.box", "[[[-1, -1]], [[1, 1]]]"],
+     "candidates.box", "bad box [[[-1, -1]], [[1, 1]]]"),
 ])
 def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
                                                message):

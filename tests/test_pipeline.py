@@ -627,16 +627,21 @@ def test_load_system_refuses_bytes_that_are_not_utf8(tmp_path):
 def test_load_system_leaves_no_reference_cycle(tmp_path):
     # the reader's closures must not refer to themselves: a cycle keeps the
     # file's text and arrays alive until the next garbage collection, so a
-    # process that reads file after file grows by a file per read
+    # process that reads file after file grows by a file per read; nor may
+    # the cursor's unread text, read again by json.loads
+    unread = _repeated_key_text("support", '"x"')
+    with pytest.raises(core._Unread):
+        core._SystemReader(unread).document()
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(small_system_dict()))
-    gc.collect()
-    gc.disable()
-    try:
-        load_system(path)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for text in (json.dumps(small_system_dict()), unread):
+        path.write_text(text)
+        gc.collect()
+        gc.disable()
+        try:
+            load_system(path)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def assert_reads_as_json_load(path, text):
@@ -686,6 +691,15 @@ def _one_kernel_text(rows, support=((1.0,), (2.0,))):
 
 def _row(support, weights):
     return '{"support": %s, "weights": %s}' % (support, weights)
+
+
+def _repeated_key_text(key, first):
+    """A one-kernel text whose first member named key is written twice, the
+    first time holding first: json.loads keeps the second value."""
+    member = '"%s": ' % key
+    text = _one_kernel_text([_row("[[1.0], [2.0]]", "[0.25, 0.75]"),
+                             _row("[[2.0]]", "[1.0]")])
+    return text.replace(member, member + first + ", " + member, 1)
 
 
 def _alternating_supports_text():
@@ -740,6 +754,11 @@ def _duplicate_kernel_keys_text():
     pytest.param(_alternating_supports_text(), id="alternating-supports"),
     pytest.param(_duplicate_kernel_keys_text(),
                  id="duplicate-kernel-keys"),
+    # a row's support, a kernel's sources and the deltas
+    *(pytest.param(_repeated_key_text(key, first), id=f"repeated-{key}-{kind}")
+      for key in ("support", "sources", "deltas")
+      for kind, first in (("string", '"x"'), ("boolean", "true"),
+                          ("null", "null"))),
 ])
 def test_load_system_reads_row_texts_as_json_load(tmp_path, text):
     assert_reads_as_json_load(tmp_path / "system.json", text)
