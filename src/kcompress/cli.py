@@ -38,6 +38,7 @@ from . import __version__
 from .core import (
     WEIGHT_TOL,
     DiscreteDistribution,
+    _numbers,
     decode_system,
     distribution_to_dict,
     read_system_file,
@@ -124,14 +125,12 @@ def _require(data: dict, key: str, mode: str, at: str = ""):
 
 
 def _as(kind, value, field: str):
-    """value as a finite float, or for kind int as an integral int (2.0 but
-    not 2.7); anything else, a bool too, is a ConfigError naming field."""
+    """value, a number (core._numbers), as a finite float or, for kind int,
+    an integral int (2.0 but not 2.7); else a ConfigError naming field."""
     try:
-        if not isinstance(value, bool):
-            number = kind(value)
-            exact = kind is float or isinstance(value, str) or number == value
-            if exact and math.isfinite(number):
-                return number
+        number = kind(_numbers(value))
+        if (kind is float or number == value) and math.isfinite(number):
+            return number
     except (TypeError, ValueError, OverflowError):
         pass
     what = "an integer" if kind is int else "a finite number"
@@ -165,52 +164,38 @@ def _unknown(path: str, mode: str) -> ConfigError:
     return ConfigError(f"unknown config field {path!r} for mode {mode}", path)
 
 
-def _floats(raw, field: str) -> np.ndarray:
-    """raw as a flat array of finite floats."""
+def _floats(raw, field: str, shape: tuple, message: str = "") -> np.ndarray:
+    """raw, numbers (core._numbers), as a float64 array of finite values in
+    shape, where None is a dimension d of any length; anything else is a
+    ConfigError naming field, with message or one that gives the shape."""
     try:
-        values = np.asarray(raw, dtype=np.float64).ravel()
-        if np.all(np.isfinite(values)):
+        values = np.asarray(_numbers(raw), dtype=np.float64)
+        if (values.ndim == len(shape) and np.all(np.isfinite(values)) and all(
+                n in (None, m) for n, m in zip(shape, values.shape))):
             return values
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):  # not numbers, ragged, past float64
         pass
-    raise ConfigError(f"{field} must be finite numbers, got {raw!r}", field)
+    raise ConfigError(message or f"{field} must be finite numbers in shape"
+                      f" {str(shape).replace('None', 'd')}, got {raw!r}", field)
 
 
 def _components_from(data: dict):
     if data.get("components") is None:
         return tuple(demo_mixture())
     out = []
-    for i, comp in enumerate(
-        _typed(data["components"], list, "mixture.components")
-    ):
+    components = _typed(data["components"], list, "mixture.components")
+    for i, comp in enumerate(components):
+        at = f"mixture.components[{i}]"
         try:
-            out.append(GaussianComponent(comp["mean"], comp["cov"]))
-        except (KeyError, TypeError, KCompressError) as exc:
-            raise ConfigError(
-                f"bad mixture component {i}: {exc}",
-                field=f"mixture.components[{i}]",
-            ) from exc
+            mean = _floats(comp["mean"], at + ".mean", (None,))
+            out.append(GaussianComponent(mean, _floats(
+                comp["cov"], at + ".cov", (mean.size, mean.size))))
+        except (KeyError, TypeError, ValidationError) as exc:
+            raise ConfigError(f"bad mixture component {i}: {exc}", at) from exc
     if len({c.mean.shape for c in out}) != 1:
         raise ConfigError("mixture.components needs one or more components"
                           " of one dimension", "mixture.components")
     return tuple(out)
-
-
-def _box_from(raw, field: str):
-    if raw is None:
-        return None
-    try:
-        corners = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad box {raw!r}", field=field) from exc
-    if corners.ndim != 2 or len(corners) != 2:  # exactly two flat corners
-        raise ConfigError(f"bad box {raw!r}", field=field)
-    low, high = corners
-    if np.any(low >= high):
-        raise ConfigError(
-            f"box needs low < high per coordinate, got {raw!r}", field=field
-        )
-    return tuple(low.tolist()), tuple(high.tolist())
 
 
 def _out(data: dict, mode: str) -> Path:
@@ -280,7 +265,14 @@ def _stage_fields(data: dict, candidates: dict):
     if candidate_mode not in ("lattice", "subsample"):
         raise ConfigError("candidate_mode must be lattice or subsample, got"
                           f" {candidate_mode!r}", "candidate_mode")
-    box = _box_from(candidates.get("box"), "candidates.box")
+    box = candidates.get("box")
+    if box is not None:
+        low, high = _floats(box, "candidates.box", (2, None),
+                            f"bad box {box!r}")
+        if np.any(low >= high):
+            raise ConfigError("box needs low < high per coordinate, got"
+                              f" {box!r}", "candidates.box")
+        box = tuple(low.tolist()), tuple(high.tolist())
     return (StageRule(candidate_mode, margin, box, SolverConfig(**solver)),
             order)
 
@@ -347,9 +339,8 @@ class SelectConfig:
         raw = mixture.get("weights")
         n = len(components)
         weights = (np.full(n, 1.0 / n) if raw is None
-                   else _floats(raw, "mixture.weights"))
-        if (len(weights) != n or np.any(weights <= 0)
-                or abs(weights.sum() - 1.0) > WEIGHT_TOL):
+                   else _floats(raw, "mixture.weights", (n,)))
+        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > WEIGHT_TOL:
             raise ConfigError("mixture.weights needs one positive weight per"
                               f" component, summing to 1; got {raw!r}",
                               "mixture.weights")
@@ -405,7 +396,7 @@ class PipelineConfig:
         sigma = _as(float, system.get("sigma", 0), "system.sigma")
         if "x0" not in system or sigma <= 0:
             raise ConfigError("gaussian_walk needs x0 and sigma > 0", "system")
-        x0 = _floats(system["x0"], "system.x0")
+        x0 = _floats(system["x0"], "system.x0", (None,))
         if x0.size == 0:
             raise ConfigError("system.x0 needs a coordinate", "system.x0")
         if not stages:
@@ -584,9 +575,9 @@ def cost_function(spec: dict) -> Cost:
     """spec, in the JSON cost grammar, as a Cost; {} is the zero cost."""
     affine = _typed(spec.get("affine"), dict, "affine")
     norm = _typed(spec.get("norm"), dict, "norm")
-    coeff = _floats(affine.get("coeff", []), "affine.coeff")
+    coeff = _floats(affine.get("coeff", []), "affine.coeff", (None,))
     offset = _as(float, affine.get("offset", 0.0), "affine.offset")
-    center = _floats(norm.get("center", []), "norm.center")
+    center = _floats(norm.get("center", []), "norm.center", (None,))
     weight = _as(float, norm.get("weight", 1.0), "norm.weight")
     power = _as(float, norm.get("power", 1.0), "norm.power")
     if power < 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import numbers
 import os
 import re
 import stat
@@ -155,7 +156,7 @@ class DiscreteKernel:
                 last, points = row.support, as_points(row.support)
                 if not blocks or not np.array_equal(points, blocks[-1][0]):
                     blocks.append((points, []))
-            blocks[-1][1].append(row.weights)
+            blocks[-1][1].append(np.asarray(row.weights, np.float64))
         if not blocks:
             raise ValidationError("a kernel needs at least one row")
         support, columns = merge_atoms(np.concatenate([b[0] for b in blocks]))
@@ -247,6 +248,8 @@ class DiscreteSystem:
                 f"{len(kernels)} kernels need {len(kernels)} deltas, "
                 f"got {len(deltas)}"
             )
+        if not np.all(np.isfinite(deltas)):
+            raise ValidationError("deltas must be finite")
         object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "marginals", marginals)
@@ -332,18 +335,22 @@ def frozen_pairwise_cost(a: np.ndarray, b: np.ndarray,
 # artifact formats: the JSON codecs, the system file and the CSV writer
 # ---------------------------------------------------------------------------
 
-# numpy reads "1.0", "0", true and null as floats: the decoders refuse them
-_NOT_A_NUMBER = "a null, string or boolean where the system needs a number"
+# numpy reads "1.0", "0", true and null as floats: the readers refuse them
+_NOT_A_NUMBER = "a string or boolean, null or object where a number belongs"
 
 
 def _numbers(value):
-    """value, its nested lists checked a level at a time for a null, string
-    or boolean (an array comes from the file reader, which checked it)."""
-    if isinstance(value, np.ndarray):
+    """value, from a config or a system file, when it is a number or nested
+    lists of numbers, a number being a numbers.Real that is not a bool;
+    anything else raises ValidationError. The lists are checked a level at
+    a time and a type at a time, and an array, which only the system file's
+    cursor puts there (as float64), is not scanned."""
+    if type(value) is np.ndarray:
         return value
     level = [value]
     while kinds := set(map(type, level)):
-        if kinds & {str, bool, type(None)}:
+        if not all(kind in (list, np.ndarray) or kind is not bool
+                   and issubclass(kind, numbers.Real) for kind in kinds):
             raise ValidationError(_NOT_A_NUMBER)
         level = list(chain.from_iterable(v for v in level if type(v) is list)
                      if list in kinds else ())
@@ -412,7 +419,8 @@ def system_from_dict(data: dict) -> DiscreteSystem:
         raise ValidationError(f"system lacks key {exc.args[0]!r}") from None
     except ValidationError:
         raise
-    except (TypeError, ValueError) as exc:  # ValueError: a ragged list
+    # ValueError: a ragged list; OverflowError: an int past float64's range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed system: {exc}") from None
 
 
@@ -583,7 +591,7 @@ def decode_system(text: str, path) -> DiscreteSystem:
     try:
         try:
             data = _SystemReader(text).document()
-        except (_Unread, TypeError, ValueError):
+        except (_Unread, TypeError, ValueError, OverflowError):
             data = json.loads(text)
         return system_from_dict(data)
     except ValueError as exc:  # json's JSONDecodeError, or ValidationError

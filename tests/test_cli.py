@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import re
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import csv_module_bytes, ragged_system_dict
 from kcompress import cli, risk
@@ -245,6 +249,8 @@ def test_threads_flag_runs_pipeline(tmp_path):
     (["pipeline", "--seeds", "[1, 1]"], "seeds"),
     (["evaluate", "--system_path", "s.json",
       '--mapping={"type": "expectation", "kappa": 0.7}'], "mapping.kappa"),
+    # an integer past float64's range, which json reads as an int
+    (["pipeline", "--system.x0", "[1%s, 0]" % ("0" * 400)], "system.x0"),
 ])
 def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
                                    field):
@@ -313,6 +319,52 @@ def test_bad_config_scalar_exits_2(tmp_path, capsys, monkeypatch, argv,
      "candidates.box", "bad box [[-1, -1], [1, 1], [9, 9]]"),
     (["select", "--candidates.box", "[[[-1, -1]], [[1, 1]]]"],
      "candidates.box", "bad box [[[-1, -1]], [[1, 1]]]"),
+    # a number is a JSON number that is finite, in its field's shape
+    (["select", "--mixture",
+      '{"components": [{"mean": ["a", 0], "cov": [[1, 0], [0, 1]]}]}'],
+     "mixture.components[0].mean", "mixture.components[0].mean must be"
+     " finite numbers in shape (d,), got ['a', 0]"),
+    (["select", "--mixture",
+      '{"components": [{"mean": [1, true], "cov": [[1, 0], [0, 1]]}]}'],
+     "mixture.components[0].mean", "mixture.components[0].mean must be"
+     " finite numbers in shape (d,), got [1, True]"),
+    (["select", "--mixture",
+      '{"components": [{"mean": [0, 0], "cov": [["1", 0], [0, 1]]}]}'],
+     "mixture.components[0].cov", "mixture.components[0].cov must be"
+     " finite numbers in shape (2, 2), got [['1', 0], [0, 1]]"),
+    (["select", "--candidates.box", '[["-1", "-1"], ["1", "1"]]'],
+     "candidates.box", "bad box [['-1', '-1'], ['1', '1']]"),
+    (["select", "--candidates.box", "[[false, false], [true, true]]"],
+     "candidates.box", "bad box [[False, False], [True, True]]"),
+    (["select", "--candidates.box", "[[NaN, 0], [1, 1]]"],
+     "candidates.box", "bad box [[nan, 0], [1, 1]]"),
+    (["select", "--mixture",
+      '{"components": [{"mean": [Infinity, 0], "cov": [[1, 0], [0, 1]]}]}'],
+     "mixture.components[0].mean", "mixture.components[0].mean must be"
+     " finite numbers in shape (d,), got [inf, 0]"),
+    (["select", "--mixture",
+      '{"components": [{"mean": [0, 0], "cov": [[NaN, 0], [0, 1]]}]}'],
+     "mixture.components[0].cov", "mixture.components[0].cov must be"
+     " finite numbers in shape (2, 2), got [[nan, 0], [0, 1]]"),
+    (["select", "--mixture.weights", "[[0.2], [0.2], [0.2], [0.2], [0.2]]"],
+     "mixture.weights", "mixture.weights must be finite numbers in shape"
+     " (5,), got [[0.2], [0.2], [0.2], [0.2], [0.2]]"),
+    (["select", "--mixture", '{"components": [{"mean": [0, 0],'
+      ' "cov": [[1, 0], [0, 1]]}], "weights": 1}'],
+     "mixture.weights", "mixture.weights must be finite numbers in shape"
+     " (1,), got 1"),
+    (["select", "--mixture",
+      '{"components": [{"mean": [[0, 0]], "cov": [[1, 0], [0, 1]]}]}'],
+     "mixture.components[0].mean", "mixture.components[0].mean must be"
+     " finite numbers in shape (d,), got [[0, 0]]"),
+    (["pipeline", "--system.x0", '["0", false]'], "system.x0",
+     "system.x0 must be finite numbers in shape (d,), got ['0', False]"),
+    (["evaluate", "--system_path", "s.json",
+      '--costs=[{"affine": {"coeff": ["1", true]}}]'],
+     "costs[0].affine.coeff", "costs[0].affine.coeff must be finite numbers"
+     " in shape (d,), got ['1', True]"),
+    (["select", "--budget", '"3"'], "budget",
+     "budget must be an integer, got '3'"),
 ])
 def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
                                                message):
@@ -321,6 +373,7 @@ def test_config_check_exits_2_with_its_message(tmp_path, capsys, argv, field,
     cfg_path = _mode_config(tmp_path, mode)
     assert main([mode, "--config", cfg_path, *argv[1:]]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
     with pytest.raises(ConfigError, match=re.escape(message)) as exc:
         load_config(cfg_path, parse_overrides(argv[1:]))
     assert exc.value.field == field
@@ -397,6 +450,118 @@ def test_an_option_the_mode_never_reads_exits_2(tmp_path, capsys, argv,
     assert capsys.readouterr().err == (
         f"config error: unknown config field {field!r} for mode {mode}\n")
     assert not (tmp_path / "o").exists()
+
+
+# A valid config of each mode with every numeric key it reads set, and the
+# path of each such key or of one entry of its value. At the keys in
+# NULL_IS_ABSENT a null means "not given", which runs.
+NUMERIC_CONFIGS = {
+    "generate": {"mode": "generate", "seeds": [0],
+                 "mixture": {"samples_per_component": 10}},
+    "select": {
+        "mode": "select", "seeds": [3], "budget": 3, "margin": 0.5,
+        "order": 1, "solver": {"max_iter": 20, "threads": 1},
+        "candidates": {"count": 8, "box": [[-2, -2], [2, 2]]},
+        "mixture": {"samples_per_component": 10, "weights": [0.25, 0.75],
+                    "components": [
+                        {"mean": [0, 0], "cov": [[1, 0], [0, 1]]},
+                        {"mean": [1, 0.5], "cov": [[2, 0.5], [0.5, 1]]}]},
+    },
+    "pipeline": {
+        "mode": "pipeline", "seeds": [0], "order": 1,
+        "system": {"type": "gaussian_walk", "x0": [0.0, 0.0], "sigma": 0.8},
+        "stages": [{"samples_per_source": 10, "candidate_count": 8,
+                    "budget": 2, "order": 2}],
+    },
+    "evaluate": {
+        "mode": "evaluate", "system_path": "s.json",
+        "mapping": {"type": "semideviation", "kappa": 0.5},
+        "costs": [{"affine": {"coeff": [1, 2], "offset": 0.5},
+                   "norm": {"center": [0, 0], "weight": 1, "power": 2}}],
+    },
+}
+NUMERIC_KEYS = [
+    ("generate", ("seeds", 0)),
+    ("generate", ("mixture", "samples_per_component")),
+    *(("select", path) for path in (
+        ("seeds", 0), ("budget",), ("margin",), ("order",),
+        ("solver", "max_iter"), ("solver", "threads"),
+        ("candidates", "count"), ("candidates", "box"),
+        ("candidates", "box", 1), ("candidates", "box", 1, 0),
+        ("mixture", "samples_per_component"), ("mixture", "weights"),
+        ("mixture", "weights", 1), ("mixture", "components", 1, "mean"),
+        ("mixture", "components", 1, "mean", 0),
+        ("mixture", "components", 0, "cov"),
+        ("mixture", "components", 0, "cov", 1),
+        ("mixture", "components", 1, "cov", 0, 1))),
+    *(("pipeline", path) for path in (
+        ("seeds", 0), ("order",), ("system", "x0"), ("system", "x0", 1),
+        ("system", "sigma"), ("stages", 0, "samples_per_source"),
+        ("stages", 0, "candidate_count"), ("stages", 0, "budget"),
+        ("stages", 0, "order"))),
+    *(("evaluate", path) for path in (
+        ("mapping", "kappa"), ("costs", 0, "affine", "coeff"),
+        ("costs", 0, "affine", "coeff", 0), ("costs", 0, "affine", "offset"),
+        ("costs", 0, "norm", "center"), ("costs", 0, "norm", "center", 1),
+        ("costs", 0, "norm", "weight"), ("costs", 0, "norm", "power"))),
+]
+NULL_IS_ABSENT = {("candidates", "box"), ("mixture", "weights")}
+
+
+def test_the_numeric_configs_are_valid(tmp_path):
+    for mode, config in NUMERIC_CONFIGS.items():
+        load_config(None, {**config, "out": str(tmp_path / "o")})
+
+
+def _field(path):
+    """The config field of a NUMERIC_KEYS path: its key, no entry index."""
+    while isinstance(path[-1], int):
+        path = path[:-1]
+    return path[0] + "".join(
+        f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
+
+
+@st.composite
+def refused_configs(draw):
+    """(mode, path, config): a NUMERIC_CONFIGS config with the value at one
+    NUMERIC_KEYS path replaced by a value the number rule refuses."""
+    mode, path = draw(st.sampled_from(NUMERIC_KEYS))
+    config = json.loads(json.dumps(NUMERIC_CONFIGS[mode]))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    valid = node[path[-1]]
+    refused = [
+        st.integers(-5, 300).map(str),  # a quoted number
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.booleans(), st.just({}), st.just(math.nan),
+        st.sampled_from([math.inf, -math.inf]),
+        st.just([valid]),  # one level too deep
+    ]
+    if isinstance(valid, list):
+        refused.append(st.just(valid[0]))  # one level too shallow
+    if path not in NULL_IS_ABSENT:
+        refused.append(st.none())
+    node[path[-1]] = draw(st.one_of(refused))
+    return mode, path, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=refused_configs())
+def test_a_value_that_is_not_a_number_exits_2(tmp_path_factory, case):
+    # no example is a valid config, so none starts a run
+    mode, path, config = case
+    work = tmp_path_factory.mktemp("refused")
+    config["out"] = str(work / "o")
+    cfg_path = write_config(work / "c.json", config)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([mode, "--config", cfg_path]) == 2, config
+    assert err.getvalue().startswith("config error: "), err.getvalue()
+    assert not (work / "o").exists()
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg_path, {})
+    assert exc.value.field == _field(path)
 
 
 def test_load_config_rejects_an_unknown_mode():

@@ -883,6 +883,15 @@ def _list_root(data):
     return json.dumps([data])
 
 
+def _nan_delta(data):
+    data["deltas"] = [0.1, float("nan")]
+
+
+def _huge_weight(data):
+    # an integer past float64's range, which json reads as an int
+    data["kernels"][1]["rows"][1]["weights"][0] = 10**400
+
+
 # each case id names the corruption and the kind of fault it makes
 @pytest.mark.parametrize("corrupt, error, match", [
     pytest.param(_nan_weight, ValidationError, "weights must be finite",
@@ -957,6 +966,11 @@ def _list_root(data):
                  id="_missing_colon-ValueError"),
     pytest.param(_list_root, ValidationError, "a system must be a JSON object",
                  id="_list_root-ValidationError"),
+    pytest.param(_nan_delta, ValidationError, "deltas must be finite",
+                 id="_nan_delta-NonFiniteError"),
+    pytest.param(_huge_weight, ValidationError,
+                 "int too large to convert to float",
+                 id="_huge_weight-NonFiniteError"),
 ])
 def test_load_system_rejects_like_json_load(tmp_path, corrupt, error, match):
     data = small_system_dict()
@@ -971,3 +985,71 @@ def test_load_system_rejects_like_json_load(tmp_path, corrupt, error, match):
     assert isinstance(exc.value, ValidationError)
     # every fault the reader or system_from_dict finds names the file
     assert str(path) in str(exc.value)
+
+
+def _weights_first(data):
+    """data's text, marginals first, with every row's and marginal's keys
+    weights-first: a layout the system file's cursor leaves to json.loads
+    at the first marginal, before it reads a number."""
+    flip = lambda row: {"weights": row["weights"], "support": row["support"]}
+    return json.dumps({
+        "marginals": [flip(m) for m in data["marginals"]],
+        "supports": data["supports"], "deltas": data["deltas"],
+        "kernels": [dict(k, rows=[flip(r) for r in k["rows"]])
+                    for k in data["kernels"]]})
+
+
+def _object_weight(data):
+    data["kernels"][1]["rows"][1]["weights"] = [{}, 1.0, 0.0]
+
+
+def _object_coordinate(data):
+    data["kernels"][1]["rows"][0]["support"][1] = [{}, 2.0]
+
+
+def _object_point(data):
+    data["supports"][1][1] = {}
+
+
+def _object_delta(data):
+    data["deltas"] = [{}, 0.2]
+
+
+@pytest.mark.parametrize("corrupt", [_object_weight, _object_coordinate,
+                                     _object_point, _object_delta])
+def test_an_object_where_a_number_belongs_is_refused_by_the_one_rule(
+        tmp_path, corrupt):
+    data = small_system_dict()
+    corrupt(data)
+    want = f"system file {{}}: {core._NOT_A_NUMBER}"
+    # the cursor reads system_to_dict's layout; json.loads reads the other
+    with pytest.raises(core._Unread):
+        core._SystemReader(_weights_first(data)).document()
+    for name, text in (("cursor", json.dumps(data)),
+                       ("fallback", _weights_first(data))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            load_system(path)
+        assert str(exc.value) == want.format(path), name
+    if corrupt is _object_delta:
+        # the cursor reads this file whole; system_from_dict refuses it
+        doc = core._SystemReader(json.dumps(data)).document()
+        with pytest.raises(ValidationError, match=core._NOT_A_NUMBER):
+            system_from_dict(doc)
+
+
+def test_numbers_returns_the_cursors_arrays_unscanned():
+    # an array the cursor built is returned as it is, so decoding a system
+    # file checks each number once, in the cursor
+    doc = core._SystemReader(json.dumps(small_system_dict())).document()
+    arrays = [*doc["supports"], *(m[key] for m in doc["marginals"]
+                                  for key in ("support", "weights"))]
+    for kernel in doc["kernels"]:
+        arrays += [kernel["sources"], *(r[key] for r in kernel["rows"]
+                                        for key in ("support", "weights"))]
+    assert len(arrays) == 3 + 6 + 2 + 8
+    for array in arrays:
+        assert type(array) is np.ndarray and array.dtype == np.float64
+        assert core._numbers(array) is array
+    assert core._numbers(doc["supports"]) is doc["supports"]
